@@ -72,7 +72,11 @@ struct ResourceState {
 pub struct SimEngine {
     streams: Vec<StreamState>,
     resources: Vec<ResourceState>,
+    /// Completion times of the live events: `EventId(i)` is
+    /// `events[i - retired]`.
     events: Vec<SimTime>,
+    /// Events dropped by [`SimEngine::retire_events`] so far.
+    retired: usize,
     trace: Vec<TraceSpan>,
     trace_enabled: bool,
 }
@@ -126,8 +130,8 @@ impl SimEngine {
         let mut start = self.streams[stream.0].tail;
         let resource = self.streams[stream.0].resource;
         start = start.max(self.resources[resource.0].free_at);
-        for w in waits {
-            start = start.max(self.events[w.0]);
+        for &w in waits {
+            start = start.max(self.event_time(w));
         }
         let end = start + duration;
         self.streams[stream.0].tail = end;
@@ -142,7 +146,7 @@ impl SimEngine {
                 end,
             });
         }
-        EventId(self.events.len() - 1)
+        EventId(self.retired + self.events.len() - 1)
     }
 
     /// Submits a zero-length barrier on `stream` that waits for `waits`.
@@ -157,9 +161,27 @@ impl SimEngine {
     ///
     /// # Panics
     ///
-    /// Panics on foreign handles.
+    /// Panics on foreign or retired handles.
     pub fn event_time(&self, event: EventId) -> SimTime {
-        self.events[event.0]
+        debug_assert!(event.0 >= self.retired, "event {} was retired", event.0);
+        self.events[event.0 - self.retired]
+    }
+
+    /// Declares every event submitted so far dead: the caller holds no
+    /// [`EventId`] it will wait on or query again. Their completion times
+    /// are dropped (stream tails, resource occupancy and the trace are
+    /// unaffected), so a long-lived engine's memory is bounded by the
+    /// events of one retirement interval instead of growing with every op
+    /// ever submitted. Ids keep counting from where they were; reading a
+    /// retired one is a bug and panics.
+    pub fn retire_events(&mut self) {
+        self.retired += self.events.len();
+        self.events.clear();
+    }
+
+    /// Events whose completion times are still retained.
+    pub fn live_events(&self) -> usize {
+        self.events.len()
     }
 
     /// Tail (time of last submitted op) of a stream.
@@ -307,6 +329,38 @@ mod tests {
         let ea = a.submit(compute_a, "z", SimDuration::from_nanos(5), &[]);
         let eb = b.submit(compute_b, "z", SimDuration::from_nanos(5), &[]);
         assert_eq!(a.event_time(ea), b.event_time(eb));
+    }
+
+    #[test]
+    fn retiring_events_bounds_memory_and_keeps_the_schedule() {
+        let (mut a, compute_a, copy_a) = engine_with_two_streams();
+        let (mut b, compute_b, copy_b) = engine_with_two_streams();
+        for round in 0..50u64 {
+            b.retire_events();
+            assert_eq!(b.live_events(), 0);
+            let dur = SimDuration::from_nanos(10 + round);
+            let fa = a.submit(copy_a, "fetch", dur, &[]);
+            let fb = b.submit(copy_b, "fetch", dur, &[]);
+            let ea = a.submit(compute_a, "exec", dur, &[fa]);
+            let eb = b.submit(compute_b, "exec", dur, &[fb]);
+            // Ids keep counting across retirements; times are unaffected.
+            assert_eq!(ea, eb);
+            assert_eq!(a.event_time(ea), b.event_time(eb));
+            assert_eq!(b.live_events(), 2);
+        }
+        assert_eq!(a.live_events(), 100);
+        assert_eq!(a.horizon(), b.horizon());
+        assert_eq!(a.resource_busy(ResourceId(0)), b.resource_busy(ResourceId(0)));
+    }
+
+    #[test]
+    #[should_panic]
+    fn reading_a_retired_event_panics() {
+        let (mut eng, compute, _) = engine_with_two_streams();
+        let old = eng.submit(compute, "a", SimDuration::from_nanos(1), &[]);
+        eng.retire_events();
+        eng.submit(compute, "b", SimDuration::from_nanos(1), &[]);
+        eng.event_time(old);
     }
 
     #[test]

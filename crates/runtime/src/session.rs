@@ -696,6 +696,11 @@ impl BatchSession {
         if self.inflight.is_empty() {
             return Ok(events);
         }
+        // No event outlives a step: prefill keeps its handles in locals and
+        // every decode pass starts by resetting `scratch`, so the engine can
+        // drop all completion times recorded so far. Without this a live
+        // server retains every op's event for the life of the process.
+        self.machine.engine_mut().retire_events();
         let span_start = self.machine.horizon();
         if self.paged.is_some() {
             self.chunked_prefill()?;
@@ -1090,6 +1095,29 @@ mod tests {
         assert!(second.iter().all(|e| e.index == 1 && e.done));
         assert_eq!(s.in_flight(), 0);
         assert_eq!(s.total_tokens(), 6);
+    }
+
+    #[test]
+    fn retained_events_stay_bounded_over_thousands_of_requests() {
+        let mut s = session(4);
+        let mut peak = 0;
+        for id in 0..2_000u64 {
+            let adm = s.try_admit(id, ArrivedRequest::at_nanos(0, req(8, 2))).unwrap();
+            assert!(matches!(adm, Admission::Admitted { .. }), "{adm:?}");
+            // Every other request joins a running batch, the rest start one.
+            if id % 2 == 0 {
+                continue;
+            }
+            while s.in_flight() > 0 {
+                s.step().unwrap();
+                peak = peak.max(s.machine.engine_mut().live_events());
+            }
+        }
+        assert_eq!(s.total_tokens(), 4_000);
+        // A step materialises a few ops per layer of one prefill and one
+        // decode pass; held for the session's life (as they once were) the
+        // 1 000 prefills alone would retain over 50 000 events.
+        assert!(peak > 0 && peak <= 512, "a step left {peak} events live");
     }
 
     #[test]

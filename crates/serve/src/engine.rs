@@ -9,7 +9,15 @@
 //!   [`EngineJob`]s (the admission queue; its bound is the server's
 //!   backpressure limit), and
 //! * outbound, one [`Outbox`] per request that the owning connection
-//!   drains into HTTP chunks.
+//!   drains into HTTP chunks. Pushing marks the outbox signalled; once per
+//!   iteration the engine then wakes each IO worker it pushed to (a
+//!   [`WakeSet`] flush: at most one 1-byte write per worker, and none while
+//!   an earlier wake-up is still unconsumed), so a token reaches its socket
+//!   when it exists rather than when a timer fires.
+//!
+//! The engine itself never waits on a timer while it has work: a fully
+//! idle engine blocks on the admission channel (looking at the shutdown
+//! flag every 5 ms) and a submitted job ends that wait at once.
 //!
 //! Each engine iteration follows the paper's serving discipline:
 //! admission only at iteration boundaries (continuous batching), then one
@@ -21,6 +29,7 @@
 //! same forward pass.
 
 use crate::metrics::{ServerMetrics, SimSnapshot};
+use crate::poll::Waker;
 use crate::slo::SloGovernor;
 use pgmoe_device::SimTime;
 use pgmoe_model::net::{RouteDecision, SwitchNet, SwitchNetConfig};
@@ -33,7 +42,7 @@ use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of the generation engine (model + device + batching).
@@ -104,6 +113,9 @@ pub(crate) enum OutMsg {
         index: usize,
         /// The generated vocabulary id.
         token: usize,
+        /// When the engine pushed it, on the server's [`LiveClock`]; the
+        /// IO worker observes push → socket hand-off against it.
+        pushed_ns: u64,
     },
     /// The request finished; `tokens` is the full output for the client's
     /// integrity check.
@@ -120,24 +132,55 @@ pub(crate) enum OutMsg {
 }
 
 /// A single-producer event queue from the engine to one connection.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Outbox {
     events: Mutex<VecDeque<OutMsg>>,
+    /// Raised by every push, taken by the owning IO worker: a woken worker
+    /// finds the outboxes with news by this flag, without locking the rest.
+    signalled: AtomicBool,
     /// Set by the IO layer when the owning connection died. The engine
     /// sweeps closed outboxes every iteration and aborts their requests so
     /// a disconnected client never holds batch slots or HBM reservation.
     closed: AtomicBool,
+    /// Wakes the IO worker that owns the connection.
+    waker: Arc<Waker>,
 }
 
 impl Outbox {
+    /// An empty outbox drained by the worker `waker` wakes.
+    pub(crate) fn new(waker: Arc<Waker>) -> Self {
+        Outbox {
+            events: Mutex::new(VecDeque::new()),
+            signalled: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+            waker,
+        }
+    }
+
+    /// The queue, whatever happened to the last thread that held it: a
+    /// push or a drain leaves it valid at every step, so a panicking IO
+    /// worker must not take the engine down with a poisoned lock.
+    fn queue(&self) -> MutexGuard<'_, VecDeque<OutMsg>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `msg` and raises the signal. Does not wake the worker: the
+    /// engine batches wake-ups through a [`WakeSet`].
     pub(crate) fn push(&self, msg: OutMsg) {
-        self.events.lock().expect("outbox poisoned").push_back(msg);
+        self.queue().push_back(msg);
+        // SeqCst with `take_signal` and the waker's flag: see `Waker`.
+        self.signalled.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether anything was pushed since the last call. The worker calls
+    /// this after [`Waker::reset`] and before draining.
+    pub(crate) fn take_signal(&self) -> bool {
+        self.signalled.load(Ordering::SeqCst) && self.signalled.swap(false, Ordering::SeqCst)
     }
 
     /// Moves every pending event into `into`.
     pub(crate) fn drain_into(&self, into: &mut Vec<OutMsg>) {
-        let mut q = self.events.lock().expect("outbox poisoned");
-        into.extend(q.drain(..));
+        into.extend(self.queue().drain(..));
     }
 
     /// Marks the receiving connection as gone.
@@ -147,6 +190,30 @@ impl Outbox {
 
     pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
+    }
+}
+
+/// The IO workers owed a wake-up: the engine pushes through this and
+/// flushes once per iteration, so an iteration that streams a token to
+/// every request of a batch still costs one wake per worker, not one per
+/// token.
+#[derive(Default)]
+struct WakeSet(Vec<Arc<Waker>>);
+
+impl WakeSet {
+    fn push(&mut self, outbox: &Outbox, msg: OutMsg) {
+        outbox.push(msg);
+        if !self.0.iter().any(|w| Arc::ptr_eq(w, &outbox.waker)) {
+            self.0.push(Arc::clone(&outbox.waker));
+        }
+    }
+
+    fn flush(&mut self, metrics: &ServerMetrics) {
+        for waker in self.0.drain(..) {
+            if waker.wake() {
+                metrics.io_wakeups.inc();
+            }
+        }
     }
 }
 
@@ -297,11 +364,13 @@ pub(crate) fn run_engine(
     // A fresh replica is serving again: lift the failover gate.
     shared.metrics.failover_active.set(0);
 
-    let fail = |shared: &EngineShared, outbox: &Outbox, reason: &'static str| {
-        outbox.push(OutMsg::Failed { reason });
-        shared.governor.on_dequeue();
-        shared.metrics.queue_depth.dec();
-    };
+    let mut wakes = WakeSet::default();
+    let fail =
+        |shared: &EngineShared, wakes: &mut WakeSet, outbox: &Outbox, reason: &'static str| {
+            wakes.push(outbox, OutMsg::Failed { reason });
+            shared.governor.on_dequeue();
+            shared.metrics.queue_depth.dec();
+        };
 
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
@@ -368,10 +437,12 @@ pub(crate) fn run_engine(
                     // This request can never be admitted (e.g. it alone
                     // exceeds the HBM budget): fail it, keep serving.
                     let job = waiting.pop_front().expect("front exists");
-                    fail(&shared, &job.outbox, "request cannot fit the device budget");
+                    fail(&shared, &mut wakes, &job.outbox, "request cannot fit the device budget");
                 }
             }
         }
+        // Refusals need not wait out this iteration's forward passes.
+        wakes.flush(&shared.metrics);
         if active.is_empty() {
             continue;
         }
@@ -393,36 +464,17 @@ pub(crate) fn run_engine(
                 // The simulated device failed mid-iteration (e.g. HBM
                 // exhaustion): fail every live request and stop serving.
                 for d in active.values() {
-                    d.outbox.push(OutMsg::Failed { reason: "device error mid-iteration" });
+                    wakes.push(&d.outbox, OutMsg::Failed { reason: "device error mid-iteration" });
                     shared.metrics.inflight.dec();
                 }
                 active.clear();
                 break;
             }
         };
-        let now_ns = shared.clock.now_ns();
-        for ev in events {
-            let d = active.get_mut(&ev.id).expect("event for live request");
-            let token = d.next_token;
-            d.ctx.push(token);
-            d.emitted.push(token);
-            d.outbox.push(OutMsg::Token { index: ev.index, token });
-            shared.metrics.tokens_total.inc();
-            if ev.index == 0 {
-                let ttft = Duration::from_nanos(now_ns.saturating_sub(d.arrival_ns));
-                shared.metrics.ttft_seconds.observe(ttft);
-            }
-            if ev.done {
-                let d = active.remove(&ev.id).expect("done request is live");
-                let latency = Duration::from_nanos(now_ns.saturating_sub(d.arrival_ns));
-                shared.metrics.request_seconds.observe(latency);
-                shared.metrics.inflight.dec();
-                shared.metrics.streams_completed.inc();
-                d.outbox.push(OutMsg::Done { tokens: d.emitted });
-            }
-        }
+        // Everything a scrape reads is updated before the token it accounts
+        // for can reach a client: a worker may drain an outbox the moment
+        // it is pushed to, wake-up or not.
         shared.metrics.engine_iterations.inc();
-        shared.governor.observe_iteration(iter_start.elapsed());
         shared.metrics.publish_sim(SimSnapshot {
             total_tokens: session.total_tokens() as u64,
             peak_hbm_bytes: session.peak_hbm_bytes(),
@@ -432,6 +484,29 @@ pub(crate) fn run_engine(
             plan_cache_misses: session.plan_cache_stats().misses,
             expert_bytes,
         });
+        let now_ns = shared.clock.now_ns();
+        for ev in events {
+            let d = active.get_mut(&ev.id).expect("event for live request");
+            let token = d.next_token;
+            d.ctx.push(token);
+            d.emitted.push(token);
+            shared.metrics.tokens_total.inc();
+            if ev.index == 0 {
+                let ttft = Duration::from_nanos(now_ns.saturating_sub(d.arrival_ns));
+                shared.metrics.ttft_seconds.observe(ttft);
+            }
+            wakes.push(&d.outbox, OutMsg::Token { index: ev.index, token, pushed_ns: now_ns });
+            if ev.done {
+                let d = active.remove(&ev.id).expect("done request is live");
+                let latency = Duration::from_nanos(now_ns.saturating_sub(d.arrival_ns));
+                shared.metrics.request_seconds.observe(latency);
+                shared.metrics.inflight.dec();
+                shared.metrics.streams_completed.inc();
+                wakes.push(&d.outbox, OutMsg::Done { tokens: d.emitted });
+            }
+        }
+        wakes.flush(&shared.metrics);
+        shared.governor.observe_iteration(iter_start.elapsed());
 
         iterations_run += 1;
         if cfg.fail_after_iterations.is_some_and(|n| iterations_run >= n) {
@@ -441,9 +516,10 @@ pub(crate) fn run_engine(
             // instead of a queue slot on a dead replica.
             shared.metrics.failover_active.set(1);
             for d in active.values() {
-                d.outbox.push(OutMsg::Failed { reason: "engine replica failed; retry" });
+                wakes.push(&d.outbox, OutMsg::Failed { reason: "engine replica failed; retry" });
                 shared.metrics.inflight.dec();
             }
+            wakes.flush(&shared.metrics);
             active.clear();
             return EngineExit::Crashed { stats: session.finish(), rx, carryover: waiting };
         }
@@ -452,12 +528,13 @@ pub(crate) fn run_engine(
     // Shutdown: everything still queued or decoding is failed explicitly
     // so no connection is left hanging.
     for job in waiting {
-        fail(&shared, &job.outbox, "server shutting down");
+        fail(&shared, &mut wakes, &job.outbox, "server shutting down");
     }
     for d in active.values() {
-        d.outbox.push(OutMsg::Failed { reason: "server shutting down" });
+        wakes.push(&d.outbox, OutMsg::Failed { reason: "server shutting down" });
         shared.metrics.inflight.dec();
     }
+    wakes.flush(&shared.metrics);
     EngineExit::Shutdown(session.finish())
 }
 
@@ -482,7 +559,7 @@ mod tests {
         prompt: Vec<usize>,
         n: usize,
     ) -> (EngineJob, Arc<Outbox>) {
-        let outbox = Arc::new(Outbox::default());
+        let outbox = Arc::new(Outbox::new(Arc::new(Waker::new().expect("socket pair"))));
         shared.governor.on_enqueue();
         shared.metrics.queue_depth.inc();
         (
@@ -533,7 +610,7 @@ mod tests {
             let mut streamed = Vec::new();
             for (i, ev) in events[..n].iter().enumerate() {
                 match ev {
-                    OutMsg::Token { index, token } => {
+                    OutMsg::Token { index, token, .. } => {
                         assert_eq!(*index, i);
                         streamed.push(*token);
                     }
@@ -565,7 +642,15 @@ mod tests {
             tx.send(j).unwrap();
             drop(tx);
             run_to_shutdown(EngineConfig::demo(), rx, shared);
-            collect(&out)
+            // Push stamps are wall-clock; everything else must repeat.
+            let mut events = collect(&out);
+            for ev in &mut events {
+                if let OutMsg::Token { pushed_ns, .. } = ev {
+                    *pushed_ns = 0;
+                }
+            }
+            assert_eq!(events.len(), 6, "{events:?}");
+            events
         };
         // Token content is a pure function of the prompt and the net seed —
         // not of the request id or batch composition.
@@ -654,6 +739,52 @@ mod tests {
         let stats = engine.join().expect("engine thread");
         assert_eq!(shared.metrics.inflight.get(), 0, "batch slot released");
         assert!(stats.total_tokens < 50_000, "stream did not run to completion");
+    }
+
+    #[test]
+    fn a_batch_of_pushes_costs_one_wake_per_worker_and_signals_each_outbox() {
+        let metrics = ServerMetrics::default();
+        let workers = [Arc::new(Waker::new().unwrap()), Arc::new(Waker::new().unwrap())];
+        let outboxes: Vec<Outbox> =
+            (0..6).map(|i| Outbox::new(Arc::clone(&workers[i % 2]))).collect();
+        let untouched = Outbox::new(Arc::clone(&workers[0]));
+        let mut wakes = WakeSet::default();
+        for (i, outbox) in outboxes.iter().enumerate() {
+            wakes.push(outbox, OutMsg::Token { index: 0, token: i, pushed_ns: 0 });
+            wakes.push(outbox, OutMsg::Done { tokens: vec![i] });
+        }
+        assert_eq!(metrics.io_wakeups.get(), 0, "nothing is woken before the flush");
+        wakes.flush(&metrics);
+        assert_eq!(metrics.io_wakeups.get(), 2, "12 pushes to 2 workers: 2 wakes");
+        // A second batch before either worker reacted rides the same wakes.
+        wakes.push(&outboxes[0], OutMsg::Failed { reason: "x" });
+        wakes.flush(&metrics);
+        assert_eq!(metrics.io_wakeups.get(), 2);
+        // The worker finds exactly the pushed-to outboxes, once.
+        workers[0].reset();
+        assert!(outboxes.iter().all(Outbox::take_signal));
+        assert!(!outboxes.iter().any(Outbox::take_signal));
+        assert!(!untouched.take_signal());
+        assert_eq!(collect(&outboxes[0]).len(), 3);
+        // After the reset a push pays for a fresh wake.
+        wakes.push(&outboxes[2], OutMsg::Failed { reason: "y" });
+        wakes.flush(&metrics);
+        assert_eq!(metrics.io_wakeups.get(), 3);
+    }
+
+    #[test]
+    fn a_poisoned_outbox_keeps_working() {
+        let outbox = Arc::new(Outbox::new(Arc::new(Waker::new().unwrap())));
+        outbox.push(OutMsg::Failed { reason: "before" });
+        let poisoner = Arc::clone(&outbox);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.events.lock().unwrap();
+            panic!("IO worker dies holding the outbox");
+        })
+        .join();
+        assert!(outbox.events.is_poisoned());
+        outbox.push(OutMsg::Failed { reason: "after" });
+        assert_eq!(collect(&outbox).len(), 2, "engine-side push survives the poison");
     }
 
     #[test]

@@ -90,6 +90,14 @@ impl Histogram {
         ])
     }
 
+    /// Buckets for the engine→socket hand-off, which is tens of
+    /// microseconds when healthy.
+    pub fn handoff() -> Self {
+        Histogram::new(&[
+            0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.25, 1.0,
+        ])
+    }
+
     /// Records one latency sample.
     pub fn observe(&self, d: Duration) {
         let secs = d.as_secs_f64();
@@ -197,6 +205,12 @@ pub struct ServerMetrics {
     pub failover_active: Gauge,
     /// Streams aborted because their connection disconnected mid-flight.
     pub streams_aborted: Counter,
+    /// Wake-ups the engine paid for (1-byte writes to an IO worker's
+    /// waker); at most one per worker per engine iteration.
+    pub io_wakeups: Counter,
+    /// Engine push → the owning IO worker handing the token to its socket,
+    /// per streamed token.
+    pub token_delivery_seconds: Histogram,
     /// Wall-clock time to first token, per completed stream.
     pub ttft_seconds: Histogram,
     /// Wall-clock request latency (arrival → last token), per stream.
@@ -220,6 +234,8 @@ impl Default for ServerMetrics {
             engine_restarts: Counter::default(),
             failover_active: Gauge::default(),
             streams_aborted: Counter::default(),
+            io_wakeups: Counter::default(),
+            token_delivery_seconds: Histogram::handoff(),
             ttft_seconds: Histogram::latency(),
             request_seconds: Histogram::latency(),
             sim: Mutex::new(SimSnapshot::default()),
@@ -314,6 +330,12 @@ impl ServerMetrics {
             "Streams aborted because their connection disconnected mid-flight.",
             self.streams_aborted.get().to_string(),
         );
+        scalar(
+            "pgmoe_io_wakeups_total",
+            "counter",
+            "Wake-ups the engine sent to IO workers (at most one per worker per iteration).",
+            self.io_wakeups.get().to_string(),
+        );
         let sim = *self.sim.lock().expect("metrics poisoned");
         scalar(
             "pgmoe_sim_tokens_total",
@@ -376,6 +398,11 @@ impl ServerMetrics {
             &mut out,
             "pgmoe_request_seconds",
             "Wall-clock request latency (arrival to last token).",
+        );
+        self.token_delivery_seconds.render_into(
+            &mut out,
+            "pgmoe_token_delivery_seconds",
+            "Engine push to the IO worker handing the token to its socket.",
         );
         out
     }

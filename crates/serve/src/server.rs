@@ -2,9 +2,29 @@
 //!
 //! Thread model (thread-per-core in the small): `io_workers` identical
 //! worker threads each run a `poll(2)` readiness loop over a shared
-//! non-blocking listener plus their own accepted connections, and one
-//! engine thread owns the model (see [`crate::engine`]). Backpressure is
-//! bounded at every hop:
+//! non-blocking listener, their own accepted connections and their own
+//! [`Waker`], and one engine thread owns the model (see [`crate::engine`]).
+//!
+//! Who wakes whom. Nothing runs on a periodic tick; a worker sleeps in
+//! `poll` until one of three things happens:
+//!
+//! * a socket is ready — bytes, room to write, or a hang-up, which is
+//!   watched on streaming connections too so that a client that leaves
+//!   while queued or mid-stream is dropped before it costs engine time;
+//! * the nearest header deadline of a connection still reading a request
+//!   falls due (the slowloris cut-off) — the poll timeout is that deadline,
+//!   or [`IDLE_POLL`] when no connection has one;
+//! * the engine pushed tokens to one of the worker's outboxes, or
+//!   [`ServerHandle`] is shutting down, and woke it.
+//!
+//! On a wake-up the worker first resets its waker and only then takes the
+//! outboxes' signals and drains them (flag before drain: a push that lands
+//! after the reset pays for a fresh wake-up, so none is lost). A turn
+//! services only the connections `poll` reported, whose outbox was
+//! signalled, or whose deadline is due; an unchanged request buffer is not
+//! parsed again and an unsignalled outbox is not locked.
+//!
+//! Backpressure is bounded at every hop:
 //!
 //! * kernel accept backlog → each worker caps its connection count,
 //! * connection buffers → header/body limits from [`Limits`],
@@ -25,7 +45,7 @@ use crate::http::{
 };
 use crate::json::{self, Json};
 use crate::metrics::ServerMetrics;
-use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
+use crate::poll::{poll, PollFd, Waker, POLLIN, POLLOUT};
 use crate::slo::{SloConfig, SloGovernor, Verdict};
 use pgmoe_runtime::{BatchSession, RuntimeError, ServeStats};
 use pgmoe_workload::LiveClock;
@@ -211,19 +231,22 @@ impl Server {
             next_id: AtomicU64::new(0),
         });
         let mut workers = Vec::with_capacity(cfg.io_workers);
+        let mut wakers = Vec::with_capacity(cfg.io_workers);
         for w in 0..cfg.io_workers {
             let listener = listener.try_clone()?;
             let shared = Arc::clone(&io_shared);
             let tx = tx.clone();
             let cap = cfg.max_conns_per_worker;
+            let waker = Arc::new(Waker::new()?);
+            wakers.push(Arc::clone(&waker));
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("pgmoe-io-{w}"))
-                    .spawn(move || worker_loop(listener, tx, shared, cap))?,
+                    .spawn(move || worker_loop(listener, tx, shared, cap, waker))?,
             );
         }
         drop(tx);
-        Ok(ServerHandle { addr, metrics, shutdown, workers, engine: Some(engine) })
+        Ok(ServerHandle { addr, metrics, shutdown, wakers, workers, engine: Some(engine) })
     }
 }
 
@@ -232,6 +255,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     metrics: Arc<ServerMetrics>,
     shutdown: Arc<AtomicBool>,
+    wakers: Vec<Arc<Waker>>,
     workers: Vec<JoinHandle<()>>,
     engine: Option<JoinHandle<ServeStats>>,
 }
@@ -255,6 +279,10 @@ impl ServerHandle {
 
     fn stop(&mut self) -> Option<ServeStats> {
         self.shutdown.store(true, Ordering::Release);
+        // The workers sleep until something happens; this is it.
+        for waker in &self.wakers {
+            waker.wake();
+        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -277,6 +305,11 @@ fn fd_of<T: std::os::unix::io::AsRawFd>(t: &T) -> i32 {
 fn fd_of<T>(_t: &T) -> i32 {
     0
 }
+
+/// Poll timeout while no connection is waiting on a header deadline.
+/// Nothing is scheduled then — the worker sleeps until a socket or its
+/// waker fires — so no behaviour depends on its length.
+const IDLE_POLL: Duration = Duration::from_secs(60);
 
 /// What a connection is currently doing.
 enum ConnState {
@@ -321,17 +354,39 @@ impl Conn {
         Duration::from_millis(shared.limits.header_deadline_ms)
     }
 
-    /// Non-blocking read into `buf`; marks the connection dead on EOF or
-    /// hard error. Returns whether any bytes arrived.
-    fn fill(&mut self) -> bool {
+    /// The readiness this connection waits on. A streaming connection
+    /// watches its read side too — that is where a hang-up shows — but only
+    /// while `buf` has room, so a client cannot grow it without bound by
+    /// sending while it streams.
+    fn interest(&self, limits: &Limits) -> i16 {
+        let reads = match self.state {
+            ConnState::Reading { .. } => true,
+            ConnState::Streaming { .. } => self.buf.len() < buf_cap(limits),
+            ConnState::Closing => false,
+        };
+        let mut want = if reads { POLLIN } else { 0 };
+        if !self.out.is_empty() {
+            want |= POLLOUT;
+        }
+        want
+    }
+
+    /// Non-blocking read into `buf`, up to `cap` buffered bytes. Returns
+    /// whether any bytes arrived. A hang-up aborts a stream (closing the
+    /// outbox lets the engine drop the job, queued or decoding) and leaves
+    /// only what is already encoded to flush; it ends any other connection.
+    fn fill(&mut self, cap: usize) -> bool {
         let mut tmp = [0u8; 4096];
         let mut any = false;
-        loop {
+        while self.buf.len() < cap {
             match self.stream.read(&mut tmp) {
                 Ok(0) => {
-                    // Peer closed its half: a streaming connection keeps
-                    // flushing what it owes; otherwise we are done.
-                    if !matches!(self.state, ConnState::Streaming { .. }) || self.out.is_empty() {
+                    if let ConnState::Streaming { outbox, .. } = &self.state {
+                        outbox.close();
+                        // `Closing` asks for no `POLLIN`: a level-triggered
+                        // EOF cannot spin the loop while `out` drains.
+                        self.state = ConnState::Closing;
+                    } else {
                         self.dead = true;
                     }
                     return any;
@@ -348,6 +403,7 @@ impl Conn {
                 }
             }
         }
+        any
     }
 
     /// Non-blocking flush of `out`.
@@ -375,38 +431,58 @@ impl Conn {
     }
 }
 
+/// Most request bytes a connection buffers: one byte more than a maximal
+/// request, so a full buffer always parses to a request or an error.
+/// Anything beyond it stays in the kernel's buffer (its own backpressure)
+/// until the parser has consumed or refused what is here.
+fn buf_cap(limits: &Limits) -> usize {
+    limits.max_header_bytes + limits.max_body_bytes + 1
+}
+
 fn worker_loop(
     listener: TcpListener,
     tx: SyncSender<EngineJob>,
     shared: Arc<IoShared>,
     cap: usize,
+    waker: Arc<Waker>,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut events: Vec<OutMsg> = Vec::new();
     while !shared.shutdown.load(Ordering::Acquire) {
         fds.clear();
+        fds.push(PollFd::new(waker.fd(), POLLIN));
         let accepting = conns.len() < cap;
         if accepting {
             fds.push(PollFd::new(fd_of(&listener), POLLIN));
         }
+        let first_conn = fds.len();
         let tracked = conns.len();
+        // Sleep until the nearest header deadline; nothing else is timed.
+        let now = Instant::now();
+        let mut timeout = IDLE_POLL;
         for c in &conns {
-            let mut want = 0i16;
-            if matches!(c.state, ConnState::Reading { .. }) {
-                want |= POLLIN;
+            fds.push(PollFd::new(fd_of(&c.stream), c.interest(&shared.limits)));
+            if let ConnState::Reading { deadline } = c.state {
+                timeout = timeout.min(deadline.saturating_duration_since(now));
             }
-            if !c.out.is_empty() {
-                want |= POLLOUT;
-            }
-            fds.push(PollFd::new(fd_of(&c.stream), want));
         }
-        if poll(&mut fds, 5).is_err() {
+        // Rounded up, so the turn after a timeout finds the deadline due.
+        let timeout_ms = i32::try_from(timeout.as_millis() + 1).unwrap_or(i32::MAX);
+        if poll(&mut fds, timeout_ms).is_err() {
             std::thread::sleep(Duration::from_millis(1));
             continue;
         }
 
-        if accepting && fds[0].readable() {
+        // Flag before drain: re-arm the waker first, look at the outboxes
+        // after. A push that lands in between buys a spare wake-up, never a
+        // lost one.
+        let woken = fds[0].readable();
+        if woken {
+            waker.reset();
+        }
+
+        if accepting && fds[1].readable() {
             while conns.len() < cap {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -425,11 +501,16 @@ fn worker_loop(
             }
         }
 
-        let offset = usize::from(accepting);
         let now = Instant::now();
-        for i in 0..tracked {
-            let readable = fds[offset + i].readable();
-            tick(&mut conns[i], readable, now, &shared, &tx, &mut events);
+        for (conn, fd) in conns[..tracked].iter_mut().zip(&fds[first_conn..]) {
+            let due = match &conn.state {
+                ConnState::Reading { deadline } => now >= *deadline,
+                ConnState::Streaming { outbox, .. } => woken && outbox.take_signal(),
+                ConnState::Closing => false,
+            };
+            if due || fd.revents != 0 {
+                tick(conn, fd.readable(), now, &shared, &tx, &waker, &mut events);
+            }
         }
         conns.retain(|c| {
             if c.dead {
@@ -451,34 +532,63 @@ fn worker_loop(
     }
 }
 
-/// One readiness-loop turn for one connection.
+/// Appends `{"index":I,"token":T}\n` to `out` as one HTTP chunk — the bytes
+/// of `http::chunk` over that line, formatted in place.
+fn push_token_chunk(out: &mut Vec<u8>, index: usize, token: usize) {
+    let len = r#"{"index":,"token":}"#.len() + 1 + decimal_len(index) + decimal_len(token);
+    let _ = write!(out, "{len:x}\r\n{{\"index\":{index},\"token\":{token}}}\n\r\n");
+}
+
+/// Appends `{"done":true,"n":N,"tokens":[..]}\n` to `out` as one HTTP chunk.
+fn push_done_chunk(out: &mut Vec<u8>, tokens: &[usize]) {
+    let n = tokens.len();
+    let list_len = tokens.iter().map(|&t| decimal_len(t)).sum::<usize>() + n.saturating_sub(1);
+    let len = r#"{"done":true,"n":,"tokens":[]}"#.len() + 1 + decimal_len(n) + list_len;
+    let _ = write!(out, "{len:x}\r\n{{\"done\":true,\"n\":{n},\"tokens\":[");
+    for (i, t) in tokens.iter().enumerate() {
+        let _ = if i == 0 { write!(out, "{t}") } else { write!(out, ",{t}") };
+    }
+    out.extend_from_slice(b"]}\n\r\n");
+}
+
+/// Decimal digits of `n`.
+fn decimal_len(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Services one connection that has something to do: new bytes, room to
+/// write, a signalled outbox, or a due deadline.
 fn tick(
     conn: &mut Conn,
     readable: bool,
     now: Instant,
     shared: &IoShared,
     tx: &SyncSender<EngineJob>,
+    waker: &Arc<Waker>,
     events: &mut Vec<OutMsg>,
 ) {
     if conn.dead {
         return;
     }
-    if readable {
-        conn.fill();
-    }
-    // Run the state machine until it stops making progress (a pipelined
-    // request already in `buf` is served without waiting for more IO).
+    // A request buffer is parsed when it grew or when the connection just
+    // came back to reading (a pipelined request may already be in `buf`).
+    let mut parse = readable && conn.fill(buf_cap(&shared.limits));
+    // Run the state machine until it stops making progress.
     loop {
         match &mut conn.state {
             ConnState::Reading { deadline } => {
                 let deadline = *deadline;
+                if !parse && now < deadline {
+                    break;
+                }
                 match parse_request(&conn.buf, &shared.limits) {
                     Ok(Parsed::Complete(req, used)) => {
                         conn.buf.drain(..used);
-                        route(conn, req, shared, tx);
+                        route(conn, req, shared, tx, waker);
                         if conn.dead {
                             return;
                         }
+                        parse = true;
                         continue;
                     }
                     Ok(Parsed::Incomplete) => {
@@ -521,26 +631,26 @@ fn tick(
                 events.clear();
                 outbox.drain_into(events);
                 let mut finished = None;
+                // Delivery is observed before the flush below, like every
+                // other count a scrape reads: once a client holds a token,
+                // the histogram already has it.
+                let handed_ns = shared.clock.now_ns();
                 for msg in events.drain(..) {
                     match msg {
-                        OutMsg::Token { index, token } => {
+                        OutMsg::Token { index, token, pushed_ns } => {
                             if !*head_sent {
                                 conn.out
                                     .extend_from_slice(&chunked_head(200, "application/x-ndjson"));
                                 *head_sent = true;
                             }
-                            let line = format!("{{\"index\":{index},\"token\":{token}}}\n");
-                            conn.out.extend_from_slice(&chunk(line.as_bytes()));
+                            push_token_chunk(&mut conn.out, index, token);
+                            shared
+                                .metrics
+                                .token_delivery_seconds
+                                .observe(Duration::from_nanos(handed_ns.saturating_sub(pushed_ns)));
                         }
                         OutMsg::Done { tokens } => {
-                            let list =
-                                tokens.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",");
-                            let line = format!(
-                                "{{\"done\":true,\"n\":{},\"tokens\":[{}]}}\n",
-                                tokens.len(),
-                                list
-                            );
-                            conn.out.extend_from_slice(&chunk(line.as_bytes()));
+                            push_done_chunk(&mut conn.out, &tokens);
                             conn.out.extend_from_slice(LAST_CHUNK);
                             finished = Some(200);
                         }
@@ -569,6 +679,7 @@ fn tick(
                         deadline: Instant::now()
                             + Duration::from_millis(shared.limits.header_deadline_ms),
                     };
+                    parse = true;
                     continue;
                 }
             }
@@ -580,7 +691,13 @@ fn tick(
 }
 
 /// Dispatches one parsed request.
-fn route(conn: &mut Conn, req: Request, shared: &IoShared, tx: &SyncSender<EngineJob>) {
+fn route(
+    conn: &mut Conn,
+    req: Request,
+    shared: &IoShared,
+    tx: &SyncSender<EngineJob>,
+    waker: &Arc<Waker>,
+) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             conn.respond(shared, "/healthz", response(200, "text/plain", b"ok\n", &[]), 200);
@@ -594,7 +711,7 @@ fn route(conn: &mut Conn, req: Request, shared: &IoShared, tx: &SyncSender<Engin
                 200,
             );
         }
-        ("POST", "/v1/generate") => handle_generate(conn, &req, shared, tx),
+        ("POST", "/v1/generate") => handle_generate(conn, &req, shared, tx, waker),
         (_, "/healthz" | "/metrics" | "/v1/generate") => {
             let bytes =
                 response(405, "application/json", br#"{"error":"method not allowed"}"#, &[]);
@@ -608,7 +725,13 @@ fn route(conn: &mut Conn, req: Request, shared: &IoShared, tx: &SyncSender<Engin
 }
 
 /// Validates and admits one generate request.
-fn handle_generate(conn: &mut Conn, req: &Request, shared: &IoShared, tx: &SyncSender<EngineJob>) {
+fn handle_generate(
+    conn: &mut Conn,
+    req: &Request,
+    shared: &IoShared,
+    tx: &SyncSender<EngineJob>,
+    waker: &Arc<Waker>,
+) {
     let reject = |conn: &mut Conn, shared: &IoShared, status: u16, msg: &str| {
         let body = format!("{{\"error\":\"{}\"}}", json::escape(msg));
         let bytes = response(status, "application/json", body.as_bytes(), &[]);
@@ -683,7 +806,7 @@ fn handle_generate(conn: &mut Conn, req: &Request, shared: &IoShared, tx: &SyncS
         return;
     }
 
-    let outbox = Arc::new(Outbox::default());
+    let outbox = Arc::new(Outbox::new(Arc::clone(waker)));
     let job = EngineJob {
         id: shared.next_id.fetch_add(1, Ordering::Relaxed),
         prompt,
@@ -713,6 +836,30 @@ fn handle_generate(conn: &mut Conn, req: &Request, shared: &IoShared, tx: &SyncS
 mod tests {
     use super::*;
     use crate::client;
+
+    /// The in-place encoders must put the same bytes on the wire as
+    /// `chunk` over the formatted line, across every digit-count and
+    /// hex-length boundary.
+    #[test]
+    fn in_place_chunks_match_http_chunk() {
+        let edges = [0usize, 1, 9, 10, 63, 99, 100, 999, 1000, 65_535, usize::MAX];
+        for &index in &edges {
+            for &token in &edges {
+                let mut out = b"prefix".to_vec();
+                push_token_chunk(&mut out, index, token);
+                let line = format!("{{\"index\":{index},\"token\":{token}}}\n");
+                assert_eq!(out[6..], chunk(line.as_bytes())[..], "{line}");
+            }
+        }
+        for n in [0usize, 1, 2, 3, 4, 5, 16, 17, 100, 256, 1500] {
+            let tokens: Vec<usize> = (0..n).map(|i| edges[i % edges.len()]).collect();
+            let mut out = Vec::new();
+            push_done_chunk(&mut out, &tokens);
+            let list = tokens.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",");
+            let line = format!("{{\"done\":true,\"n\":{n},\"tokens\":[{list}]}}\n");
+            assert_eq!(out, chunk(line.as_bytes()), "{line}");
+        }
+    }
 
     /// Life of a request through replica death, end to end over real
     /// sockets: the crashed stream tells its client to retry, the failover

@@ -3,7 +3,9 @@
 //! Drives a real `pgmoe-serve` server over loopback sockets with blocking
 //! clients: a 1000-stream concurrency soak with throughput and tail-TTFT
 //! bounds, protocol abuse (malformed / oversized / slowloris), SLO load
-//! shedding, and a `/metrics`-versus-`ServeStats` consistency check.
+//! shedding, a `/metrics`-versus-`ServeStats` consistency check, the
+//! engine→IO wake-up path (delivery, deadlines and shutdown ride no timer),
+//! and a client that hangs up while its request is still queued.
 
 use pregated_moe::model::net::SwitchNetConfig;
 use pregated_moe::model::{GatingMode, ModelConfig};
@@ -144,11 +146,18 @@ fn rejects_malformed_oversized_and_slow_requests() {
     // Slowloris: a partial header held past the deadline gets 408.
     let mut slow = TcpStream::connect(addr).expect("connect");
     slow.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let held_since = Instant::now();
     slow.write_all(b"GET /healthz HTT").expect("partial write");
-    std::thread::sleep(Duration::from_millis(700));
     let mut out = String::new();
     let _ = slow.read_to_string(&mut out);
+    let held = held_since.elapsed();
     assert!(out.starts_with("HTTP/1.1 408"), "slowloris got: {out:?}");
+    // Nothing else is happening on the server: the worker's poll timeout
+    // is the header deadline itself, so the cut-off lands on it.
+    assert!(
+        held >= Duration::from_millis(300) && held < Duration::from_secs(3),
+        "408 after {held:?}, deadline 300 ms"
+    );
 
     // A well-formed request still succeeds alongside the abuse.
     let ok = client::generate(addr, &[1, 2], 2, deadline).expect("generate");
@@ -239,7 +248,9 @@ fn sheds_with_429_before_the_slo_breaks() {
 fn metrics_and_healthz_are_consistent_with_serve_stats() {
     const REQUESTS: usize = 16;
     const TOKENS_EACH: usize = 3;
-    let handle = Server::start(ServeConfig::demo()).expect("server starts");
+    let cfg = ServeConfig::demo();
+    let io_workers = cfg.io_workers;
+    let handle = Server::start(cfg).expect("server starts");
     let addr = handle.addr();
     let deadline = Duration::from_secs(30);
 
@@ -282,6 +293,16 @@ fn metrics_and_healthz_are_consistent_with_serve_stats() {
     assert_eq!(sample("pgmoe_ttft_seconds_count") as usize, REQUESTS);
     assert_eq!(sample("pgmoe_inflight_requests") as usize, 0);
     assert!(sample("pgmoe_sim_expert_fetch_bytes_total") > 0.0, "pre-gated policy migrates");
+    // Every streamed token was handed to a socket by an IO worker, and the
+    // engine paid at most one wake-up per worker per iteration however
+    // many tokens the iteration produced (coalescing holds live).
+    assert_eq!(sample("pgmoe_token_delivery_seconds_count") as usize, client_tokens);
+    let wakeups = sample("pgmoe_io_wakeups_total");
+    let iterations = sample("pgmoe_engine_iterations_total");
+    assert!(
+        wakeups >= 1.0 && wakeups <= iterations * io_workers as f64,
+        "{wakeups} wake-ups over {iterations} iterations x {io_workers} workers"
+    );
     assert!(
         text.contains(&format!(
             "pgmoe_http_responses_total{{route=\"/v1/generate\",status=\"200\"}} {REQUESTS}"
@@ -294,4 +315,86 @@ fn metrics_and_healthz_are_consistent_with_serve_stats() {
     assert_eq!(stats.total_tokens, client_tokens, "ServeStats vs streamed tokens");
     assert_eq!(stats.request_latencies.len(), REQUESTS);
     assert!(stats.expert_fetch_bytes > 0);
+}
+
+/// With no periodic tick left, nothing moves unless someone is woken: a
+/// worker whose only connection is streaming sleeps in `poll` for a minute
+/// at a time. Twenty sequential streams therefore finish quickly only if
+/// every token's push wakes the owning worker, and an idle server shuts
+/// down quickly only if `shutdown` does.
+#[test]
+fn delivery_and_shutdown_ride_wakeups_not_a_timer() {
+    const REQUESTS: usize = 20;
+    const TOKENS_EACH: usize = 16;
+    // One token per minute-long idle poll would take over five hours; even
+    // one per 2 s header deadline of some other connection, ten minutes.
+    const BUDGET: Duration = Duration::from_secs(20);
+
+    let handle = Server::start(ServeConfig::demo()).expect("server starts");
+    let addr = handle.addr();
+    let started = Instant::now();
+    for i in 0..REQUESTS {
+        let resp = client::generate(addr, &[1 + i, 2, 3], TOKENS_EACH, Duration::from_secs(120))
+            .expect("generate");
+        assert!(resp.verified(), "{:?}", resp.body);
+        assert_eq!(resp.tokens.len(), TOKENS_EACH);
+    }
+    let streamed = started.elapsed();
+    assert!(streamed < BUDGET, "{REQUESTS} sequential streams took {streamed:?}");
+
+    // Let the workers park in `poll` with nothing scheduled.
+    std::thread::sleep(Duration::from_millis(100));
+    let stopping = Instant::now();
+    let stats = handle.shutdown().expect("engine stats");
+    let stopped = stopping.elapsed();
+    assert!(stopped < Duration::from_secs(5), "idle shutdown took {stopped:?}: not woken");
+    assert_eq!(stats.total_tokens, REQUESTS * TOKENS_EACH);
+}
+
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let started = Instant::now();
+    while !cond() {
+        assert!(started.elapsed() < Duration::from_secs(30), "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A client that hangs up while its request is still queued must be
+/// noticed on the socket (a FIN, no write has failed yet) and dropped by
+/// the engine's disconnect sweep before admission: no prefill, no decode,
+/// no batch slot.
+#[test]
+fn a_client_that_hangs_up_while_queued_is_dropped_before_admission() {
+    // Long enough that A is still decoding when B's hang-up is swept.
+    const A_TOKENS: usize = 1000;
+    let mut cfg = ServeConfig::demo();
+    cfg.engine.batch = BatchConfig::new(1); // B must queue behind A
+    cfg.max_new_tokens = A_TOKENS;
+    let handle = Server::start(cfg).expect("server starts");
+    let addr = handle.addr();
+    let metrics = handle.metrics();
+
+    let a = std::thread::spawn(move || {
+        client::generate(addr, &[1, 2, 3], A_TOKENS, Duration::from_secs(120)).expect("generate")
+    });
+    wait_until("A decoding", || metrics.inflight.get() == 1);
+
+    let body = r#"{"prompt":[4,5,6],"max_tokens":8}"#;
+    let request =
+        format!("POST /v1/generate HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}", body.len(), body);
+    let mut b = TcpStream::connect(addr).expect("connect");
+    b.write_all(request.as_bytes()).expect("write");
+    wait_until("B queued", || metrics.queue_depth.get() == 1);
+    drop(b);
+    wait_until("B swept", || metrics.streams_aborted.get() == 1);
+    assert_eq!(metrics.queue_depth.get(), 0, "the sweep released B's queue slot");
+
+    let a = a.join().expect("client thread");
+    assert!(a.verified(), "{:?}", a.body);
+    assert_eq!(a.tokens.len(), A_TOKENS);
+    assert_eq!(metrics.tokens_total.get() as usize, A_TOKENS, "only A's tokens were streamed");
+    assert_eq!(metrics.streams_aborted.get(), 1);
+    assert_eq!(metrics.inflight.get(), 0);
+    let stats = handle.shutdown().expect("engine stats");
+    assert_eq!(stats.total_tokens, A_TOKENS, "B never reached the device");
 }
