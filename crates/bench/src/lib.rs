@@ -7,8 +7,8 @@
 //! Each `fig*`/`table*` function returns a formatted report whose rows/series
 //! correspond 1:1 to the paper's plots; the `repro` binary prints them and
 //! writes the artifact-style CSV files (`block_lats.csv`, `throughputs.csv`,
-//! `peak_mems.csv`). The Criterion benches under `benches/` time the same
-//! drivers.
+//! `peak_mems.csv`). `benches/substrate.rs` times the kernel layer the
+//! drivers run on.
 //!
 //! ```sh
 //! cargo run --release -p pgmoe-bench --bin repro -- all

@@ -12,7 +12,7 @@
 //! fetch, when, for which block) through the hooks defined in
 //! [`crate::scheduler`].
 
-use crate::plan::{CacheProbe, PlanBytes, PlanCopy, PlanOp, PlanRecorder};
+use crate::plan::{PlanBytes, PlanOp, PlanRecorder};
 use crate::scheduler::{
     ExpertScheduler, FetchSet, Phase, PolicyCtx, Prefetch, Residency, RoutedSource, RoutedView,
 };
@@ -151,9 +151,9 @@ pub(crate) fn batched_prefill_costs(
 /// onto `buffers` and a copy from the offload tier. Returns the event after
 /// which every requested expert is GPU-resident, plus the bytes actually
 /// copied. On OOM the block's buffers are freed before the error
-/// propagates. When a [`PlanRecorder`] is attached the whole fetch —
-/// probes, allocations, copies, and `demand` accounting — is captured as
-/// one [`PlanOp::Fetch`].
+/// propagates. When a [`PlanRecorder`] is attached (decode only, where
+/// every copy stages through a transient buffer) the whole fetch — copies
+/// and `demand` accounting — is captured as one [`PlanOp::Fetch`].
 #[allow(clippy::too_many_arguments)]
 fn issue_copy(
     machine: &mut Machine,
@@ -167,47 +167,29 @@ fn issue_copy(
     alloc_buffers: bool,
     buffers: &mut Vec<AllocId>,
     demand: bool,
-    mut rec: Option<&mut PlanRecorder>,
+    rec: Option<&mut PlanRecorder>,
 ) -> Result<(EventId, u64)> {
     let trace = machine.trace_enabled();
     let mut last = None;
     let mut copied = 0u64;
-    let mut probes: Vec<CacheProbe> = Vec::new();
-    let mut copies: Vec<PlanCopy> = Vec::new();
-    let evictions_before = match (&rec, cache.as_ref()) {
-        (Some(_), Some(c)) => c.stats().evictions,
-        _ => 0,
-    };
+    debug_assert!(rec.is_none() || alloc_buffers, "recorded fetches stage through buffers");
+    let mut copies: Vec<usize> = Vec::new();
     for &e in experts {
         let key = ExpertKey { block, expert: e };
         if sched.is_resident(key) {
             continue;
         }
         let hit = match cache.as_mut() {
-            Some(c) => {
-                let admit = sched.cache_admission(key);
-                let hint = sched.eviction_hint(key);
-                let hit = c.access_with(key, admit, hint);
-                if rec.is_some() {
-                    probes.push(CacheProbe { key, admit, hint, hit });
-                }
-                hit
-            }
+            Some(c) => c.access_with(key, sched.cache_admission(key), sched.eviction_hint(key)),
             None => false,
         };
         if hit {
             continue;
         }
         // Transient staging buffer; OOM here is a real capacity failure.
-        let mut buf_slot = None;
         if alloc_buffers {
             match machine.pool_mut(Tier::Hbm).alloc(plan.expert_bytes()) {
-                Ok(id) => {
-                    buffers.push(id);
-                    if let Some(r) = rec.as_deref_mut() {
-                        buf_slot = Some(r.buffer(id));
-                    }
-                }
+                Ok(id) => buffers.push(id),
                 Err(err) => {
                     free_buffers(machine, buffers);
                     return Err(err.into());
@@ -229,7 +211,7 @@ fn issue_copy(
         copied += plan.expert_bytes();
         last = Some(ev);
         if rec.is_some() {
-            copies.push(PlanCopy { expert: e, buf: buf_slot });
+            copies.push(e);
         }
     }
     // All experts resident: the copy stream is in-order, so the last
@@ -249,18 +231,11 @@ fn issue_copy(
             block,
             bytes_each: plan.expert_bytes(),
             tier: offload_tier,
-            probes,
             copies,
             waits: wait_slots,
             demand,
             out,
         });
-        if let Some(c) = cache.as_ref() {
-            let after = c.stats().evictions;
-            if after > evictions_before {
-                r.op(PlanOp::Evict { block, count: after - evictions_before });
-            }
-        }
     }
     Ok((done, copied))
 }
@@ -510,8 +485,7 @@ pub(crate) fn decode_iteration(
         };
         if let Some(r) = rec.as_deref_mut() {
             if !scratch.pending[b].buffers.is_empty() {
-                let bufs = r.buf_slots_of(&scratch.pending[b].buffers);
-                r.op(PlanOp::FreeBufs { bufs });
+                r.op(PlanOp::FreeBufs { count: scratch.pending[b].buffers.len() as u32 });
             }
         }
         free_buffers(env.machine, &mut scratch.pending[b].buffers);
@@ -531,8 +505,7 @@ pub(crate) fn decode_iteration(
     for p in &mut scratch.pending {
         if let Some(r) = rec.as_deref_mut() {
             if !p.buffers.is_empty() {
-                let bufs = r.buf_slots_of(&p.buffers);
-                r.op(PlanOp::FreeBufs { bufs });
+                r.op(PlanOp::FreeBufs { count: p.buffers.len() as u32 });
             }
         }
         free_buffers(env.machine, &mut p.buffers);

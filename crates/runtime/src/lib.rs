@@ -86,10 +86,7 @@ pub use fleet::{
 pub use kv::{BlockTable, KvBlockPool, KvPoolStats, KvServeStats, PagedKvConfig};
 pub use memory::{kv_bytes, PlacementPlan};
 pub use multi_gpu::{simulate_expert_parallel, ClusterConfig, ClusterReport};
-pub use plan::{
-    CacheProbe, CompiledPlan, PlanBytes, PlanCacheStats, PlanCopy, PlanOp, PlanTrace,
-    RoutingSensitivity,
-};
+pub use plan::{CompiledPlan, PlanBytes, PlanCacheStats, PlanOp, PlanTrace, RoutingSensitivity};
 pub use policy::{CacheCapacity, CacheConfig, OffloadPolicy, Replacement, SimOptions};
 pub use report::{
     csv_block_latencies, csv_fleet_summary, csv_peak_memory, csv_throughputs, LatencySummary,

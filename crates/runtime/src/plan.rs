@@ -1,26 +1,31 @@
-//! Compiled decode plans: an op-IR, a plan cache, and an executor for the
-//! shared decode core.
+//! Compiled decode plans: an op-IR, a plan cache, and an arithmetic replay
+//! for the shared decode core.
 //!
 //! The decode core (`crate::core`) derives every iteration's schedule from
 //! `ExpertScheduler` trait-object hooks — pure host overhead once the HTTP
 //! front door and the fleet multiply it by thousands of concurrent streams.
 //! This module lowers one decode iteration into a small op-IR
 //! ([`PlanOp`]), caches compiled plans keyed on
-//! `(scheduler fingerprint, routing-window fingerprint, expert-cache state
-//! fingerprint, precision, batch shape)`, and replays cached plans against
-//! the [`Machine`]/[`crate::ExpertCache`] with zero per-op trait dispatch.
+//! `(scheduler fingerprint, routing-window fingerprint, precision, batch
+//! shape, pass geometry)`, and replays cached plans against the [`Machine`]
+//! with zero per-op trait dispatch.
+//!
+//! One iteration runs one of three ways, all behind
+//! `decode_iteration_planned`: *interpreted* (`core::decode_iteration`),
+//! *interpreted and recorded* (the first time a key is seen, or for
+//! [`PlanTrace`] capture), or *replayed* from a cached plan. The
+//! interpreter is the only fallback: a replay that cannot run declines
+//! before touching anything and the iteration is interpreted instead.
 //!
 //! # Bit-exactness contract
 //!
 //! Lowering *is* execution: the first time a key is seen, the core runs the
-//! scheduler hooks and the expert-cache accesses for real while the recorder
-//! captures the resulting machine-call stream. A cache hit replays exactly
-//! that stream — same kernels, same copies, same waits, same transient
-//! allocations, same cache probes (re-applied through
-//! [`crate::ExpertCache::access_with`] so hit/miss counters, recency, and
-//! evictions advance identically). The IR changes *when* decisions are
-//! computed, never *what* they are, which is why every golden-equivalence
-//! suite holds bit-exactly with the plan cache enabled.
+//! scheduler hooks for real while the recorder captures the resulting
+//! machine-call stream. A cache hit replays exactly that stream — same
+//! kernels, same copies, same waits, same transient-buffer high-water mark.
+//! The IR changes *when* decisions are computed, never *what* they are,
+//! which is why every golden-equivalence suite holds bit-exactly with the
+//! plan cache enabled.
 //!
 //! # Cacheability
 //!
@@ -32,11 +37,17 @@
 //! the product being built). See
 //! [`crate::ExpertScheduler::plan_routing_sensitivity`] for how much of the
 //! routing window ends up in the key.
+//!
+//! Runs with an [`crate::ExpertCache`] attached are interpreted by design:
+//! which experts a fetch copies depends on which are resident, so a key
+//! would have to hash every routed expert id and the whole cache's recency
+//! order — a key that never repeats. Such runs are neither keyed nor
+//! recorded, and their [`PlanCacheStats`] stay zero.
 
 use crate::core::{self, CoreEnv, CoreScratch, DecodeCosts};
 use crate::scheduler::{ExpertScheduler, RoutedSource};
-use crate::{ExpertKey, Result, RuntimeError};
-use pgmoe_device::{AllocId, CostModel, EventId, Machine, SimDuration, SimTime, Tier};
+use crate::Result;
+use pgmoe_device::{CostModel, EventId, Machine, SimDuration, SimTime, Tier};
 use pgmoe_model::GateTopology;
 use std::collections::HashMap;
 
@@ -89,9 +100,7 @@ pub enum RoutingSensitivity {
     /// sets differ but whose per-block counts repeat.
     Counts,
     /// Decisions may depend on exact expert identities (pinned residents,
-    /// cache steering). The key fingerprints the full per-block sets; the
-    /// core also forces this mode whenever an [`crate::ExpertCache`] is
-    /// attached, because cache probes are keyed by expert id.
+    /// listed fetch sets). The key fingerprints the full per-block sets.
     Exact,
 }
 
@@ -128,33 +137,6 @@ pub enum PlanBytes {
     Ffn,
     /// A byte count fixed at compile time (expert execution).
     Lit(u64),
-}
-
-/// One expert-cache access recorded at compile time and re-applied on every
-/// cached execution, so counters, recency, and evictions advance exactly as
-/// the interpreted path would have advanced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheProbe {
-    /// The expert looked up (and admitted on a miss).
-    pub key: ExpertKey,
-    /// The scheduler's admission verdict captured at compile time.
-    pub admit: bool,
-    /// The scheduler's eviction hint captured at compile time.
-    pub hint: Option<ExpertKey>,
-    /// The hit/miss outcome the plan was compiled against; a divergent
-    /// outcome on replay marks the plan stale and aborts execution.
-    pub hit: bool,
-}
-
-/// One host→device expert copy within a [`PlanOp::Fetch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanCopy {
-    /// Expert index being migrated (for rendering; untraced copies all
-    /// submit under the label `"fetch"`).
-    pub expert: usize,
-    /// Transient-buffer slot allocated for this copy, if the fetch stages
-    /// through per-expert HBM buffers.
-    pub buf: Option<u32>,
 }
 
 /// One operation of a compiled decode plan.
@@ -196,9 +178,9 @@ pub enum PlanOp {
         /// Completion-event slot.
         out: u32,
     },
-    /// Migration of one expert group for one MoE block: cache probes,
-    /// transient-buffer allocations, and host→device copies, collapsing to
-    /// a copy-stream barrier when every expert was resident or cached.
+    /// Migration of one expert group for one MoE block: one transient HBM
+    /// buffer and one host→device copy per expert, collapsing to a
+    /// copy-stream barrier when every expert was resident.
     Fetch {
         /// Cache key-space block the fetch targets (encoder-offset).
         block: usize,
@@ -206,10 +188,9 @@ pub enum PlanOp {
         bytes_each: u64,
         /// Tier the copies read from.
         tier: Tier,
-        /// Expert-cache accesses to re-apply (empty when no cache).
-        probes: Vec<CacheProbe>,
-        /// Copies to submit, in order.
-        copies: Vec<PlanCopy>,
+        /// Experts copied, in submission order (untraced copies all submit
+        /// under the label `"fetch"`).
+        copies: Vec<usize>,
         /// Event slots the copies wait on.
         waits: Vec<u32>,
         /// Whether the copied bytes count as demand (critical-path) stalls.
@@ -224,15 +205,6 @@ pub enum PlanOp {
         /// MoE block index within the decoder.
         block: usize,
     },
-    /// Annotation: the preceding fetch's admissions evicted `count`
-    /// experts from the cache. The evictions themselves re-run through the
-    /// recorded probes; this op only keeps plan renderings honest.
-    Evict {
-        /// Cache key-space block whose fetch triggered the evictions.
-        block: usize,
-        /// Number of evictions.
-        count: u64,
-    },
     /// Paged-KV block bookkeeping charged to simulated time: `blocks`
     /// freshly allocated KV blocks and `cow_bytes` of copy-on-write block
     /// copies (see `kv_append_duration` for the cost model).
@@ -242,10 +214,10 @@ pub enum PlanOp {
         /// Bytes copied by copy-on-write forks this iteration.
         cow_bytes: u64,
     },
-    /// Frees transient expert buffers by slot, in the recorded order.
+    /// Frees `count` transient expert buffers.
     FreeBufs {
-        /// Buffer slots to free.
-        bufs: Vec<u32>,
+        /// Number of buffers freed.
+        count: u32,
     },
     /// Samples `event_time(done) − block_start` into the caller's
     /// block-latency vector.
@@ -255,19 +227,14 @@ pub enum PlanOp {
     },
 }
 
-/// A lowered decode iteration: the op stream plus its slot-table sizes.
+/// A lowered decode iteration: the op stream plus the sizes replay needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPlan {
     ops: Vec<PlanOp>,
     n_events: u32,
-    n_buffers: u32,
     /// Most transient expert buffers live at once (× `expert_bytes` =
     /// the iteration's transient HBM high-water mark).
     peak_bufs: u32,
-    /// Whether every transient buffer the plan allocates is also freed by
-    /// the plan — the invariant that lets replay collapse the buffer churn
-    /// into one peak-sized reservation.
-    balanced: bool,
 }
 
 impl CompiledPlan {
@@ -284,14 +251,14 @@ impl CompiledPlan {
 /// Captures the machine-call stream of one interpreted decode iteration.
 ///
 /// The recorder is passive: the core performs every call for real and the
-/// recorder only notes what happened, mapping live [`EventId`]s /
-/// [`AllocId`]s to dense slots. If the core ever waits on an event the
-/// recorder never saw (a cross-iteration dependency no current scheduler
-/// can create), the recording is poisoned and simply not cached.
+/// recorder only notes what happened, mapping live [`EventId`]s to dense
+/// slots. If the core ever waits on an event the recorder never saw (a
+/// cross-iteration dependency no current scheduler can create), or leaves
+/// a transient buffer alive past the iteration, the recording is not
+/// self-contained and is simply not cached.
 pub(crate) struct PlanRecorder {
     ops: Vec<PlanOp>,
     event_slots: HashMap<EventId, u32>,
-    buf_slots: HashMap<AllocId, u32>,
     dequant: bool,
     poisoned: bool,
 }
@@ -301,7 +268,6 @@ impl PlanRecorder {
         PlanRecorder {
             ops: Vec::with_capacity(64),
             event_slots: HashMap::new(),
-            buf_slots: HashMap::new(),
             dequant,
             poisoned: false,
         }
@@ -338,52 +304,25 @@ impl PlanRecorder {
         out
     }
 
-    /// Assigns the next buffer slot to a freshly allocated transient.
-    pub(crate) fn buffer(&mut self, id: AllocId) -> u32 {
-        let slot = self.buf_slots.len() as u32;
-        if self.buf_slots.insert(id, slot).is_some() {
-            self.poisoned = true;
-        }
-        slot
-    }
-
-    /// Resolves live buffer ids to their slots (for frees).
-    pub(crate) fn buf_slots_of(&mut self, bufs: &[AllocId]) -> Vec<u32> {
-        let mut out = Vec::with_capacity(bufs.len());
-        for id in bufs {
-            match self.buf_slots.get(id) {
-                Some(&slot) => out.push(slot),
-                None => self.poisoned = true,
-            }
-        }
-        out
-    }
-
     fn finish(self) -> Option<CompiledPlan> {
-        if self.poisoned {
-            return None;
-        }
-        let (mut live, mut peak, mut freed) = (0u32, 0u32, 0u32);
+        let (mut live, mut peak) = (0u32, 0u32);
         for op in &self.ops {
             match op {
                 PlanOp::Fetch { copies, .. } => {
-                    live += copies.iter().filter(|c| c.buf.is_some()).count() as u32;
+                    live += copies.len() as u32;
                     peak = peak.max(live);
                 }
-                PlanOp::FreeBufs { bufs } => {
-                    live = live.saturating_sub(bufs.len() as u32);
-                    freed += bufs.len() as u32;
-                }
+                PlanOp::FreeBufs { count } => live = live.saturating_sub(*count),
                 _ => {}
             }
         }
-        let n_buffers = self.buf_slots.len() as u32;
+        if self.poisoned || live != 0 {
+            return None;
+        }
         Some(CompiledPlan {
             ops: self.ops,
             n_events: self.event_slots.len() as u32,
-            n_buffers,
             peak_bufs: peak,
-            balanced: live == 0 && freed == n_buffers,
         })
     }
 }
@@ -402,9 +341,6 @@ struct PlanKey {
     sched: u64,
     /// Routing-window fingerprint at the declared sensitivity.
     routing: u64,
-    /// Expert-cache state fingerprint (membership + shift-invariant
-    /// recency/frequency ranks); `0` when no cache is attached.
-    cache_state: u64,
     /// Bytes of one expert — the precision axis.
     expert_bytes: u64,
     /// Batch shape (ready-request count for the batched path, 1 for the
@@ -415,16 +351,31 @@ struct PlanKey {
     shape: u64,
 }
 
-/// Plan-cache hit/miss counters, surfaced through `RunReport`,
-/// `ServeStats`, and `/metrics`.
+/// Plan-cache counters, surfaced through `RunReport`, `ServeStats`, and
+/// `/metrics`. Iterations that were neither replayed nor compiled
+/// (uncacheable schedulers, traced runs, any run with an expert cache, a
+/// replay that declined) count nowhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Iterations executed from a cached plan (zero trait dispatch).
     pub hits: u64,
-    /// Iterations lowered and compiled because no plan matched.
+    /// Iterations lowered and compiled because no plan matched; the four
+    /// `*_misses` causes below sum to this.
     pub misses: u64,
     /// Explicit invalidations (`swap_scheduler`, overflow clears).
     pub invalidations: u64,
+    /// Misses with no previous key to compare against (a session's first
+    /// keyed iteration, and the first after an invalidation).
+    pub cold_misses: u64,
+    /// Misses whose key first differs from the previous iteration's in the
+    /// routing-window fingerprint.
+    pub routing_misses: u64,
+    /// Misses whose key first differs from the previous iteration's in the
+    /// batch shape.
+    pub batch_shape_misses: u64,
+    /// Every other miss: scheduler, precision or pass geometry changed, or
+    /// the same key recurred after its recording could not be cached.
+    pub other_misses: u64,
 }
 
 impl PlanCacheStats {
@@ -437,12 +388,29 @@ impl PlanCacheStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// Counts one miss on `key`, attributed to the first [`PlanKey`] field
+    /// (in declaration order) in which it differs from `prev`.
+    fn count_miss(&mut self, prev: Option<PlanKey>, key: PlanKey) {
+        self.misses += 1;
+        let cause = match prev {
+            None => &mut self.cold_misses,
+            Some(p) if p.sched != key.sched => &mut self.other_misses,
+            Some(p) if p.routing != key.routing => &mut self.routing_misses,
+            Some(p) if p.expert_bytes != key.expert_bytes => &mut self.other_misses,
+            Some(p) if p.batch_shape != key.batch_shape => &mut self.batch_shape_misses,
+            Some(_) => &mut self.other_misses,
+        };
+        *cause += 1;
+    }
 }
 
 /// Per-run plan-compilation state: the bounded plan cache, its counters,
 /// and the capture hook the plan tracer uses.
 pub(crate) struct PlanSession {
     plans: Option<HashMap<PlanKey, CompiledPlan>>,
+    /// Key of the previous keyed iteration, for miss attribution.
+    last_key: Option<PlanKey>,
     stats: PlanCacheStats,
     dequant: bool,
     capture: bool,
@@ -455,6 +423,7 @@ impl PlanSession {
     pub(crate) fn new(enabled: bool, dequant: bool) -> Self {
         PlanSession {
             plans: enabled.then(HashMap::new),
+            last_key: None,
             stats: PlanCacheStats::default(),
             dequant,
             capture: false,
@@ -465,21 +434,15 @@ impl PlanSession {
     /// A capture session: every iteration is lowered (never cached, never
     /// replayed) and the last compiled plan is retained for rendering.
     pub(crate) fn capturing(dequant: bool) -> Self {
-        PlanSession {
-            plans: None,
-            stats: PlanCacheStats::default(),
-            dequant,
-            capture: true,
-            captured: None,
-        }
+        PlanSession { capture: true, ..PlanSession::new(false, dequant) }
     }
 
-    /// Drops every compiled plan (scheduler swap, capacity churn beyond
-    /// what the key can absorb).
+    /// Drops every compiled plan (scheduler swap).
     pub(crate) fn invalidate(&mut self) {
         if let Some(plans) = self.plans.as_mut() {
             if !plans.is_empty() {
                 plans.clear();
+                self.last_key = None;
                 self.stats.invalidations += 1;
             }
         }
@@ -495,14 +458,15 @@ impl PlanSession {
 }
 
 // ---------------------------------------------------------------------
-// Compile-or-replay entry point
+// Replay-or-interpret entry point
 // ---------------------------------------------------------------------
 
-/// Runs one decode iteration through the plan compiler: replaying a cached
-/// plan when the key matches, otherwise lowering the interpreted iteration
-/// while recording it. Uncacheable configurations (no fingerprint, traced
-/// runs, caching disabled) fall through to the plain interpreted core —
-/// and behave identically either way.
+/// Runs one decode iteration: replayed from a cached plan when its key
+/// matches, otherwise interpreted — and recorded, when the result can be
+/// cached under a key or a capture session asked for it. Unkeyed
+/// configurations (no scheduler fingerprint, traced runs, caching disabled,
+/// an expert cache attached) and a replay that declines are plainly
+/// interpreted, and behave identically either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decode_iteration_planned(
     env: &mut CoreEnv<'_>,
@@ -517,69 +481,35 @@ pub(crate) fn decode_iteration_planned(
     ps: &mut PlanSession,
     batch_shape: u64,
 ) -> Result<()> {
-    if ps.capture {
-        let mut rec = PlanRecorder::new(ps.dequant);
-        core::decode_iteration(
-            env,
-            sched,
-            topo,
-            routed,
-            token,
-            enc_blocks,
-            costs,
-            scratch,
-            block_latencies,
-            Some(&mut rec),
-        )?;
-        if let Some(plan) = rec.finish() {
-            ps.captured = Some(plan);
+    let keyed = ps.plans.is_some() && env.cache.is_none() && !env.machine.trace_enabled();
+    let fingerprint = if keyed { sched.plan_fingerprint() } else { None };
+    let key = fingerprint.map(|sched_fp| {
+        let dec_blocks = scratch.dec_blocks();
+        let mut shape = fnv_mix(FNV_OFFSET, dec_blocks as u64);
+        shape = fnv_mix(shape, enc_blocks as u64);
+        shape = fnv_mix(shape, costs.decoder_layers as u64);
+        shape = fnv_mix(shape, costs.moe_every as u64);
+        shape = fnv_mix(shape, block_latencies.is_some() as u64);
+        PlanKey {
+            sched: sched_fp,
+            routing: routing_fingerprint(routed, dec_blocks, sched.plan_routing_sensitivity()),
+            expert_bytes: env.plan.expert_bytes(),
+            batch_shape,
+            shape,
         }
-        return Ok(());
+    });
+    let prev_key = key.and_then(|k| ps.last_key.replace(k));
+    let cached = key.and_then(|k| ps.plans.as_ref()?.get(&k));
+    if let Some(plan) = cached {
+        if replay(plan, env, costs, block_latencies.as_deref_mut()) {
+            ps.stats.hits += 1;
+            return Ok(());
+        }
     }
-    let fingerprint = if ps.plans.is_some() && !env.machine.trace_enabled() {
-        sched.plan_fingerprint()
-    } else {
-        None
-    };
-    let Some(sched_fp) = fingerprint else {
-        return core::decode_iteration(
-            env,
-            sched,
-            topo,
-            routed,
-            token,
-            enc_blocks,
-            costs,
-            scratch,
-            block_latencies,
-            None,
-        );
-    };
-    let dec_blocks = scratch.dec_blocks();
-    let sensitivity = if env.cache.is_some() {
-        RoutingSensitivity::Exact
-    } else {
-        sched.plan_routing_sensitivity()
-    };
-    let mut shape = fnv_mix(FNV_OFFSET, dec_blocks as u64);
-    shape = fnv_mix(shape, enc_blocks as u64);
-    shape = fnv_mix(shape, costs.decoder_layers as u64);
-    shape = fnv_mix(shape, costs.moe_every as u64);
-    shape = fnv_mix(shape, block_latencies.is_some() as u64);
-    let key = PlanKey {
-        sched: sched_fp,
-        routing: routing_fingerprint(routed, dec_blocks, sensitivity),
-        cache_state: env.cache.as_ref().map(|c| c.state_fingerprint()).unwrap_or(0),
-        expert_bytes: env.plan.expert_bytes(),
-        batch_shape,
-        shape,
-    };
-    let plans = ps.plans.as_mut().expect("fingerprint implies enabled cache");
-    if let Some(plan) = plans.get(&key) {
-        ps.stats.hits += 1;
-        return execute(plan, env, costs, block_latencies.as_deref_mut());
-    }
-    let mut rec = PlanRecorder::new(ps.dequant);
+    // Interpret. A key without a plan compiles one; a key whose plan just
+    // declined keeps that plan and counts neither way.
+    let compile = key.filter(|_| cached.is_none());
+    let mut rec = (ps.capture || compile.is_some()).then(|| PlanRecorder::new(ps.dequant));
     core::decode_iteration(
         env,
         sched,
@@ -590,22 +520,27 @@ pub(crate) fn decode_iteration_planned(
         costs,
         scratch,
         block_latencies,
-        Some(&mut rec),
+        rec.as_mut(),
     )?;
-    ps.stats.misses += 1;
-    if let Some(plan) = rec.finish() {
-        let plans = ps.plans.as_mut().expect("fingerprint implies enabled cache");
-        if plans.len() >= PLAN_CACHE_CAP {
-            plans.clear();
-            ps.stats.invalidations += 1;
+    let plan = rec.and_then(PlanRecorder::finish);
+    if let Some(key) = compile {
+        ps.stats.count_miss(prev_key, key);
+        if let Some(plan) = plan {
+            let plans = ps.plans.as_mut().expect("a key implies an enabled cache");
+            if plans.len() >= PLAN_CACHE_CAP {
+                plans.clear();
+                ps.stats.invalidations += 1;
+            }
+            plans.insert(key, plan);
         }
-        plans.insert(key, plan);
+    } else if plan.is_some() {
+        ps.captured = plan;
     }
     Ok(())
 }
 
 // ---------------------------------------------------------------------
-// Executor
+// Replay
 // ---------------------------------------------------------------------
 
 /// Simulated cost of paged-KV block bookkeeping: copy-on-write block copies
@@ -626,57 +561,37 @@ pub(crate) fn execute_kv_append(machine: &mut Machine, blocks: u64, cow_bytes: u
     }
 }
 
-fn stale(msg: &str) -> RuntimeError {
-    RuntimeError::InvalidConfig { message: format!("stale compiled plan: {msg}") }
-}
-
-/// Replays a compiled plan against the live machine and expert cache.
+/// Replays a compiled plan against the live machine, or declines.
 ///
-/// The fast path never touches the engine per op: plans are self-contained
-/// (the recorder poisons any recording that waits across iterations), so
-/// the whole schedule is computed arithmetically with the exact
+/// Replay never touches the engine per op: plans are self-contained (the
+/// recorder drops any recording that waits across iterations), so the whole
+/// schedule is computed arithmetically with the exact
 /// [`pgmoe_device::SimEngine::submit`] law and applied in one
 /// [`Machine::apply_replay`] — same tails, busy time, traffic counters,
-/// pool peak, block latencies. When the transient reservation does not fit
-/// the op-by-op path runs instead, reproducing the interpreted iteration's
-/// exact OOM semantics. Either way cache probes are re-applied and verified
-/// against their compile-time outcomes (a divergence means the plan-key
-/// fingerprint failed, which is a bug, not a recoverable state).
-fn execute(
-    plan: &CompiledPlan,
-    env: &mut CoreEnv<'_>,
-    costs: &DecodeCosts,
-    mut block_latencies: Option<&mut Vec<SimDuration>>,
-) -> Result<()> {
-    if replay(plan, env, costs, block_latencies.as_deref_mut())? {
-        return Ok(());
-    }
-    execute_ops(plan, env, costs, block_latencies)
-}
-
-/// The arithmetic fast path behind [`execute`]: `Ok(true)` when the plan
-/// was fully applied, `Ok(false)` to fall back to [`execute_ops`].
+/// pool peak, block latencies.
+///
+/// Returns `false` — having changed nothing — when the plan's transient
+/// reservation does not fit HBM; the caller then interprets the iteration,
+/// which reports the out-of-memory condition with the interpreter's own
+/// semantics. Past that one decision point a replay always completes.
 fn replay(
     plan: &CompiledPlan,
     env: &mut CoreEnv<'_>,
     costs: &DecodeCosts,
     mut block_latencies: Option<&mut Vec<SimDuration>>,
-) -> Result<bool> {
-    if !plan.balanced {
-        return Ok(false);
-    }
+) -> bool {
     // One peak-sized reservation stands in for the per-expert transient
     // buffers: the pool's high-water mark moves exactly as the interleaved
-    // alloc/free stream would have moved it.
-    let reservation = if plan.peak_bufs > 0 {
-        match env.machine.pool_mut(Tier::Hbm).alloc(plan.peak_bufs as u64 * env.plan.expert_bytes())
-        {
-            Ok(id) => Some(id),
-            Err(_) => return Ok(false),
+    // alloc/free stream would have moved it. A failed `alloc` leaves the
+    // pool untouched.
+    let reservation = plan.peak_bufs as u64 * env.plan.expert_bytes();
+    if reservation > 0 {
+        let hbm = env.machine.pool_mut(Tier::Hbm);
+        match hbm.alloc(reservation) {
+            Ok(id) => hbm.free(id).expect("replay reservation double free"),
+            Err(_) => return false,
         }
-    } else {
-        None
-    };
+    }
     let compute = env.machine.compute_stream();
     let copy = env.machine.copy_stream();
     let mut tail_c = env.machine.engine_mut().stream_tail(compute);
@@ -720,24 +635,7 @@ fn replay(
                 busy_c += *dur;
                 times.push(tail_c);
             }
-            PlanOp::Fetch { bytes_each, tier, probes, copies, waits, demand, .. } => {
-                for p in probes {
-                    let verified =
-                        env.cache.as_mut().map(|c| c.access_with(p.key, p.admit, p.hint) == p.hit);
-                    if verified != Some(true) {
-                        if let Some(id) = reservation {
-                            env.machine
-                                .pool_mut(Tier::Hbm)
-                                .free(id)
-                                .expect("replay reservation double free");
-                        }
-                        return Err(stale(if verified.is_none() {
-                            "cache detached"
-                        } else {
-                            "probe outcome diverged"
-                        }));
-                    }
-                }
+            PlanOp::Fetch { bytes_each, tier, copies, waits, demand, .. } => {
                 let mut start = tail_p;
                 for &s in waits {
                     start = start.max(times[s as usize]);
@@ -762,7 +660,7 @@ fn replay(
                     lat.push(times[*done as usize] - block_start);
                 }
             }
-            PlanOp::FreeBufs { .. } | PlanOp::Dequant { .. } | PlanOp::Evict { .. } => {}
+            PlanOp::FreeBufs { .. } | PlanOp::Dequant { .. } => {}
             PlanOp::KvAppend { blocks, cow_bytes } => {
                 let dur = kv_append_duration(env.machine.cost(), *blocks, *cow_bytes);
                 if dur > SimDuration::ZERO {
@@ -772,115 +670,8 @@ fn replay(
             }
         }
     }
-    if let Some(id) = reservation {
-        env.machine.pool_mut(Tier::Hbm).free(id).expect("replay reservation double free");
-    }
     env.machine.apply_replay(tail_c, tail_p, busy_c, busy_p, offload);
-    Ok(true)
-}
-
-/// The event-by-event fallback executor: submits the recorded machine-call
-/// stream byte-identically to the interpreted iteration the plan was
-/// compiled from.
-fn execute_ops(
-    plan: &CompiledPlan,
-    env: &mut CoreEnv<'_>,
-    costs: &DecodeCosts,
-    mut block_latencies: Option<&mut Vec<SimDuration>>,
-) -> Result<()> {
-    let mut events: Vec<EventId> = Vec::with_capacity(plan.n_events as usize);
-    let mut bufs: Vec<Option<AllocId>> = Vec::with_capacity(plan.n_buffers as usize);
-    let mut wl: Vec<EventId> = Vec::with_capacity(4);
-    let mut block_start = SimTime::ZERO;
-    for op in &plan.ops {
-        match op {
-            PlanOp::BlockStart => {
-                let compute = env.machine.compute_stream();
-                block_start = env.machine.engine_mut().stream_tail(compute);
-            }
-            PlanOp::Gemm { label, bytes, waits, out } => {
-                wl.clear();
-                wl.extend(waits.iter().map(|&s| events[s as usize]));
-                let b = match bytes {
-                    PlanBytes::Attn => costs.attn_bytes,
-                    PlanBytes::Ffn => costs.ffn_bytes,
-                    PlanBytes::Lit(v) => *v,
-                };
-                let ev = env.machine.launch_kernel(label, 0.0, b, &wl);
-                if out.is_some() {
-                    events.push(ev);
-                }
-            }
-            PlanOp::Gate { .. } => {
-                let dur = env.machine.cost().gate_overhead;
-                events.push(env.machine.compute_op("gate", dur, &[]));
-            }
-            PlanOp::AllToAll { label, dur, waits, .. } => {
-                wl.clear();
-                wl.extend(waits.iter().map(|&s| events[s as usize]));
-                events.push(env.machine.compute_op(label, *dur, &wl));
-            }
-            PlanOp::Fetch { bytes_each, tier, probes, copies, waits, demand, .. } => {
-                for p in probes {
-                    let cache = env.cache.as_mut().ok_or_else(|| stale("cache detached"))?;
-                    if cache.access_with(p.key, p.admit, p.hint) != p.hit {
-                        return Err(stale("probe outcome diverged"));
-                    }
-                }
-                wl.clear();
-                wl.extend(waits.iter().map(|&s| events[s as usize]));
-                let mut last = None;
-                for c in copies {
-                    if c.buf.is_some() {
-                        match env.machine.pool_mut(Tier::Hbm).alloc(*bytes_each) {
-                            Ok(id) => bufs.push(Some(id)),
-                            Err(err) => {
-                                for id in bufs.iter_mut().filter_map(Option::take) {
-                                    env.machine
-                                        .pool_mut(Tier::Hbm)
-                                        .free(id)
-                                        .expect("expert buffer double free");
-                                }
-                                return Err(err.into());
-                            }
-                        }
-                    }
-                    last = Some(env.machine.copy_to_gpu("fetch", *bytes_each, *tier, &wl));
-                }
-                let done = match last {
-                    Some(ev) => ev,
-                    None => {
-                        let copy = env.machine.copy_stream();
-                        env.machine.engine_mut().barrier(copy, &wl)
-                    }
-                };
-                if *demand {
-                    *env.demand_bytes += copies.len() as u64 * bytes_each;
-                }
-                events.push(done);
-            }
-            PlanOp::FreeBufs { bufs: list } => {
-                for &s in list {
-                    if let Some(id) = bufs[s as usize].take() {
-                        env.machine
-                            .pool_mut(Tier::Hbm)
-                            .free(id)
-                            .expect("expert buffer double free");
-                    }
-                }
-            }
-            PlanOp::Latency { done } => {
-                if let Some(lat) = block_latencies.as_deref_mut() {
-                    lat.push(env.machine.event_time(events[*done as usize]) - block_start);
-                }
-            }
-            PlanOp::Dequant { .. } | PlanOp::Evict { .. } => {}
-            PlanOp::KvAppend { blocks, cow_bytes } => {
-                execute_kv_append(env.machine, *blocks, *cow_bytes);
-            }
-        }
-    }
-    Ok(())
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -926,24 +717,21 @@ impl PlanTrace {
                 }
                 PlanOp::Gate { .. } => "gate".to_string(),
                 PlanOp::AllToAll { label, dur, .. } => format!("a2a {label} {dur}"),
-                PlanOp::Fetch { block, bytes_each, tier, probes, copies, demand, .. } => {
-                    let experts: Vec<String> =
-                        copies.iter().map(|c| c.expert.to_string()).collect();
+                PlanOp::Fetch { block, bytes_each, tier, copies, demand, .. } => {
+                    let experts: Vec<String> = copies.iter().map(|e| e.to_string()).collect();
                     format!(
-                        "fetch b{block} [{}] {}B {:?} probes={} demand={}",
+                        "fetch b{block} [{}] {}B {:?} demand={}",
                         experts.join(","),
                         bytes_each,
                         tier,
-                        probes.len(),
                         demand,
                     )
                 }
                 PlanOp::Dequant { block } => format!("dequant b{block} (fused)"),
-                PlanOp::Evict { block, count } => format!("evict b{block} x{count}"),
                 PlanOp::KvAppend { blocks, cow_bytes } => {
                     format!("kv-append blocks={blocks} cow={cow_bytes}B")
                 }
-                PlanOp::FreeBufs { bufs } => format!("free x{}", bufs.len()),
+                PlanOp::FreeBufs { count } => format!("free x{count}"),
                 PlanOp::Latency { .. } => "latency-sample".to_string(),
             });
         }
@@ -1035,10 +823,53 @@ mod tests {
     }
 
     #[test]
+    fn recorder_drops_a_recording_that_leaves_buffers_alive() {
+        let fetch = || PlanOp::Fetch {
+            block: 0,
+            bytes_each: 8,
+            tier: Tier::Ddr,
+            copies: vec![1, 2],
+            waits: vec![],
+            demand: false,
+            out: 0,
+        };
+        let mut leaky = PlanRecorder::new(false);
+        leaky.op(fetch());
+        leaky.op(PlanOp::FreeBufs { count: 1 });
+        assert!(leaky.finish().is_none(), "one buffer outlives the iteration");
+        let mut balanced = PlanRecorder::new(false);
+        balanced.op(fetch());
+        balanced.op(fetch());
+        balanced.op(PlanOp::FreeBufs { count: 4 });
+        assert_eq!(balanced.finish().expect("self-contained").peak_bufs, 4);
+    }
+
+    #[test]
     fn hit_rate_counts() {
-        let s = PlanCacheStats { hits: 3, misses: 1, invalidations: 0 };
+        let s = PlanCacheStats { hits: 3, misses: 1, ..Default::default() };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(PlanCacheStats::default().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn misses_are_attributed_to_the_first_differing_key_field() {
+        let base = PlanKey { sched: 1, routing: 2, expert_bytes: 3, batch_shape: 4, shape: 5 };
+        let mut s = PlanCacheStats::default();
+        s.count_miss(None, base);
+        s.count_miss(Some(base), PlanKey { routing: 9, batch_shape: 9, ..base });
+        s.count_miss(Some(base), PlanKey { batch_shape: 9, shape: 9, ..base });
+        s.count_miss(Some(base), PlanKey { shape: 9, ..base });
+        s.count_miss(Some(base), PlanKey { sched: 9, routing: 9, ..base });
+        s.count_miss(Some(base), base);
+        let expect = PlanCacheStats {
+            misses: 6,
+            cold_misses: 1,
+            routing_misses: 1,
+            batch_shape_misses: 1,
+            other_misses: 3,
+            ..Default::default()
+        };
+        assert_eq!(s, expect);
     }
 
     #[test]
@@ -1059,9 +890,7 @@ mod tests {
                 PlanOp::Gemm { label: "attn", bytes: PlanBytes::Attn, waits: vec![], out: None },
             ],
             n_events: 0,
-            n_buffers: 0,
             peak_bufs: 0,
-            balanced: true,
         };
         let mut plan_b = plan_a.clone();
         plan_b.ops.push(PlanOp::Gate { out: 0 });

@@ -386,7 +386,8 @@ pub trait ExpertScheduler {
     /// Returning `Some(fp)` is a contract: every hook must be a pure
     /// function of the scheduler's construction-time configuration (folded
     /// into `fp`) and the [`PolicyCtx`] fields the plan cache keys on — the
-    /// routing window, the expert-cache state, and `expert_bytes`. Hooks
+    /// routing window and `expert_bytes` (runs with an [`ExpertCache`]
+    /// attached are never keyed, so `ctx.cache` is `None` here). Hooks
     /// must not consult mutable state accumulated across iterations and
     /// must not condition on `ctx.token`; schedulers that do either (e.g.
     /// the frequency-tracking `speculative_top_m`) must keep the `None`
@@ -400,9 +401,7 @@ pub trait ExpertScheduler {
     /// default says hooks may read exact expert ids; schedulers whose
     /// decisions depend only on per-block routed-set *sizes* can answer
     /// [`RoutingSensitivity::Counts`] and share one compiled plan across
-    /// every token with the same per-block counts. Ignored (forced to
-    /// `Exact`) whenever an [`ExpertCache`] is
-    /// attached, since cache probes are keyed on expert ids.
+    /// every token with the same per-block counts.
     fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
         RoutingSensitivity::Exact
     }

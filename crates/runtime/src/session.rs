@@ -417,8 +417,9 @@ impl BatchSession {
 
     /// Plan-cache counters so far: decode iterations replayed from a
     /// compiled plan (`hits`), iterations that compiled a fresh plan
-    /// (`misses`), and explicit invalidations (scheduler swaps). See
-    /// [`crate::plan`].
+    /// (`misses`, split by cause), and explicit invalidations (scheduler
+    /// swaps). All zero for a session with an expert cache, which is
+    /// interpreted by design. See [`crate::plan`].
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plans.stats()
     }
@@ -1393,57 +1394,103 @@ mod tests {
         };
         let steady = run(&|_| 1);
         assert!(steady.hits > 0, "a constant width replays: {steady:?}");
+        assert_eq!((steady.misses, steady.cold_misses), (1, 1), "only the first step compiles");
         let drifting = run(&|i| 1 + i % 3);
         assert!(drifting.misses >= 3, "three distinct widths need three compiles: {drifting:?}");
         assert!(drifting.misses > steady.misses, "{drifting:?} vs {steady:?}");
+        // One request at batch 1: after the cold first step, nothing but the
+        // routing window can have changed the key.
+        assert_eq!(drifting.cold_misses, 1);
+        assert_eq!(drifting.routing_misses, drifting.misses - 1, "{drifting:?}");
+        assert_eq!((drifting.batch_shape_misses, drifting.other_misses), (0, 0));
     }
 
     #[test]
-    fn kv_pressure_cache_shrink_recompiles_plans_bit_exactly() {
-        use crate::{serve_batched, CacheConfig, Replacement};
-        // A budget that fits the full expert-cache region while the KV pool
-        // is empty but squeezes it once decode KV accumulates: the
-        // paged-KV reconcile shrinks the cache mid-run via set_capacity,
-        // which changes the plan key's cache-state fingerprint. A stale
-        // pre-shrink plan must never replay — asserted by bitwise equality
-        // against the interpreted (plan-cache-off) run.
+    fn expert_cache_runs_are_interpreted_and_match_the_plan_off_reference() {
+        use crate::{serve_batched, CacheConfig, InferenceSim, Replacement};
+        // With an expert cache attached no iteration is keyed, recorded or
+        // replayed: default options and `without_plan_cache()` must agree
+        // bit for bit, and every plan counter must stay zero.
         let cfg = ModelConfig::switch_base(8);
         let eb = PlacementPlan::new(&cfg, &SimOptions::new(OffloadPolicy::Pregated), 0, 1)
             .expert_bytes();
-        let opts = |plan: bool| {
-            let o = SimOptions::new(OffloadPolicy::Pregated)
-                .with_cache(CacheConfig::bytes(8 * eb, Replacement::Lru));
-            if plan {
-                o
-            } else {
-                o.without_plan_cache()
-            }
-        };
-        let base = PlacementPlan::new(&cfg, &opts(true), 0, 1);
-        let long = PlacementPlan::new(&cfg, &opts(true), 536, 1).activation_bytes();
-        // The paged-KV gate's tight-budget recipe: static weights + two
-        // long requests' activations + the expert working set. Paging
-        // admits a deep batch whose accumulated KV blocks push the
-        // analytic headroom below the cache's plan capacity mid-run.
-        let budget = base.static_non_activation_bytes() + 2 * long + 2 * 8 * eb;
-        let batch = BatchConfig::new(16)
-            .with_hbm_budget(budget)
-            .with_paged_kv(PagedKvConfig::new(16).with_prefill_chunk(256));
         let arrivals = pgmoe_workload::mixed_context_trace(24, 512, 384, 2, 50_000);
-        let run =
-            |plan: bool| serve_batched(cfg.clone(), opts(plan), batch, arrivals.clone()).unwrap();
-        let on = run(true);
-        let off = run(false);
-        let kv = on.kv.as_ref().expect("paged run reports kv stats");
-        assert!(kv.cache_shrink_events > 0, "the budget must squeeze the cache mid-run: {kv:?}");
-        assert_eq!(off.plan_cache_misses, 0, "the interpreted run never compiles");
-        assert_eq!(
-            on.request_latencies, off.request_latencies,
-            "replay across a capacity shrink must stay bit-exact"
-        );
-        assert_eq!(on.ttfts, off.ttfts);
-        assert_eq!(on.expert_fetch_bytes, off.expert_fetch_bytes);
-        assert_eq!(on.demand_fetch_bytes, off.demand_fetch_bytes);
+        for replacement in [Replacement::Lru, Replacement::Lfu, Replacement::Lifo] {
+            for cache_experts in [2u64, 48] {
+                let case = format!("{replacement:?} x {cache_experts} experts");
+                let on = SimOptions::new(OffloadPolicy::Pregated)
+                    .with_cache(CacheConfig::bytes(cache_experts * eb, replacement));
+                let off = on.clone().without_plan_cache();
+
+                // Batch-1 engine.
+                let single = |o: &SimOptions| {
+                    InferenceSim::new(cfg.clone(), o.clone()).run(req(16, 12), 2).unwrap()
+                };
+                let (a, b) = (single(&on), single(&off));
+                assert_eq!(a.block_latencies, b.block_latencies, "{case}");
+                assert_eq!(a.total_time, b.total_time, "{case}");
+                assert_eq!(a.time_to_first_token, b.time_to_first_token, "{case}");
+                assert_eq!(a.expert_fetch_bytes, b.expert_fetch_bytes, "{case}");
+                assert_eq!(a.demand_fetch_bytes, b.demand_fetch_bytes, "{case}");
+                assert_eq!(a.cache_stats, b.cache_stats, "{case}");
+                assert!(a.cache_stats.is_some_and(|c| c.hits + c.misses > 0), "{case}");
+                assert_eq!((a.plan_cache_hits, a.plan_cache_misses), (0, 0), "{case}");
+
+                // Paged batch session under the paged-KV gate's tight-budget
+                // recipe: static weights + two long requests' activations +
+                // the expert working set. Paging admits a deep batch whose
+                // accumulated KV blocks squeeze the cache region mid-run.
+                let base = PlacementPlan::new(&cfg, &on, 0, 1);
+                let long = PlacementPlan::new(&cfg, &on, 536, 1).activation_bytes();
+                let budget = base.static_non_activation_bytes() + 2 * long + 2 * 8 * eb;
+                let batch = BatchConfig::new(16)
+                    .with_hbm_budget(budget)
+                    .with_paged_kv(PagedKvConfig::new(16).with_prefill_chunk(256));
+                let paged =
+                    |o: &SimOptions| serve_batched(cfg.clone(), o.clone(), batch, arrivals.clone());
+                let (a, b) = (paged(&on).unwrap(), paged(&off).unwrap());
+                let kv = a.kv.as_ref().expect("paged run reports kv stats");
+                assert!(kv.cache_shrink_events > 0, "{case}: the budget must squeeze: {kv:?}");
+                assert_eq!(a.request_latencies, b.request_latencies, "{case}");
+                assert_eq!(a.ttfts, b.ttfts, "{case}");
+                assert_eq!(a.expert_fetch_bytes, b.expert_fetch_bytes, "{case}");
+                assert_eq!(a.demand_fetch_bytes, b.demand_fetch_bytes, "{case}");
+                assert_eq!((a.plan_cache_hits, a.plan_cache_misses), (0, 0), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_that_cannot_reserve_falls_back_to_the_interpreters_oom() {
+        // Warm a session until its steady-state plan replays, then occupy
+        // HBM so the plan's transient reservation no longer fits. The
+        // planned entry point must decline the replay untouched and report
+        // exactly what the interpreter reports on an identical machine.
+        let run = |opts: SimOptions| {
+            let mut s =
+                BatchSession::new(ModelConfig::switch_base(8), opts, BatchConfig::new(2)).unwrap();
+            s.try_admit(0, ArrivedRequest::at_nanos(0, req(8, 16))).unwrap();
+            for _ in 0..4 {
+                s.step().unwrap();
+            }
+            let warm = s.plan_cache_stats();
+            let hbm = s.machine.pool_mut(Tier::Hbm);
+            let squeeze = hbm.available_bytes() - s.base_plan.expert_bytes() / 2;
+            hbm.alloc(squeeze).unwrap();
+            let err = s.step().unwrap_err();
+            let hbm = s.machine.pool(Tier::Hbm);
+            let pool = (hbm.used_bytes(), hbm.peak_bytes(), hbm.live_allocations());
+            (err, pool, s.machine.horizon(), warm, s.plan_cache_stats())
+        };
+        let (err, pool, horizon, warm, after) = run(SimOptions::new(OffloadPolicy::Pregated));
+        let (ref_err, ref_pool, ref_horizon, ..) =
+            run(SimOptions::new(OffloadPolicy::Pregated).without_plan_cache());
+        assert!(warm.hits > 0, "the squeezed step would have replayed: {warm:?}");
+        assert!(matches!(err, RuntimeError::OutOfMemory(_)), "{err:?}");
+        assert_eq!(err, ref_err);
+        assert_eq!(pool, ref_pool);
+        assert_eq!(horizon, ref_horizon);
+        assert_eq!(after, warm, "a declined replay is neither a hit nor a miss");
     }
 
     #[test]

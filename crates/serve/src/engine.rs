@@ -270,16 +270,24 @@ impl Decoding {
             arrival_ns: job.arrival_ns,
         }
     }
+}
 
-    /// The last `seq_len` context tokens, left-padded with token 0.
-    fn fill_window(&mut self) -> &[usize] {
-        let seq_len = self.window.len();
-        let tail_len = self.ctx.len().min(seq_len);
-        let tail = &self.ctx[self.ctx.len() - tail_len..];
-        self.window[..seq_len - tail_len].fill(0);
-        self.window[seq_len - tail_len..].copy_from_slice(tail);
-        &self.window
-    }
+/// The rule that turns a request's context (prompt plus everything
+/// generated so far) into the fixed-length input of one forward pass:
+/// `window` receives the last `window.len()` tokens of `ctx`, right-aligned
+/// and left-padded with token 0. Returns the row of the forward pass's
+/// logits that predicts the next token — the last one.
+///
+/// # Panics
+///
+/// Panics if `window` is empty.
+pub fn context_window(ctx: &[usize], window: &mut [usize]) -> usize {
+    assert!(!window.is_empty(), "a forward pass needs at least one position");
+    let tail = &ctx[ctx.len().saturating_sub(window.len())..];
+    let (pad, body) = window.split_at_mut(window.len() - tail.len());
+    pad.fill(0);
+    body.copy_from_slice(tail);
+    window.len() - 1
 }
 
 /// The model's own routing decisions as the session's routing source:
@@ -451,9 +459,9 @@ pub(crate) fn run_engine(
         // Real forward pass per in-flight request: produces both the next
         // token and the routing decisions that drive the device step.
         for d in active.values_mut() {
-            d.fill_window();
+            let row = context_window(&d.ctx, &mut d.window);
             let (logits, decisions) = net.forward_inference_arena(&d.window, &arena);
-            d.next_token = argmax(logits.row(seq_len - 1));
+            d.next_token = argmax(logits.row(row));
             d.decisions = decisions;
             arena.recycle(logits);
         }
@@ -480,8 +488,7 @@ pub(crate) fn run_engine(
             peak_hbm_bytes: session.peak_hbm_bytes(),
             expert_fetch_bytes: session.expert_fetch_bytes(),
             demand_fetch_bytes: session.demand_fetch_bytes(),
-            plan_cache_hits: session.plan_cache_stats().hits,
-            plan_cache_misses: session.plan_cache_stats().misses,
+            plan: session.plan_cache_stats(),
             expert_bytes,
         });
         let now_ns = shared.clock.now_ns();
@@ -543,6 +550,19 @@ mod tests {
     use super::*;
     use crate::slo::SloConfig;
     use std::sync::mpsc::sync_channel;
+
+    #[test]
+    fn context_window_right_aligns_and_zero_pads() {
+        let mut window = [9usize; 4];
+        assert_eq!(context_window(&[5, 6], &mut window), 3);
+        assert_eq!(window, [0, 0, 5, 6], "shorter context: left-padded with token 0");
+        assert_eq!(context_window(&[1, 2, 3, 4], &mut window), 3);
+        assert_eq!(window, [1, 2, 3, 4], "context fills the window exactly");
+        assert_eq!(context_window(&[1, 2, 3, 4, 5, 6], &mut window), 3);
+        assert_eq!(window, [3, 4, 5, 6], "longer context: the newest tokens win");
+        assert_eq!(context_window(&[], &mut window), 3);
+        assert_eq!(window, [0; 4]);
+    }
 
     fn shared() -> Arc<EngineShared> {
         Arc::new(EngineShared {

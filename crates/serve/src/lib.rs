@@ -62,6 +62,6 @@ pub mod poll;
 mod server;
 pub mod slo;
 
-pub use engine::EngineConfig;
+pub use engine::{context_window, EngineConfig};
 pub use server::{ServeConfig, ServeError, Server, ServerHandle};
 pub use slo::{SloConfig, SloGovernor, Verdict};

@@ -166,10 +166,9 @@ pub struct SimSnapshot {
     pub expert_fetch_bytes: u64,
     /// Expert bytes fetched on the critical path (demand-miss stalls).
     pub demand_fetch_bytes: u64,
-    /// Decode iterations replayed from a compiled plan.
-    pub plan_cache_hits: u64,
-    /// Decode iterations that compiled a fresh plan.
-    pub plan_cache_misses: u64,
+    /// Compiled-plan counters: iterations replayed, iterations compiled
+    /// (split by miss cause), invalidations.
+    pub plan: pgmoe_runtime::PlanCacheStats,
     /// Bytes of one expert at the serving precision (the migration unit
     /// every fetch/cache figure above is denominated in — 4 B/param at
     /// f32 down to 0.5625 B/param at Q4).
@@ -365,13 +364,13 @@ impl ServerMetrics {
             "pgmoe_plan_cache_hits_total",
             "counter",
             "Decode iterations replayed from a compiled plan.",
-            sim.plan_cache_hits.to_string(),
+            sim.plan.hits.to_string(),
         );
         scalar(
             "pgmoe_plan_cache_misses_total",
             "counter",
             "Decode iterations that compiled a fresh plan.",
-            sim.plan_cache_misses.to_string(),
+            sim.plan.misses.to_string(),
         );
         scalar(
             "pgmoe_sim_expert_bytes",
@@ -379,6 +378,20 @@ impl ServerMetrics {
             "Bytes of one expert at the serving precision (the migration unit).",
             sim.expert_bytes.to_string(),
         );
+
+        let _ = writeln!(
+            out,
+            "# HELP pgmoe_plan_misses_total Plan compiles by the first key field that changed."
+        );
+        let _ = writeln!(out, "# TYPE pgmoe_plan_misses_total counter");
+        for (cause, count) in [
+            ("cold", sim.plan.cold_misses),
+            ("routing", sim.plan.routing_misses),
+            ("batch_shape", sim.plan.batch_shape_misses),
+            ("other", sim.plan.other_misses),
+        ] {
+            let _ = writeln!(out, "pgmoe_plan_misses_total{{cause=\"{cause}\"}} {count}");
+        }
 
         let _ = writeln!(out, "# HELP pgmoe_http_responses_total Completed HTTP responses.");
         let _ = writeln!(out, "# TYPE pgmoe_http_responses_total counter");
@@ -439,9 +452,19 @@ mod tests {
             total_tokens: 7,
             peak_hbm_bytes: 1,
             expert_bytes: 2_654_208,
+            plan: pgmoe_runtime::PlanCacheStats {
+                misses: 3,
+                cold_misses: 1,
+                routing_misses: 2,
+                ..Default::default()
+            },
             ..Default::default()
         });
         let text = m.render();
+        assert!(text.contains("pgmoe_plan_cache_misses_total 3"));
+        assert!(text.contains("pgmoe_plan_misses_total{cause=\"cold\"} 1"));
+        assert!(text.contains("pgmoe_plan_misses_total{cause=\"routing\"} 2"));
+        assert!(text.contains("pgmoe_plan_misses_total{cause=\"batch_shape\"} 0"));
         assert!(text.contains("pgmoe_tokens_streamed_total 7"));
         assert!(text.contains("pgmoe_sim_tokens_total 7"));
         assert!(text.contains("pgmoe_sim_expert_bytes 2654208"));

@@ -309,10 +309,20 @@ fn metrics_and_healthz_are_consistent_with_serve_stats() {
         )),
         "per-route counter:\n{text}"
     );
+    // Every plan compile is attributed to exactly one cause.
+    let plan_misses = sample("pgmoe_plan_cache_misses_total");
+    let by_cause: f64 = ["cold", "routing", "batch_shape", "other"]
+        .iter()
+        .map(|cause| sample(&format!("pgmoe_plan_misses_total{{cause=\"{cause}\"}}")))
+        .sum();
+    assert!(plan_misses >= 1.0, "the demo config has no expert cache, so it compiles plans");
+    assert_eq!(by_cause, plan_misses, "miss causes must sum to the misses:\n{text}");
 
     // And the device-side ServeStats must agree with both.
     let stats = handle.shutdown().expect("engine stats");
     assert_eq!(stats.total_tokens, client_tokens, "ServeStats vs streamed tokens");
+    assert_eq!(stats.plan_cache_misses as f64, plan_misses, "ServeStats vs scrape");
+    assert_eq!(stats.plan_cache_hits as f64, sample("pgmoe_plan_cache_hits_total"));
     assert_eq!(stats.request_latencies.len(), REQUESTS);
     assert!(stats.expert_fetch_bytes > 0);
 }
