@@ -695,6 +695,29 @@ mod tests {
     }
 
     #[test]
+    fn cluster_run_reproduces_the_pre_unification_fleet_stats() {
+        // `serve_cluster` used to drive its own `BatchScheduler` and merge
+        // the result by hand; it now serves a one-replica fleet through the
+        // shared event loop. Golden captured before the switch: FNV-1a over
+        // the `Debug` rendering covers every field, per-replica row
+        // included, so `fleet.csv` (`repro -- csv`) stays byte-identical.
+        let cluster = fleet_shootout_runs().pop().expect("the cluster run is last");
+        assert_eq!(cluster.dispatch, "cluster(4gpu)");
+        assert_eq!(cluster.policy, "Expert-Parallel-4GPU");
+        assert_eq!((cluster.gpus, cluster.replicas.len()), (FLEET_GPUS, 1));
+        assert_eq!(cluster.assignment, vec![0; 32]);
+        assert_eq!(cluster.total_tokens, 516);
+        assert_eq!(cluster.makespan.as_nanos(), 1_672_252_536);
+        assert_eq!(cluster.gpu_time.as_nanos(), 1_672_252_536 * FLEET_GPUS as u64);
+        assert_eq!(cluster.peak_hbm_bytes, 4_312_160_256);
+        assert_eq!(cluster.control, None);
+        let digest = format!("{cluster:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+        assert_eq!(digest, 0x28dd_79e8_29cf_4b46, "{cluster:#?}");
+    }
+
+    #[test]
     fn chaos_suite_reports_and_self_asserts() {
         // Recovery, autoscaling, and policy-switch claims self-assert
         // inside; here we pin the report shape for the repro target.

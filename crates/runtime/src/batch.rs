@@ -27,12 +27,16 @@
 //! same [`ServeStats`] the batch-1 path produces, so the two disciplines are
 //! directly comparable (`examples/serve_batched.rs`).
 //!
+//! [`BatchScheduler::serve`] is a loop over `BatchSession::pump`, the one
+//! admit-and-step turn in this crate; a fleet replica
+//! ([`crate::ControlledFleet`], and through it [`crate::FleetSim`] and
+//! [`crate::serve_cluster`]) takes the same turn at its own clock.
+//!
 //! [`ExpertScheduler`]: crate::scheduler::ExpertScheduler
 
 use crate::serve::ServeStats;
-use crate::session::{Admission, BatchSession};
+use crate::session::BatchSession;
 use crate::{Result, RuntimeError, SimOptions};
-use pgmoe_device::SimTime;
 use pgmoe_model::ModelConfig;
 use pgmoe_workload::ArrivedRequest;
 use std::collections::VecDeque;
@@ -128,85 +132,24 @@ impl BatchScheduler {
     ///   options the policy surface rejects.
     pub fn serve(&self, arrivals: impl IntoIterator<Item = ArrivedRequest>) -> Result<ServeStats> {
         let arrivals: Vec<ArrivedRequest> = arrivals.into_iter().collect();
-        self.validate(&arrivals)?;
-        if arrivals.is_empty() {
-            // Empty streams report the built scheduler's name without
-            // touching the machine (the static footprint is never placed).
-            let sched = self.opts.policy.build(&self.opts.setup_for(&self.cfg));
-            return Ok(ServeStats {
-                policy: sched.name(),
-                request_latencies: Vec::new(),
-                queueing_delays: Vec::new(),
-                ttfts: Vec::new(),
-                total_tokens: 0,
-                tokens_per_sec: 0.0,
-                peak_hbm_bytes: 0,
-                expert_fetch_bytes: 0,
-                demand_fetch_bytes: 0,
-                gpu_busy: pgmoe_device::SimDuration::ZERO,
-                peak_batch: 0,
-                plan_cache_hits: 0,
-                plan_cache_misses: 0,
-                kv: None,
-            });
-        }
-
-        let mut session = BatchSession::new(self.cfg.clone(), self.opts.clone(), self.batch)?;
-        let mut pending: VecDeque<(usize, ArrivedRequest)> =
-            arrivals.iter().copied().enumerate().collect();
-
-        while !pending.is_empty() || session.in_flight() > 0 {
-            // Idle system: jump the clock to the next arrival.
-            if session.in_flight() == 0 {
-                if let Some(&(_, next)) = pending.front() {
-                    session.advance_clock(SimTime::from_nanos(next.arrival_ns));
-                }
-            }
-
-            // FIFO admission at the iteration boundary: offer the queue
-            // head while it has arrived and the session accepts it.
-            while let Some(&(idx, arr)) = pending.front() {
-                if SimTime::from_nanos(arr.arrival_ns) > session.clock() {
-                    break;
-                }
-                match session.try_admit(idx as u64, arr)? {
-                    Admission::Admitted { .. } => {
-                        pending.pop_front();
-                    }
-                    Admission::BatchFull | Admission::OverBudget => break,
-                }
-            }
-
-            // One scheduler step: prefill for the newly admitted requests,
-            // then one decode iteration for the whole batch.
-            session.step()?;
-        }
-        Ok(session.finish())
-    }
-
-    fn validate(&self, arrivals: &[ArrivedRequest]) -> Result<()> {
         if self.batch.max_batch == 0 {
             return Err(RuntimeError::InvalidConfig {
                 message: "max_batch must be at least 1".into(),
             });
         }
         self.opts.validate(&self.cfg)?;
-        for (i, a) in arrivals.iter().enumerate() {
-            if a.request.output_tokens == 0 || a.request.batch_size != 1 {
-                return Err(RuntimeError::InvalidConfig {
-                    message: format!(
-                        "request {i}: continuous batching serves single-sequence requests \
-                         with at least one output token"
-                    ),
-                });
-            }
-            if i > 0 && arrivals[i - 1].arrival_ns > a.arrival_ns {
-                return Err(RuntimeError::InvalidConfig {
-                    message: format!("arrivals must be sorted by time (violated at index {i})"),
-                });
-            }
+        validate_arrivals(&arrivals)?;
+        if arrivals.is_empty() {
+            return Ok(ServeStats::empty(&self.cfg, &self.opts));
         }
-        Ok(())
+
+        let mut session = BatchSession::new(self.cfg.clone(), self.opts.clone(), self.batch)?;
+        let mut pending: VecDeque<(usize, ArrivedRequest)> =
+            arrivals.into_iter().enumerate().collect();
+        while !pending.is_empty() || session.in_flight() > 0 {
+            session.pump(&mut pending, |_, _| {})?;
+        }
+        Ok(session.finish())
     }
 
     /// Test/diagnostic variant of [`crate::session`]'s decode-transient
@@ -224,6 +167,27 @@ impl BatchScheduler {
         let sched = self.opts.policy.build(&self.opts.setup_for(&self.cfg));
         crate::session::prefill_transient_bytes_of(&self.cfg, sched.as_ref(), plan, total_inputs)
     }
+}
+
+/// What every open-loop driver requires of its trace: single-sequence
+/// requests with at least one output token, sorted by arrival time.
+pub(crate) fn validate_arrivals(arrivals: &[ArrivedRequest]) -> Result<()> {
+    for (i, a) in arrivals.iter().enumerate() {
+        if a.request.output_tokens == 0 || a.request.batch_size != 1 {
+            return Err(RuntimeError::InvalidConfig {
+                message: format!(
+                    "request {i}: continuous batching serves single-sequence requests \
+                     with at least one output token"
+                ),
+            });
+        }
+        if i > 0 && arrivals[i - 1].arrival_ns > a.arrival_ns {
+            return Err(RuntimeError::InvalidConfig {
+                message: format!("arrivals must be sorted by time (violated at index {i})"),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Convenience wrapper: build a [`BatchScheduler`] and serve `arrivals`.

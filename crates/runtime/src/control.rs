@@ -1,20 +1,21 @@
 //! Adaptive fleet control: fault injection, replica failure recovery,
 //! autoscaling and online policy switching.
 //!
-//! [`crate::fleet::FleetSim`] answers the steady-state question — how many
-//! tokens/s-per-GPU does a replica fleet sustain — under two simplifying
-//! assumptions: the fleet shape is fixed for the whole trace, and nothing
-//! ever breaks. This module drops both. [`ControlledFleet`] serves the same
-//! arrival traces through the same per-replica [`BatchSession`]s, but runs
-//! them inside a global *event loop* that interleaves four event sources in
-//! simulated time:
+//! [`ControlledFleet`] is the one fleet driver: a global *event loop* over
+//! per-replica [`BatchSession`]s that interleaves four event sources in
+//! simulated time. [`crate::fleet::FleetSim`] — the steady-state question,
+//! how many tokens/s-per-GPU a fixed replica fleet sustains when nothing
+//! breaks — is this loop with an empty [`FaultPlan`], no controller windows
+//! and [`NoControl`]; this module adds what makes the fleet adaptive.
 //!
 //! 1. **Arrivals** are dispatched one at a time, at their arrival instant,
-//!    via the exact same [`DispatchState`](crate::fleet) bookkeeping the
-//!    static path uses — restricted to the replicas currently eligible
-//!    (alive, warm, not draining). With no faults and no controller the
-//!    eligible set is always the full fleet, so placement — and therefore
-//!    the entire run — is **bit-exact** with [`FleetSim::serve`].
+//!    against the [`DispatchState`](crate::fleet) bookkeeping — restricted
+//!    to the replicas currently eligible (alive, warm, not draining). With
+//!    no faults and no controller the eligible set is always the full
+//!    fleet, and the run is **bit-exact** with serving each replica's share
+//!    of the trace alone, run-to-completion, on a
+//!    [`BatchScheduler`](crate::BatchScheduler) (`tests/fleet_chaos.rs`
+//!    keeps that per-replica oracle, with and without an expert cache).
 //! 2. **Faults** from a deterministic, seed-driven
 //!    [`FaultPlan`]: replica kills (in-flight
 //!    work is drained and *redispatched* — the placement-independent route
@@ -26,8 +27,8 @@
 //!    it down (replicas drain before retiring), or swap the expert
 //!    scheduler on live replicas at an iteration boundary
 //!    ([`BatchSession::swap_scheduler`]).
-//! 4. **Replica steps**: each replica independently runs the
-//!    [`BatchScheduler`](crate::BatchScheduler) iteration discipline —
+//! 4. **Replica steps**: each replica independently takes the same
+//!    `BatchSession::pump` turn `BatchScheduler::serve` loops over —
 //!    idle-jump, FIFO admission, one decode step — at its own clock.
 //!
 //! The returned [`FleetStats`] carries a [`ControlStats`] block accounting
@@ -36,13 +37,12 @@
 //! from spawn to retirement — so an elastic deployment is scored on
 //! [`FleetStats::tokens_per_gpu_second`], the GPU-seconds it actually
 //! rented, not on a fixed fleet's makespan.
-//!
-//! [`FleetSim::serve`]: crate::fleet::FleetSim::serve
 
+use crate::batch::validate_arrivals;
 use crate::fleet::{DispatchPolicy, DispatchState, FleetConfig, FleetStats};
 use crate::scheduler::PolicySpec;
 use crate::serve::ServeStats;
-use crate::session::{Admission, BatchSession};
+use crate::session::BatchSession;
 use crate::{Result, RuntimeError, SimOptions};
 use pgmoe_device::{SimDuration, SimTime};
 use pgmoe_model::ModelConfig;
@@ -149,8 +149,8 @@ pub trait FleetController {
 }
 
 /// The do-nothing controller: observes, never acts. A controlled run with
-/// `NoControl` and an empty fault plan is bit-exact with
-/// [`FleetSim::serve`](crate::fleet::FleetSim::serve).
+/// `NoControl` and an empty fault plan is what
+/// [`FleetSim::serve`](crate::fleet::FleetSim::serve) reports.
 #[derive(Debug, Default)]
 pub struct NoControl;
 
@@ -330,7 +330,8 @@ struct ReqState {
 /// One replica slot: a live session plus the control-plane state around it.
 struct Replica {
     session: Option<BatchSession>,
-    queue: VecDeque<usize>,
+    /// Dispatched here, not yet admitted: request index + the request.
+    queue: VecDeque<(usize, ArrivedRequest)>,
     alive: bool,
     draining: bool,
     warm_at_ns: u64,
@@ -366,7 +367,7 @@ impl Replica {
     /// When this replica next does work: now if it is mid-batch, the moment
     /// it can admit its queue head if idle with queued work, never
     /// otherwise.
-    fn ready_ns(&self, reqs: &[ReqState]) -> Option<u64> {
+    fn ready_ns(&self) -> Option<u64> {
         let session = self.session.as_ref()?;
         if !self.alive {
             return None;
@@ -374,7 +375,7 @@ impl Replica {
         if session.in_flight() > 0 {
             return Some(session.clock().as_nanos());
         }
-        self.queue.front().map(|&i| session.clock().as_nanos().max(reqs[i].arr.arrival_ns))
+        self.queue.front().map(|(_, arr)| session.clock().as_nanos().max(arr.arrival_ns))
     }
 
     fn retire(&mut self, now_ns: u64) {
@@ -444,8 +445,8 @@ impl ControlledFleet {
     /// Zero requests are lost: work on a killed replica is drained and
     /// redispatched, and the placement-independent route seed replays the
     /// identical token stream wherever a request lands. With an empty plan
-    /// and [`NoControl`] the run is bit-exact with
-    /// [`FleetSim::serve`](crate::fleet::FleetSim::serve).
+    /// and [`NoControl`] this is the run
+    /// [`FleetSim::serve`](crate::fleet::FleetSim::serve) reports.
     ///
     /// # Errors
     ///
@@ -466,9 +467,22 @@ impl ControlledFleet {
         let mut arrivals: Vec<ArrivedRequest> = arrivals.into_iter().collect();
         validate_arrivals(&arrivals)?;
         stamp_route_seeds(&mut arrivals, self.opts.seed);
-        if arrivals.is_empty() {
-            return Ok(self.empty_stats(dispatch.name(), controller.name()));
-        }
+        let mut ctl_stats = ControlStats {
+            controller: controller.name(),
+            faults_injected: 0,
+            redispatched: 0,
+            dropped_tokens: 0,
+            scale_ups: 0,
+            scale_downs: 0,
+            policy_switches: 0,
+            peak_replicas: self.fleet.replicas,
+        };
+        let Some(first_arrival_ns) = arrivals.first().map(|a| a.arrival_ns) else {
+            // An empty trace never touches a machine: every replica reports
+            // the zeroed stats and nothing is billed.
+            let idle = vec![ServeStats::empty(&self.cfg, &self.opts); self.fleet.replicas];
+            return Ok(self.assemble(dispatch.name(), &[], idle, 0, ctl_stats));
+        };
 
         let mut state = DispatchState::new(&self.cfg, &self.opts, self.fleet.replicas)?;
         let mut replicas: Vec<Replica> = (0..self.fleet.replicas)
@@ -489,16 +503,6 @@ impl ControlledFleet {
             .collect();
 
         let mut cur_policy = self.opts.policy.clone();
-        let mut ctl_stats = ControlStats {
-            controller: controller.name(),
-            faults_injected: 0,
-            redispatched: 0,
-            dropped_tokens: 0,
-            scale_ups: 0,
-            scale_downs: 0,
-            policy_switches: 0,
-            peak_replicas: self.fleet.replicas,
-        };
         let faults = plan.events();
         let mut next_arrival = 0usize;
         let mut next_fault = 0usize;
@@ -523,7 +527,7 @@ impl ControlledFleet {
             let (t_step, step_replica) = replicas
                 .iter()
                 .enumerate()
-                .filter_map(|(i, r)| r.ready_ns(&reqs).map(|t| (t, i)))
+                .filter_map(|(i, r)| r.ready_ns().map(|t| (t, i)))
                 .min()
                 .map(|(t, i)| (t, Some(i)))
                 .unwrap_or((u64::MAX, None));
@@ -531,14 +535,15 @@ impl ControlledFleet {
             // Tie-break order at equal instants: dispatch new arrivals
             // before injecting faults, inject faults before the controller
             // observes, observe before replicas step. With no faults and no
-            // windows this degenerates to the static path's semantics.
+            // windows each replica sees exactly what it would serving its
+            // share of the trace alone.
             if t_arrival <= t_fault && t_arrival <= t_window && t_arrival <= t_step {
                 let idx = next_arrival;
                 next_arrival += 1;
                 let arr = reqs[idx].arr;
                 let r = self.place(idx, &arr, t_arrival, &mut state, &replicas, dispatch)?;
                 reqs[idx].replica = r;
-                replicas[r].queue.push_back(idx);
+                replicas[r].queue.push_back((idx, arr));
             } else if t_fault <= t_window && t_fault <= t_step {
                 let ev = faults[next_fault];
                 next_fault += 1;
@@ -609,7 +614,7 @@ impl ControlledFleet {
                 }
             } else {
                 let r = step_replica.expect("a step event requires a ready replica");
-                self.step_replica(r, &mut replicas, &mut reqs, &mut completions)?;
+                self.step_replica(r, t_step, &mut replicas, &mut reqs, &mut completions)?;
             }
         }
 
@@ -621,7 +626,19 @@ impl ControlledFleet {
                 rep.retired_ns = None; // still rented at run end, not scaled away
             }
         }
-        Ok(self.assemble(dispatch.name(), &arrivals, &reqs, replicas, ctl_stats))
+        // Each replica is billed from joining the fleet (or the first
+        // arrival) to retiring (or the last completion).
+        let gpu_time_ns: u64 = replicas
+            .iter()
+            .map(|r| {
+                let start = r.spawned_ns.max(first_arrival_ns);
+                let end = r.retired_ns.unwrap_or(last_completion_ns).max(start);
+                end - start
+            })
+            .sum();
+        let replica_stats =
+            replicas.into_iter().map(|r| r.stats.expect("every replica was finished")).collect();
+        Ok(self.assemble(dispatch.name(), &reqs, replica_stats, gpu_time_ns, ctl_stats))
     }
 
     /// Dispatch one arrival (or redispatched orphan) among the replicas
@@ -691,7 +708,7 @@ impl ControlledFleet {
                 rep.alive = false;
                 rep.retired_ns = Some(at_ns.max(rep.spawned_ns));
                 let mut orphans: Vec<usize> = aborted.iter().map(|a| a.id as usize).collect();
-                orphans.extend(rep.queue.drain(..));
+                orphans.extend(rep.queue.drain(..).map(|(idx, _)| idx));
                 state.forget_replica(target);
                 // Redispatch in arrival order — the convention every
                 // dispatcher already assumes for its bookkeeping.
@@ -703,7 +720,7 @@ impl ControlledFleet {
                     let arr = reqs[idx].arr;
                     let r = self.place(idx, &arr, at_ns, state, replicas, dispatch)?;
                     reqs[idx].replica = r;
-                    replicas[r].queue.push_back(idx);
+                    replicas[r].queue.push_back((idx, arr));
                     // Failover cannot rewind time: the surviving replica
                     // sees the orphan no earlier than the kill instant.
                     let session =
@@ -807,43 +824,24 @@ impl ControlledFleet {
         Ok(())
     }
 
-    /// One replica iteration: the exact `BatchScheduler::serve` discipline
-    /// — idle-jump to the queue head, FIFO admission while the session
-    /// accepts, one step — plus the degraded-link stretch and drain
-    /// retirement.
+    /// One replica iteration at `start_ns`, the replica's
+    /// [`Replica::ready_ns`]: the shared [`BatchSession::pump`] turn, plus
+    /// the degraded-link stretch and drain retirement.
     fn step_replica(
         &self,
         r: usize,
+        start_ns: u64,
         replicas: &mut [Replica],
         reqs: &mut [ReqState],
         completions: &mut usize,
     ) -> Result<()> {
         let rep = &mut replicas[r];
         let session = rep.session.as_mut().expect("ready replica has a session");
-        if session.in_flight() == 0 {
-            if let Some(&front) = rep.queue.front() {
-                session.advance_clock(SimTime::from_nanos(reqs[front].arr.arrival_ns));
-            }
-        }
-        while let Some(&idx) = rep.queue.front() {
-            let arr = reqs[idx].arr;
-            if SimTime::from_nanos(arr.arrival_ns) > session.clock() {
-                break;
-            }
-            match session.try_admit(idx as u64, arr)? {
-                Admission::Admitted { queueing } => {
-                    reqs[idx].queueing = queueing;
-                    rep.queue.pop_front();
-                }
-                Admission::BatchFull | Admission::OverBudget => break,
-            }
-        }
-        let before = session.clock();
-        let events = session.step()?;
-        if before.as_nanos() < rep.degraded_until_ns && rep.degrade_factor > 1.0 {
+        let events = session.pump(&mut rep.queue, |idx, queueing| reqs[idx].queueing = queueing)?;
+        if start_ns < rep.degraded_until_ns && rep.degrade_factor > 1.0 {
             // A degraded link stretches the iteration wall-clock: the next
             // boundary slips by (factor - 1) x the span just executed.
-            let span = session.clock().duration_since(before);
+            let span = session.clock().duration_since(SimTime::from_nanos(start_ns));
             let extra = (span.as_nanos() as f64 * (rep.degrade_factor - 1.0)).round() as u64;
             session.advance_clock(session.clock() + SimDuration::from_nanos(extra));
         }
@@ -864,18 +862,17 @@ impl ControlledFleet {
         Ok(())
     }
 
-    /// Merge per-request lifecycles and per-replica stats into the same
-    /// [`FleetStats`] shape the static path reports.
+    /// Merges per-request lifecycles (arrival order) and per-replica stats
+    /// into [`FleetStats`].
     fn assemble(
         &self,
         dispatch: String,
-        arrivals: &[ArrivedRequest],
         reqs: &[ReqState],
-        replicas: Vec<Replica>,
+        replica_stats: Vec<ServeStats>,
+        gpu_time_ns: u64,
         ctl: ControlStats,
     ) -> FleetStats {
-        let gpus = ctl.peak_replicas;
-        let first_arrival_ns = arrivals.first().map(|a| a.arrival_ns).unwrap_or(0);
+        let first_arrival_ns = reqs.first().map(|r| r.arr.arrival_ns).unwrap_or(0);
         let mut last_completion_ns = 0u64;
         let mut latencies = Vec::with_capacity(reqs.len());
         let mut queueing = Vec::with_capacity(reqs.len());
@@ -899,18 +896,6 @@ impl ControlledFleet {
         } else {
             total_tokens as f64 / makespan.as_secs_f64()
         };
-        // Each replica is billed from joining the fleet (or the first
-        // arrival) to retiring (or the last completion).
-        let gpu_time_ns: u64 = replicas
-            .iter()
-            .map(|r| {
-                let start = r.spawned_ns.max(first_arrival_ns);
-                let end = r.retired_ns.unwrap_or(last_completion_ns).max(start);
-                end - start
-            })
-            .sum();
-        let replica_stats: Vec<ServeStats> =
-            replicas.into_iter().map(|r| r.stats.expect("every replica was finished")).collect();
         let utilization = replica_stats
             .iter()
             .map(|s| {
@@ -924,7 +909,7 @@ impl ControlledFleet {
         FleetStats {
             dispatch,
             policy: replica_stats.first().map(|s| s.policy.clone()).unwrap_or_default(),
-            gpus,
+            gpus: ctl.peak_replicas,
             expert_fetch_bytes: replica_stats.iter().map(|s| s.expert_fetch_bytes).sum(),
             demand_fetch_bytes: replica_stats.iter().map(|s| s.demand_fetch_bytes).sum(),
             peak_hbm_bytes: replica_stats.iter().map(|s| s.peak_hbm_bytes).max().unwrap_or(0),
@@ -941,81 +926,12 @@ impl ControlledFleet {
             control: Some(ctl),
         }
     }
-
-    /// The zeroed stats an empty trace reports (mirrors the static path:
-    /// the machine is never touched).
-    fn empty_stats(&self, dispatch: String, controller: String) -> FleetStats {
-        let sched = self.opts.policy.build(&self.opts.setup_for(&self.cfg));
-        let replica = ServeStats {
-            policy: sched.name(),
-            request_latencies: Vec::new(),
-            queueing_delays: Vec::new(),
-            ttfts: Vec::new(),
-            total_tokens: 0,
-            tokens_per_sec: 0.0,
-            peak_hbm_bytes: 0,
-            expert_fetch_bytes: 0,
-            demand_fetch_bytes: 0,
-            gpu_busy: SimDuration::ZERO,
-            peak_batch: 0,
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
-            kv: None,
-        };
-        FleetStats {
-            dispatch,
-            policy: replica.policy.clone(),
-            gpus: self.fleet.replicas,
-            replicas: vec![replica; self.fleet.replicas],
-            assignment: Vec::new(),
-            request_latencies: Vec::new(),
-            queueing_delays: Vec::new(),
-            ttfts: Vec::new(),
-            total_tokens: 0,
-            makespan: SimDuration::ZERO,
-            tokens_per_sec: 0.0,
-            expert_fetch_bytes: 0,
-            demand_fetch_bytes: 0,
-            peak_hbm_bytes: 0,
-            utilization: vec![0.0; self.fleet.replicas],
-            gpu_time: SimDuration::ZERO,
-            control: Some(ControlStats {
-                controller,
-                faults_injected: 0,
-                redispatched: 0,
-                dropped_tokens: 0,
-                scale_ups: 0,
-                scale_downs: 0,
-                policy_switches: 0,
-                peak_replicas: self.fleet.replicas,
-            }),
-        }
-    }
-}
-
-fn validate_arrivals(arrivals: &[ArrivedRequest]) -> Result<()> {
-    for (i, a) in arrivals.iter().enumerate() {
-        if a.request.output_tokens == 0 || a.request.batch_size != 1 {
-            return Err(RuntimeError::InvalidConfig {
-                message: format!(
-                    "request {i}: continuous batching serves single-sequence requests \
-                     with at least one output token"
-                ),
-            });
-        }
-        if i > 0 && arrivals[i - 1].arrival_ns > a.arrival_ns {
-            return Err(RuntimeError::InvalidConfig {
-                message: format!("arrivals must be sorted by time (violated at index {i})"),
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{FleetSim, JoinShortestQueue, RoundRobin};
+    use crate::fleet::{JoinShortestQueue, RoundRobin};
     use crate::{BatchConfig, OffloadPolicy};
     use pgmoe_workload::{ArrivalProcess, ArrivalStream, DecodeRequest};
 
@@ -1035,38 +951,6 @@ mod tests {
             SimOptions::new(OffloadPolicy::Pregated),
             FleetConfig::new(replicas, BatchConfig::new(4)),
         )
-    }
-
-    fn fleet(replicas: usize) -> FleetSim {
-        FleetSim::new(
-            ModelConfig::switch_base(8),
-            SimOptions::new(OffloadPolicy::Pregated),
-            FleetConfig::new(replicas, BatchConfig::new(4)),
-        )
-    }
-
-    #[test]
-    fn no_fault_no_control_is_bit_exact_with_the_static_fleet() {
-        let arrivals = poisson(18, 120.0, 21);
-        let fixed = fleet(3).serve(arrivals.clone(), &mut JoinShortestQueue::new()).unwrap();
-        let live = controlled(3)
-            .serve(arrivals, &mut JoinShortestQueue::new(), &FaultPlan::new(), &mut NoControl)
-            .unwrap();
-        assert_eq!(live.assignment, fixed.assignment, "placement must be identical");
-        assert_eq!(live.request_latencies, fixed.request_latencies);
-        assert_eq!(live.queueing_delays, fixed.queueing_delays);
-        assert_eq!(live.ttfts, fixed.ttfts);
-        assert_eq!(live.total_tokens, fixed.total_tokens);
-        assert_eq!(live.makespan, fixed.makespan);
-        assert_eq!(live.expert_fetch_bytes, fixed.expert_fetch_bytes);
-        assert_eq!(live.demand_fetch_bytes, fixed.demand_fetch_bytes);
-        assert_eq!(live.peak_hbm_bytes, fixed.peak_hbm_bytes);
-        assert_eq!(live.gpu_time, fixed.gpu_time);
-        assert_eq!(live.utilization, fixed.utilization);
-        let ctl = live.control.expect("controlled runs report control stats");
-        assert_eq!(ctl.faults_injected, 0);
-        assert_eq!(ctl.redispatched, 0);
-        assert_eq!(fixed.control, None, "static runs carry no control block");
     }
 
     #[test]

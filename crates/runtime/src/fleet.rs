@@ -7,11 +7,14 @@
 //! sharded clusters (Sections III-A, VII). This module stages that argument
 //! end to end:
 //!
-//! * [`FleetSim`] dispatches an open-loop arrival stream across `N`
-//!   independent single-GPU replicas. Each replica runs the existing
-//!   [`BatchScheduler`] — continuous batching, HBM admission, expert cache,
-//!   any [`PolicySpec`] — through the shared decode core; the fleet layer
-//!   only decides *placement*.
+//! * [`FleetSim`] serves an open-loop arrival stream on `N` independent
+//!   single-GPU replicas. Each replica is a [`BatchSession`] — continuous
+//!   batching, HBM admission, expert cache, any [`PolicySpec`] — on the
+//!   shared decode core; the fleet layer only decides *placement*, request
+//!   by request at each arrival instant. There is one fleet driver, the
+//!   event loop in [`crate::control`]: `FleetSim` is that loop with no
+//!   faults and no controller, and `tests/fleet_chaos.rs` holds it equal to
+//!   serving every replica's share alone on a [`BatchScheduler`].
 //! * Dispatch is pluggable ([`DispatchPolicy`]): [`RoundRobin`],
 //!   [`JoinShortestQueue`], and [`CacheAffinity`] (steer requests toward
 //!   replicas whose [`ExpertCache`] already holds their hot experts — the
@@ -19,30 +22,31 @@
 //!   trait for your own (`examples/serve_fleet.rs` shows one).
 //! * The expert-parallel cluster is a *drop-in alternative backend*:
 //!   [`serve_cluster`] serves the same stream on one
-//!   [`PolicySpec::expert_parallel`] pipeline and reports the same
-//!   [`FleetStats`], so the iso-GPU shootout (`repro -- fleet`) is a
+//!   [`PolicySpec::expert_parallel`] pipeline (a one-replica fleet on the
+//!   same driver) and reports the same [`FleetStats`], so the iso-GPU
+//!   shootout (`repro -- fleet`) is a
 //!   one-line comparison on tokens/s-per-GPU — the TCO metric.
 //!
 //! Routing identity is a property of the *request*: the fleet stamps every
 //! arrival with a placement-independent route seed
-//! ([`pgmoe_workload::stamp_route_seeds`]), so two dispatch policies serve
-//! byte-identical request populations and differ only in placement.
+//! ([`pgmoe_workload::stamp_route_seeds`]) that seeds its decode trace *and*
+//! its prefill expert draw, so two dispatch policies serve byte-identical
+//! request populations and differ only in placement.
 //!
 //! [`BatchScheduler`]: crate::BatchScheduler
+//! [`BatchSession`]: crate::BatchSession
 //! [`PolicySpec`]: crate::PolicySpec
 //! [`PolicySpec::expert_parallel`]: crate::PolicySpec::expert_parallel
 //! [`ExpertCache`]: crate::ExpertCache
 
-use crate::control::ControlStats;
+use crate::control::{ControlOptions, ControlStats, ControlledFleet, NoControl};
 use crate::multi_gpu::ClusterConfig;
 use crate::scheduler::PolicySpec;
 use crate::serve::{quantile_of, ServeStats};
-use crate::{BatchConfig, BatchScheduler, InferenceSim, Result, RuntimeError, SimOptions};
+use crate::{BatchConfig, InferenceSim, Result, RuntimeError, SimOptions};
 use pgmoe_device::SimDuration;
 use pgmoe_model::ModelConfig;
-use pgmoe_workload::{
-    split_by_assignment, stamp_route_seeds, ArrivedRequest, DecodeRequest, RoutingTrace,
-};
+use pgmoe_workload::{ArrivedRequest, DecodeRequest, FaultPlan, RoutingTrace};
 
 /// Fleet shape: how many single-GPU replicas, each batching how.
 #[derive(Debug, Clone, Copy)]
@@ -274,7 +278,7 @@ pub struct FleetStats {
     pub gpu_time: SimDuration,
     /// Control-loop accounting (faults injected, redispatches, scaling and
     /// policy-switch actions). `None` for runs outside
-    /// [`ControlledFleet`](crate::control::ControlledFleet).
+    /// [`ControlledFleet`].
     pub control: Option<ControlStats>,
 }
 
@@ -390,8 +394,9 @@ impl FleetSim {
         FleetSim { cfg, opts, fleet }
     }
 
-    /// Dispatches `arrivals` across the fleet per `dispatch`, serves every
-    /// replica's sub-stream to completion, and aggregates.
+    /// Serves `arrivals` across the fleet, `dispatch` placing each request
+    /// at its arrival instant: the [`ControlledFleet`] event loop with no
+    /// faults, no controller windows and no control block in the stats.
     ///
     /// Requests without a pre-stamped route seed are stamped from the run
     /// seed and their global arrival index, so routing is identical under
@@ -400,53 +405,19 @@ impl FleetSim {
     /// # Errors
     ///
     /// * [`RuntimeError::InvalidConfig`] for a zero-replica fleet, options
-    ///   the policy surface rejects, or a dispatcher returning an
-    ///   out-of-range replica.
-    /// * Any error a replica's [`BatchScheduler`] raises (e.g. OOM).
-    ///
-    /// [`BatchScheduler`]: crate::BatchScheduler
+    ///   the policy surface rejects, an invalid or unsorted trace, or a
+    ///   dispatcher returning an out-of-range replica.
+    /// * Any error a replica's session raises (e.g. OOM).
     pub fn serve(
         &self,
         arrivals: impl IntoIterator<Item = ArrivedRequest>,
         dispatch: &mut dyn DispatchPolicy,
     ) -> Result<FleetStats> {
-        self.fleet.validate()?;
-        self.opts.validate(&self.cfg)?;
-        let mut arrivals: Vec<ArrivedRequest> = arrivals.into_iter().collect();
-        // Fills only unseeded requests; caller-pinned seeds survive.
-        stamp_route_seeds(&mut arrivals, self.opts.seed);
-
-        let assignment = self.dispatch(&arrivals, dispatch)?;
-        let streams = split_by_assignment(&arrivals, &assignment, self.fleet.replicas);
-        let mut replica_stats = Vec::with_capacity(self.fleet.replicas);
-        for stream in &streams {
-            let sched = BatchScheduler::new(self.cfg.clone(), self.opts.clone(), self.fleet.batch);
-            replica_stats.push(sched.serve(stream.iter().copied())?);
-        }
-        Ok(aggregate(
-            dispatch.name(),
-            self.fleet.replicas,
-            &arrivals,
-            assignment,
-            &streams,
-            replica_stats,
-        ))
-    }
-
-    /// Places every arrival, maintaining the dispatcher-observable replica
-    /// state (queue estimates + affinity histograms).
-    fn dispatch(
-        &self,
-        arrivals: &[ArrivedRequest],
-        dispatch: &mut dyn DispatchPolicy,
-    ) -> Result<Vec<usize>> {
-        let mut state = DispatchState::new(&self.cfg, &self.opts, self.fleet.replicas)?;
-        let all: Vec<usize> = (0..self.fleet.replicas).collect();
-        arrivals
-            .iter()
-            .enumerate()
-            .map(|(idx, arr)| state.place(idx, arr, &all, dispatch))
-            .collect()
+        let mut stats = ControlledFleet::new(self.cfg.clone(), self.opts.clone(), self.fleet)
+            .with_control(ControlOptions { window_ns: 0, ..ControlOptions::default() })
+            .serve(arrivals, dispatch, &FaultPlan::new(), &mut NoControl)?;
+        stats.control = None;
+        Ok(stats)
     }
 }
 
@@ -475,13 +446,10 @@ impl ServiceEstimate {
     }
 }
 
-/// The dispatcher-observable bookkeeping behind [`FleetSim::dispatch`],
-/// factored out so the fault-tolerant control loop ([`crate::control`]) can
-/// place arrivals *incrementally* — one at a time, restricted to the
-/// replicas currently eligible (alive, warm, not draining) — while the
-/// static path places the whole trace upfront. Both paths call the same
-/// [`DispatchState::place`], so placement decisions are bit-identical
-/// whenever the eligible set is the full fleet.
+/// The dispatcher-observable bookkeeping (queue estimates + affinity
+/// histograms) the fleet event loop ([`crate::control`]) places arrivals
+/// against — one at a time, at their arrival instant, restricted to the
+/// replicas currently eligible (alive, warm, not draining).
 pub(crate) struct DispatchState {
     est: ServiceEstimate,
     est_done: Vec<Vec<u64>>,
@@ -593,78 +561,13 @@ impl DispatchState {
     }
 }
 
-/// Merges per-replica [`ServeStats`] back into global arrival order and
-/// derives the fleet aggregates.
-fn aggregate(
-    dispatch: String,
-    replicas: usize,
-    arrivals: &[ArrivedRequest],
-    assignment: Vec<usize>,
-    streams: &[Vec<ArrivedRequest>],
-    replica_stats: Vec<ServeStats>,
-) -> FleetStats {
-    let n = arrivals.len();
-    let mut latencies = vec![SimDuration::ZERO; n];
-    let mut queueing = vec![SimDuration::ZERO; n];
-    let mut ttfts = vec![SimDuration::ZERO; n];
-    let mut cursor = vec![0usize; replicas];
-    let mut last_completion_ns = 0u64;
-    for (i, &r) in assignment.iter().enumerate() {
-        let k = cursor[r];
-        cursor[r] += 1;
-        latencies[i] = replica_stats[r].request_latencies[k];
-        queueing[i] = replica_stats[r].queueing_delays[k];
-        ttfts[i] = replica_stats[r].ttfts[k];
-        last_completion_ns =
-            last_completion_ns.max(arrivals[i].arrival_ns + latencies[i].as_nanos());
-    }
-    debug_assert!(streams.iter().zip(&cursor).all(|(s, &c)| s.len() == c));
-    let first_arrival_ns = arrivals.first().map(|a| a.arrival_ns).unwrap_or(0);
-    let makespan = SimDuration::from_nanos(last_completion_ns.saturating_sub(first_arrival_ns));
-    let total_tokens: usize = replica_stats.iter().map(|s| s.total_tokens).sum();
-    let tokens_per_sec = if makespan == SimDuration::ZERO {
-        0.0
-    } else {
-        total_tokens as f64 / makespan.as_secs_f64()
-    };
-    let utilization = replica_stats
-        .iter()
-        .map(|s| {
-            if makespan == SimDuration::ZERO {
-                0.0
-            } else {
-                s.gpu_busy.as_nanos() as f64 / makespan.as_nanos() as f64
-            }
-        })
-        .collect();
-    FleetStats {
-        dispatch,
-        policy: replica_stats.first().map(|s| s.policy.clone()).unwrap_or_default(),
-        gpus: replicas,
-        expert_fetch_bytes: replica_stats.iter().map(|s| s.expert_fetch_bytes).sum(),
-        demand_fetch_bytes: replica_stats.iter().map(|s| s.demand_fetch_bytes).sum(),
-        peak_hbm_bytes: replica_stats.iter().map(|s| s.peak_hbm_bytes).max().unwrap_or(0),
-        replicas: replica_stats,
-        assignment,
-        request_latencies: latencies,
-        queueing_delays: queueing,
-        ttfts,
-        total_tokens,
-        makespan,
-        tokens_per_sec,
-        utilization,
-        gpu_time: SimDuration::from_nanos(makespan.as_nanos() * replicas as u64),
-        control: None,
-    }
-}
-
 /// Serves `arrivals` on ONE expert-parallel cluster — the iso-GPU
 /// alternative backend. The cluster's GPUs run in lockstep through a single
-/// [`BatchScheduler`] pipeline whose scheduler is
-/// [`PolicySpec::expert_parallel`]; the returned [`FleetStats`] charges the
-/// deployment for all `cluster.num_gpus` GPUs, so
-/// [`FleetStats::tokens_per_sec_per_gpu`] is directly comparable with a
-/// replica fleet's.
+/// pipeline whose scheduler is [`PolicySpec::expert_parallel`]: a
+/// one-replica fleet on the same driver as [`FleetSim::serve`], relabelled.
+/// The returned [`FleetStats`] charges the deployment for all
+/// `cluster.num_gpus` GPUs, so [`FleetStats::tokens_per_sec_per_gpu`] is
+/// directly comparable with a replica fleet's.
 ///
 /// `opts`' policy and machine are overridden from `cluster` (cost model,
 /// per-GPU HBM); routing, seed and batching semantics carry over, so the
@@ -672,10 +575,8 @@ fn aggregate(
 ///
 /// # Errors
 ///
-/// See [`BatchScheduler::serve`]; additionally rejects invalid clusters.
+/// See [`FleetSim::serve`]; additionally rejects invalid clusters.
 ///
-/// [`BatchScheduler`]: crate::BatchScheduler
-/// [`BatchScheduler::serve`]: crate::BatchScheduler::serve
 /// [`PolicySpec::expert_parallel`]: crate::PolicySpec::expert_parallel
 pub fn serve_cluster(
     cfg: ModelConfig,
@@ -688,19 +589,9 @@ pub fn serve_cluster(
     opts.policy = PolicySpec::expert_parallel(cluster);
     opts.machine.hbm_capacity = cluster.hbm_per_gpu;
     opts.machine.cost = cluster.cost;
-    let mut arrivals: Vec<ArrivedRequest> = arrivals.into_iter().collect();
-    stamp_route_seeds(&mut arrivals, opts.seed);
-    let stats = BatchScheduler::new(cfg, opts, batch).serve(arrivals.iter().copied())?;
-    let assignment = vec![0usize; arrivals.len()];
-    let streams = vec![arrivals.clone()];
-    let mut fleet = aggregate(
-        format!("cluster({}gpu)", cluster.num_gpus),
-        1,
-        &arrivals,
-        assignment,
-        &streams,
-        vec![stats],
-    );
+    let mut fleet = FleetSim::new(cfg, opts, FleetConfig::new(1, batch))
+        .serve(arrivals, &mut RoundRobin::new())?;
+    fleet.dispatch = format!("cluster({}gpu)", cluster.num_gpus);
     fleet.gpus = cluster.num_gpus;
     fleet.gpu_time = SimDuration::from_nanos(fleet.makespan.as_nanos() * cluster.num_gpus as u64);
     // The single timeline stands for the lockstep cluster's critical path;
@@ -927,7 +818,14 @@ mod tests {
         let stats = fleet(2).serve(Vec::new(), &mut RoundRobin::new()).unwrap();
         assert_eq!(stats.total_tokens, 0);
         assert_eq!(stats.tokens_per_sec, 0.0);
-        assert!(stats.request_latencies.is_empty());
+        assert!(stats.request_latencies.is_empty() && stats.assignment.is_empty());
         assert_eq!(stats.gpus, 2);
+        assert_eq!((stats.makespan, stats.gpu_time), (SimDuration::ZERO, SimDuration::ZERO));
+        assert_eq!(stats.utilization, vec![0.0; 2]);
+        assert_eq!(stats.control, None);
+        // The machines are never touched.
+        assert_eq!(stats.replicas.len(), 2);
+        assert!(stats.replicas.iter().all(|r| r.peak_hbm_bytes == 0 && r.policy == stats.policy));
+        assert_eq!(stats.policy, "Pre-gated MoE");
     }
 }

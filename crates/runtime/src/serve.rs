@@ -85,6 +85,28 @@ fn mean_of(samples: &[SimDuration]) -> SimDuration {
 }
 
 impl ServeStats {
+    /// What a stream that served nothing reports: the *built* scheduler's
+    /// name (so the label matches a non-empty stream's) and zeros — the
+    /// machine is never touched, the static footprint never placed.
+    pub(crate) fn empty(cfg: &ModelConfig, opts: &SimOptions) -> Self {
+        ServeStats {
+            policy: opts.policy.build(&opts.setup_for(cfg)).name(),
+            request_latencies: Vec::new(),
+            queueing_delays: Vec::new(),
+            ttfts: Vec::new(),
+            total_tokens: 0,
+            tokens_per_sec: 0.0,
+            peak_hbm_bytes: 0,
+            expert_fetch_bytes: 0,
+            demand_fetch_bytes: 0,
+            gpu_busy: SimDuration::ZERO,
+            peak_batch: 0,
+            plan_cache_hits: 0,
+            plan_cache_misses: 0,
+            kv: None,
+        }
+    }
+
     /// End-to-end latency at quantile `q ∈ [0, 1]` (nearest-rank). Zero
     /// when no requests were served.
     ///

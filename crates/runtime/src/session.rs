@@ -20,7 +20,8 @@
 //! * [`BatchSession::finish`] — consume the session and produce the same
 //!   [`ServeStats`] the run-to-completion path reports.
 //!
-//! [`BatchScheduler::serve`] is now a thin loop over this handle (the
+//! [`BatchScheduler::serve`] and every fleet replica are thin loops over
+//! this handle (one shared admit-and-step turn, `BatchSession::pump`; the
 //! golden-equivalence suite pins the refactor bit-exactly), and
 //! `pgmoe-serve` drives the same handle from an HTTP event loop with live
 //! wall-clock arrivals, streaming each [`TokenEvent`] back as an HTTP
@@ -52,6 +53,7 @@ use pgmoe_model::{ExpertPrecision, GateTopology, ModelConfig};
 use pgmoe_workload::{ArrivedRequest, RoutingTrace, SharedPrefix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 
 /// Outcome of offering one request to [`BatchSession::try_admit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,8 +134,10 @@ struct InFlight {
     prefilled: usize,
     /// Paged-KV block table (paged sessions only).
     table: Option<BlockTable>,
-    /// Seed for synthetic KV content stamps outside the shared prefix.
-    stamp_seed: u64,
+    /// The request's routing identity: its stamped `route_seed`, or the
+    /// id-derived default. Seeds the decode trace, the prefill expert draw
+    /// and the synthetic KV content stamps outside the shared prefix.
+    route_seed: u64,
     shared_prefix: Option<SharedPrefix>,
 }
 
@@ -155,7 +159,7 @@ impl InFlight {
     fn stamp_at(&self, pos: usize) -> u64 {
         match self.shared_prefix {
             Some(p) if pos < p.tokens.min(self.request.input_tokens) => kv_stamp(p.hash, pos),
-            _ => kv_stamp(self.stamp_seed, pos),
+            _ => kv_stamp(self.route_seed ^ 0xD6E8_FEB8_6659_FD93, pos),
         }
     }
 }
@@ -425,9 +429,12 @@ impl BatchSession {
     }
 
     /// Offers one request for admission at the current clock. `id` is an
-    /// opaque caller handle echoed in [`TokenEvent::id`]; it also seeds the
-    /// request's synthetic routing trace (unless the request carries an
-    /// explicit `route_seed`), so equal ids replay equal traces.
+    /// opaque caller handle echoed in [`TokenEvent::id`]. A request without
+    /// a `route_seed` derives one from `opts.seed` and `id`, so equal ids
+    /// replay equal routing; a request that carries a `route_seed` draws
+    /// everything synthetic about it (decode trace, prefill experts, KV
+    /// content stamps) from that seed, and `id` seeds nothing — the same
+    /// stamped request behaves identically under any id numbering.
     ///
     /// The request's arrival stamp must not be ahead of the session clock
     /// (advance the clock first); its queueing delay is the difference.
@@ -576,13 +583,46 @@ impl BatchSession {
             act_bytes,
             prefilled,
             table,
-            stamp_seed: seed ^ 0xD6E8_FEB8_6659_FD93,
+            route_seed: seed,
             shared_prefix: arr.shared_prefix,
         });
         if self.paged.is_none() {
             self.admitted_now.push(self.inflight.len() - 1);
         }
         Ok(Admission::Admitted { queueing })
+    }
+
+    /// One turn of the serving discipline every driver of a session runs
+    /// ([`crate::BatchScheduler::serve`], each replica of a
+    /// [`crate::ControlledFleet`]): an idle session jumps its clock to the
+    /// queue head's arrival; the queue is offered FIFO while its head has
+    /// arrived and the session accepts it, `admitted` hearing each
+    /// admission's handle and queueing delay; then one
+    /// [`BatchSession::step`] — prefill for the newly admitted, one decode
+    /// iteration for the whole batch.
+    pub(crate) fn pump(
+        &mut self,
+        queue: &mut VecDeque<(usize, ArrivedRequest)>,
+        mut admitted: impl FnMut(usize, SimDuration),
+    ) -> Result<Vec<TokenEvent>> {
+        if self.inflight.is_empty() {
+            if let Some(&(_, next)) = queue.front() {
+                self.advance_clock(SimTime::from_nanos(next.arrival_ns));
+            }
+        }
+        while let Some(&(handle, arr)) = queue.front() {
+            if SimTime::from_nanos(arr.arrival_ns) > self.clock {
+                break;
+            }
+            match self.try_admit(handle as u64, arr)? {
+                Admission::Admitted { queueing } => {
+                    admitted(handle, queueing);
+                    queue.pop_front();
+                }
+                Admission::BatchFull | Admission::OverBudget => break,
+            }
+        }
+        self.step()
     }
 
     /// Removes an in-flight request from the batch before it completes —
@@ -705,7 +745,7 @@ impl BatchSession {
         let span_start = self.machine.horizon();
         if self.paged.is_some() {
             self.chunked_prefill()?;
-        } else if !self.admitted_now.is_empty() {
+        } else {
             self.prefill()?;
         }
         self.admitted_now.clear();
@@ -876,10 +916,12 @@ impl BatchSession {
     /// expected distinct set their prompts activate — structured by the
     /// same scheduler hooks as everything else.
     fn prefill(&mut self) -> Result<()> {
+        let Some(&first) = self.admitted_now.first() else {
+            return Ok(());
+        };
         let total_inputs: usize =
             self.admitted_now.iter().map(|&i| self.inflight[i].request.input_tokens).sum();
-        let first_id = self.admitted_now.first().map(|&i| self.inflight[i].id).unwrap_or(0);
-        self.prefill_pass_for(total_inputs, first_id)
+        self.prefill_pass_for(total_inputs, self.inflight[first].route_seed)
     }
 
     /// Chunked prefill at the decode-iteration boundary (paged sessions):
@@ -896,7 +938,7 @@ impl BatchSession {
             (0..self.inflight.len()).filter(|&i| !self.inflight[i].ready()).collect();
         order.sort_unstable_by_key(|&i| self.inflight[i].record);
         let mut total = 0usize;
-        let mut first_id = None;
+        let mut first_seed = None;
         let mut stamps: Vec<u64> = Vec::new();
         for &i in &order {
             if budget == 0 {
@@ -907,9 +949,7 @@ impl BatchSession {
             if todo == 0 {
                 continue;
             }
-            if first_id.is_none() {
-                first_id = Some(r.id);
-            }
+            first_seed.get_or_insert(r.route_seed);
             stamps.clear();
             stamps.extend((r.prefilled..r.prefilled + todo).map(|pos| r.stamp_at(pos)));
             let table = r.table.as_mut().expect("paged request has a table");
@@ -927,23 +967,23 @@ impl BatchSession {
             total += todo;
             budget -= todo;
         }
-        if total == 0 {
+        let Some(seed) = first_seed else {
             return Ok(());
-        }
+        };
         self.sync_paged_kv()?;
-        self.prefill_pass_for(total, first_id.unwrap_or(0))
+        self.prefill_pass_for(total, seed)
     }
 
     /// The shared encoder pass both prefill flavours submit: `total_inputs`
     /// prompt tokens, expert samples seeded off the first prefilled
-    /// request's id.
-    fn prefill_pass_for(&mut self, total_inputs: usize, first_id: u64) -> Result<()> {
+    /// request's routing seed — like decode routing, a property of the
+    /// request rather than of the handle its driver numbered it with.
+    fn prefill_pass_for(&mut self, total_inputs: usize, seed: u64) -> Result<()> {
         let cfg = &self.cfg;
         // Sample which experts the prompts activate (per block, like the
         // batch-1 encoder pass) — a fixed 0..distinct set would turn every
         // later prefill into a guaranteed cache hit and undercount traffic.
-        let mut rng =
-            StdRng::seed_from_u64(self.opts.seed ^ first_id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut rng = StdRng::seed_from_u64(seed);
         let costs = batched_prefill_costs(
             cfg,
             &self.base_plan,
@@ -1491,6 +1531,39 @@ mod tests {
         assert_eq!(pool, ref_pool);
         assert_eq!(horizon, ref_horizon);
         assert_eq!(after, warm, "a declined replay is neither a hit nor a miss");
+    }
+
+    #[test]
+    fn a_stamped_request_behaves_identically_under_any_id_numbering() {
+        use crate::{CacheConfig, Replacement};
+        use pgmoe_workload::{stamp_route_seeds, RoutingKind};
+        // Regression: the prefill expert draw was seeded off the driver's
+        // handle, so a fleet that numbers requests per replica and one that
+        // numbers them globally warmed the expert cache differently for the
+        // very same stamped requests.
+        let cfg = ModelConfig::switch_base(64);
+        let opts = SimOptions::new(OffloadPolicy::Pregated)
+            .with_routing(RoutingKind::ZipfDomains { s: 1.5, domains: 4 })
+            .with_cache(CacheConfig::new(0.15, Replacement::Lru));
+        let mut arrivals: Vec<ArrivedRequest> =
+            (0..6).map(|i| ArrivedRequest::at_nanos(i * 40_000_000, req(16, 8))).collect();
+        stamp_route_seeds(&mut arrivals, opts.seed);
+        let serve = |ids: [usize; 6]| {
+            let mut s = BatchSession::new(cfg.clone(), opts.clone(), BatchConfig::new(2)).unwrap();
+            let mut queue: VecDeque<_> = ids.into_iter().zip(arrivals.iter().copied()).collect();
+            while !queue.is_empty() || s.in_flight() > 0 {
+                s.pump(&mut queue, |_, _| {}).unwrap();
+            }
+            s.finish()
+        };
+        let (dense, sparse) = (serve([0, 1, 2, 3, 4, 5]), serve([7, 19, 40, 41, 77, 1000]));
+        assert!(dense.expert_fetch_bytes > 0 && dense.demand_fetch_bytes > 0);
+        assert_eq!(sparse.request_latencies, dense.request_latencies);
+        assert_eq!(sparse.ttfts, dense.ttfts);
+        assert_eq!(sparse.queueing_delays, dense.queueing_delays);
+        assert_eq!(sparse.expert_fetch_bytes, dense.expert_fetch_bytes);
+        assert_eq!(sparse.demand_fetch_bytes, dense.demand_fetch_bytes);
+        assert_eq!(sparse.peak_hbm_bytes, dense.peak_hbm_bytes);
     }
 
     #[test]

@@ -30,9 +30,8 @@ pub mod task;
 
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use requests::{
-    mixed_context_trace, split_by_assignment, stamp_domain_rotation, stamp_route_seeds,
-    ArrivalProcess, ArrivalStream, ArrivedRequest, DecodeRequest, LiveClock, RequestStream,
-    SharedPrefix,
+    mixed_context_trace, stamp_domain_rotation, stamp_route_seeds, ArrivalProcess, ArrivalStream,
+    ArrivedRequest, DecodeRequest, LiveClock, RequestStream, SharedPrefix,
 };
 pub use routing::{domain_of, RoutingKind, RoutingTrace};
 pub use task::{Example, TaskKind, TaskSpec};

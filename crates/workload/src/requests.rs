@@ -145,9 +145,9 @@ impl ArrivedRequest {
 /// Stamps every *unseeded* request with a placement-independent routing
 /// seed derived from `base_seed` and its global arrival index; requests the
 /// caller already pinned via [`ArrivedRequest::with_route_seed`] keep their
-/// seed. A multi-replica dispatcher calls this once before splitting the
-/// stream, so the same request draws the same routing trace on every
-/// replica it could land on.
+/// seed. A multi-replica driver calls this once before placing anything,
+/// so the same request draws the same routing on every replica it could
+/// land on.
 pub fn stamp_route_seeds(arrivals: &mut [ArrivedRequest], base_seed: u64) {
     for (idx, arr) in arrivals.iter_mut().enumerate() {
         if arr.route_seed.is_none() {
@@ -190,27 +190,6 @@ pub fn stamp_domain_rotation(
         }
         arr.route_seed = Some(seed);
     }
-}
-
-/// Splits an arrival stream into `replicas` per-replica sub-streams per the
-/// given assignment (`assignment[i]` is request `i`'s replica). Arrival
-/// order — and therefore sortedness — is preserved within each sub-stream.
-///
-/// # Panics
-///
-/// Panics if lengths differ or an assignment is out of range.
-pub fn split_by_assignment(
-    arrivals: &[ArrivedRequest],
-    assignment: &[usize],
-    replicas: usize,
-) -> Vec<Vec<ArrivedRequest>> {
-    assert_eq!(arrivals.len(), assignment.len(), "one assignment per arrival");
-    let mut streams = vec![Vec::new(); replicas];
-    for (arr, &r) in arrivals.iter().zip(assignment) {
-        assert!(r < replicas, "assignment {r} out of range for {replicas} replicas");
-        streams[r].push(*arr);
-    }
-    streams
 }
 
 /// Statistical family of an arrival process.
@@ -608,31 +587,7 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 6, "seeds must be distinct per request");
-        // Splitting does not disturb the stamped identity.
-        let streams = split_by_assignment(&arrivals, &[0, 1, 0, 1, 0, 1], 2);
-        assert_eq!(streams[0].len(), 3);
-        assert_eq!(streams[1][1].route_seed, Some(seeds[3]));
         assert_eq!(ArrivedRequest::at_nanos(0, req).with_route_seed(9).route_seed, Some(9));
-    }
-
-    #[test]
-    fn split_preserves_arrival_order_per_replica() {
-        let req = DecodeRequest::paper_default();
-        let arrivals: Vec<ArrivedRequest> =
-            (0..8).map(|i| ArrivedRequest::at_nanos(i * 10, req)).collect();
-        let streams = split_by_assignment(&arrivals, &[2, 0, 2, 1, 0, 2, 1, 0], 3);
-        assert_eq!(streams.iter().map(Vec::len).sum::<usize>(), 8);
-        for s in &streams {
-            assert!(s.windows(2).all(|w| w[0].arrival_ns <= w[1].arrival_ns));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn split_rejects_out_of_range_assignment() {
-        let req = DecodeRequest::paper_default();
-        let arrivals = vec![ArrivedRequest::at_nanos(0, req)];
-        let _ = split_by_assignment(&arrivals, &[3], 2);
     }
 
     #[test]
