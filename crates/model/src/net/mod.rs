@@ -18,6 +18,6 @@ mod router;
 mod switch;
 
 pub use expert::{ExpertFfn, QuantizedExpertFfn};
-pub use moe::{MoeFfn, RouteDecision};
+pub use moe::{ExpertChoice, MoeFfn, RouteDecision};
 pub use router::Router;
 pub use switch::{SwitchNet, SwitchNetConfig};

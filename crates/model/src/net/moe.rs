@@ -23,12 +23,39 @@ pub struct RouteDecision {
     pub probs_full: Tensor,
 }
 
+/// One token's top-1 routing: the selected expert and its gate probability.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExpertChoice {
+    /// The selected expert.
+    pub expert: usize,
+    /// Its gate probability (the factor the expert's output is scaled by).
+    pub prob: f32,
+}
+
+impl ExpertChoice {
+    /// The top-1 choice from one token's gate probabilities: the first
+    /// maximum, as every routing path in the crate picks it.
+    pub fn top1(probs: &[f32]) -> Self {
+        let mut expert = 0;
+        for (e, &p) in probs.iter().enumerate() {
+            if p > probs[expert] {
+                expert = e;
+            }
+        }
+        ExpertChoice { expert, prob: probs[expert] }
+    }
+}
+
 impl RouteDecision {
     /// Builds the top-1 decision from a `[tokens, experts]` probability
     /// matrix.
     pub fn from_probs(probs: Tensor) -> Self {
-        let expert = probs.argmax_rows();
-        let prob = expert.iter().enumerate().map(|(t, &e)| probs.at(&[t, e])).collect();
+        let (expert, prob) = (0..probs.rows())
+            .map(|t| {
+                let c = ExpertChoice::top1(probs.row(t));
+                (c.expert, c.prob)
+            })
+            .unzip();
         RouteDecision { expert, prob, probs_full: probs }
     }
 
@@ -172,9 +199,8 @@ impl MoeFfn {
         self.forward_inference_arena(h, decision, &ScratchArena::new())
     }
 
-    /// Grouped inference through arena-recycled buffers — the
-    /// allocation-free serving path. The caller recycles the returned
-    /// tensor when done.
+    /// Grouped inference through arena-recycled buffers, routed by
+    /// `decision`. The caller recycles the returned tensor when done.
     pub fn forward_inference_arena(
         &self,
         h: &Tensor,
@@ -182,13 +208,47 @@ impl MoeFfn {
         arena: &ScratchArena,
     ) -> Tensor {
         assert_eq!(decision.num_tokens(), h.rows(), "decision/token mismatch");
+        self.forward_routed_arena(
+            h,
+            |t| ExpertChoice { expert: decision.expert[t], prob: decision.prob[t] },
+            arena,
+        )
+    }
+
+    /// Grouped inference routed by the top-1 of each row of the
+    /// `[tokens, experts]` gate probabilities `probs` (see
+    /// [`ExpertChoice::top1`]) — the allocation-free serving path: no
+    /// [`RouteDecision`] is built. The caller recycles the returned tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probs` has a different row count than `h`.
+    pub(crate) fn forward_gated_arena(
+        &self,
+        h: &Tensor,
+        probs: &Tensor,
+        arena: &ScratchArena,
+    ) -> Tensor {
+        assert_eq!(probs.rows(), h.rows(), "gate/token mismatch");
+        self.forward_routed_arena(h, |t| ExpertChoice::top1(probs.row(t)), arena)
+    }
+
+    /// Token `t` flows through `route(t).expert`, scaled by `route(t).prob`;
+    /// each expert runs once on its whole token group.
+    fn forward_routed_arena(
+        &self,
+        h: &Tensor,
+        route: impl Fn(usize) -> ExpertChoice,
+        arena: &ScratchArena,
+    ) -> Tensor {
         let cols = h.cols();
         let mut groups = self.group_scratch.borrow_mut();
         debug_assert_eq!(groups.len(), self.experts.len());
         for g in groups.iter_mut() {
             g.clear();
         }
-        for (t, &e) in decision.expert.iter().enumerate() {
+        for t in 0..h.rows() {
+            let e = route(t).expert;
             assert!(e < self.experts.len(), "expert {e} out of range");
             groups[e].push(t);
         }
@@ -208,7 +268,7 @@ impl MoeFfn {
                 None => self.experts[e].forward_inference_arena(&sub, arena),
             };
             for (row, &t) in idxs.iter().enumerate() {
-                let p = decision.prob[t];
+                let p = route(t).prob;
                 for (o, &v) in out.row_mut(t).iter_mut().zip(y.row(row)) {
                     *o = v * p;
                 }

@@ -2,7 +2,7 @@
 
 use super::RouteDecision;
 use pgmoe_tensor::nn::{Layer, Linear, Param};
-use pgmoe_tensor::{ops, Tensor};
+use pgmoe_tensor::{ops, ScratchArena, Tensor};
 use rand::Rng;
 
 /// A gate function: one linear projection `d_model → num_experts` followed by
@@ -43,13 +43,20 @@ impl Router {
         decision
     }
 
-    /// Inference-only routing (no caching). The softmax runs in place on
-    /// the logits buffer; the only allocation is the returned decision,
-    /// which owns its probability matrix.
+    /// Inference-only routing (no caching). The only allocation is the
+    /// returned decision, which owns its probability matrix.
     pub fn route_inference(&self, h: &Tensor) -> RouteDecision {
-        let mut probs = self.linear.forward_inference(h);
+        RouteDecision::from_probs(self.gate_probs_arena(h, &ScratchArena::new()))
+    }
+
+    /// The `[t, experts]` gate probabilities for `h` in an arena tensor
+    /// (the softmax runs in place on the logits buffer) — the
+    /// allocation-free routing path; [`super::ExpertChoice::top1`] of a
+    /// row is that token's decision. The caller recycles the result.
+    pub(crate) fn gate_probs_arena(&self, h: &Tensor, arena: &ScratchArena) -> Tensor {
+        let mut probs = self.linear.forward_inference_arena(h, arena);
         probs.softmax_rows_inplace();
-        RouteDecision::from_probs(probs)
+        probs
     }
 
     /// Backward pass given the upstream gradient on each token's selected

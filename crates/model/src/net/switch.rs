@@ -1,10 +1,20 @@
 //! The trainable Switch transformer with pluggable gate topology.
+//!
+//! Training runs [`SwitchNet::forward`] / [`SwitchNet::backward`] over the
+//! whole window. Inference has one block implementation with two callers:
+//! [`SwitchNet::forward_inference_arena`] computes every row (the
+//! reference), and [`SwitchNet::forward_last_arena`] — the serving decode —
+//! computes only the rows the next token reads, with the token-0 padding's
+//! keys and values taken from a cache and the last block narrowed to its
+//! final row, bit for bit equal to that row of the reference (see
+//! [`SwitchNet`]'s "Live-rows decode").
 
-use super::{MoeFfn, RouteDecision, Router};
+use super::{ExpertChoice, MoeFfn, RouteDecision, Router};
 use crate::{ExpertPrecision, GateTopology, GatingMode};
 use pgmoe_tensor::nn::{CausalSelfAttention, Embedding, Layer, LayerNorm, Linear, Param};
 use pgmoe_tensor::{init, ScratchArena, Tensor};
 use rand::Rng;
+use std::cell::{OnceCell, RefCell};
 
 /// Configuration of a trainable scaled-down Switch transformer.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +40,36 @@ impl SwitchNetConfig {
     pub fn small(vocab: usize, seq_len: usize, num_experts: usize, mode: GatingMode) -> Self {
         SwitchNetConfig { vocab, d_model: 32, d_ff: 64, num_blocks: 4, num_experts, seq_len, mode }
     }
+
+    /// Checks that [`SwitchNet::new`] can build this configuration and that
+    /// the result can run a forward pass: every extent non-zero, and a
+    /// pre-gating level that leaves a block to pre-select.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable description of the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        let extents = [
+            ("vocab", self.vocab),
+            ("d_model", self.d_model),
+            ("d_ff", self.d_ff),
+            ("num_blocks", self.num_blocks),
+            ("num_experts", self.num_experts),
+            ("seq_len", self.seq_len),
+        ];
+        if let Some((name, _)) = extents.iter().find(|(_, v)| *v == 0) {
+            return Err(format!("numeric network needs a non-zero {name}"));
+        }
+        match self.mode {
+            GatingMode::Pregated { level } if level == 0 || level >= self.num_blocks => {
+                Err(format!(
+                    "pre-gating level {level} needs 1 <= level < num_blocks ({})",
+                    self.num_blocks
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -38,6 +78,14 @@ struct Block {
     ln1: LayerNorm,
     ln2: LayerNorm,
     moe: MoeFfn,
+}
+
+/// One block's attention keys and values over a whole `[seq_len, d_model]`
+/// window.
+#[derive(Debug, Clone)]
+struct BlockKv {
+    k: Tensor,
+    v: Tensor,
 }
 
 /// A trainable Switch transformer whose expert selection follows a
@@ -53,10 +101,29 @@ struct Block {
 /// selects block `b`'s experts is *evaluated on the activations of block
 /// `route_source(b)`* during the forward pass, and its gradient flows back
 /// into those earlier activations during the backward pass.
+///
+/// # Live-rows decode
+///
+/// Serving reads one logits row per token — the last — from a window whose
+/// left end is padded with token 0 ([`SwitchNet::forward_last_arena`]).
+/// Attention is causal, so row `t` of every block depends only on rows
+/// `..=t`: the per-block keys and values of `z` leading token-0 rows are the
+/// same constants in every window (those of an all-zero window), and
+/// nothing after the last block's attention reads any row but the last.
+/// The decode therefore takes the padding rows' keys and values from a
+/// cache built once from an all-zero window, computes rows `z..` only, and
+/// runs the last block past its key/value projection on the final row
+/// alone. Every kernel underneath is row-independent (see
+/// `pgmoe_tensor::kernel`), so the result is bitwise identical to that row
+/// of [`SwitchNet::forward_inference_arena`], which runs the same code over
+/// every row and stays the reference.
 #[derive(Debug, Clone)]
 pub struct SwitchNet {
     cfg: SwitchNetConfig,
     topo: GateTopology,
+    /// `hosted[b]`: the routing targets whose gates are evaluated at block
+    /// `b` ([`GateTopology::gates_hosted_at`]), computed once per topology.
+    hosted: Vec<Vec<usize>>,
     tok_emb: Embedding,
     pos_emb: Param,
     blocks: Vec<Block>,
@@ -67,6 +134,15 @@ pub struct SwitchNet {
     out_proj: Linear,
     last_decisions: Vec<RouteDecision>,
     expert_precision: ExpertPrecision,
+    /// Every block's keys and values over an all-token-0 window: the
+    /// padding prefix of [`SwitchNet::forward_last_arena`]. Built on first
+    /// use and dropped by every `&mut self` method that can change outputs
+    /// (see [`SwitchNet::invalidate`]).
+    pad_kv: OnceCell<Vec<BlockKv>>,
+    /// Gate probabilities evaluated at one block for a later block,
+    /// awaiting their target — kept across calls so the arena forwards
+    /// allocate nothing in steady state.
+    pending: RefCell<Vec<Option<Tensor>>>,
 }
 
 impl SwitchNet {
@@ -90,11 +166,22 @@ impl SwitchNet {
             routers,
             final_ln: LayerNorm::new(cfg.d_model),
             out_proj: Linear::new(cfg.d_model, cfg.vocab, true, rng),
+            hosted: hosted_gates(topo),
             topo,
             cfg,
             last_decisions: Vec::new(),
             expert_precision: ExpertPrecision::F32,
+            pad_kv: OnceCell::new(),
+            pending: RefCell::new(Vec::new()),
         }
+    }
+
+    /// Drops everything derived from the parameters and the topology — the
+    /// padding-prefix keys and values. Every `&mut self` method that can
+    /// change outputs calls it (the `MoeFfn::refresh_quantized` idiom);
+    /// the next [`SwitchNet::forward_last_arena`] rebuilds the cache.
+    fn invalidate(&mut self) {
+        self.pad_kv.take();
     }
 
     /// The network's configuration.
@@ -120,6 +207,7 @@ impl SwitchNet {
             block.moe.quantize_experts(precision);
         }
         self.expert_precision = precision;
+        self.invalidate();
     }
 
     /// The expert storage precision inference currently runs at.
@@ -134,7 +222,9 @@ impl SwitchNet {
     /// architecture", Section IV-B).
     pub fn rewire(&mut self, mode: GatingMode) {
         self.topo = GateTopology::new(self.cfg.num_blocks, mode);
+        self.hosted = hosted_gates(self.topo);
         self.cfg.mode = mode;
+        self.invalidate();
     }
 
     /// Training forward pass over one sequence. Returns `[seq_len, vocab]`
@@ -151,7 +241,7 @@ impl SwitchNet {
         for b in 0..self.cfg.num_blocks {
             let a = self.blocks[b].attn.forward(&x);
             let h = self.blocks[b].ln1.forward(&x.add(&a));
-            for target in self.topo.gates_hosted_at(b) {
+            for &target in &self.hosted[b] {
                 pending[target] = Some(self.routers[target].route(&h));
             }
             let dec = pending[b].take().expect("topology must route every block");
@@ -176,46 +266,143 @@ impl SwitchNet {
         self.forward_inference_arena(tokens, &ScratchArena::new())
     }
 
-    /// Inference forward through arena-recycled intermediates — the
-    /// allocation-free decode path. After a warm-up pass, repeated calls
-    /// with the same `arena` allocate only the routing decisions they
-    /// return. The caller may recycle the returned logits tensor.
+    /// Inference forward through arena-recycled intermediates over every
+    /// row of the window: `[seq_len, vocab]` logits and every block's
+    /// routing decision. Tensor intermediates are recycled through `arena`;
+    /// the returned decisions are fresh allocations (use
+    /// [`SwitchNet::forward_last_arena`] for the allocation-free decode).
+    /// The caller may recycle the returned logits tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens.len() != seq_len`.
     pub fn forward_inference_arena(
         &self,
         tokens: &[usize],
         arena: &ScratchArena,
     ) -> (Tensor, Vec<RouteDecision>) {
-        assert_eq!(tokens.len(), self.cfg.seq_len, "sequence length mismatch");
-        let table = &self.tok_emb.table.value;
-        let mut x = arena.take([self.cfg.seq_len, self.cfg.d_model]);
-        for (t, &tok) in tokens.iter().enumerate() {
-            x.row_mut(t).copy_from_slice(table.row(tok));
-        }
-        x.add_scaled_inplace(&self.pos_emb.value, 1.0);
-        let mut pending: Vec<Option<RouteDecision>> = vec![None; self.cfg.num_blocks];
         let mut used = Vec::with_capacity(self.cfg.num_blocks);
-        for b in 0..self.cfg.num_blocks {
-            let mut a = self.blocks[b].attn.forward_inference_arena(&x, arena);
+        let logits = self.forward_rows(tokens, 0, &[], false, arena, |_, gate| {
+            used.push(RouteDecision::from_probs(gate.clone()));
+        });
+        (logits, used)
+    }
+
+    /// The next-token forward of serving: the contract of
+    /// [`SwitchNet::forward_inference_arena`] restricted to the last row.
+    /// Returns the `[1, vocab]` logits of that row — bitwise identical to
+    /// the last row of the full forward — and fills `route` with each
+    /// block's expert and gate probability there (cleared first, one entry
+    /// per block).
+    ///
+    /// The `z` leading token-0 rows (`z` capped at `seq_len − 1`) are not
+    /// computed: their per-block keys and values come from a cache built
+    /// once from an all-zero window (see the [type docs](SwitchNet)). Once
+    /// warm, calls that reuse `arena` and `route` perform no heap
+    /// allocation while the worker pool runs their GEMMs inline (one
+    /// thread, or GEMMs under `pgmoe_tensor::kernel::PAR_MIN_WORK`). The
+    /// caller recycles the logits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens.len() != seq_len`.
+    pub fn forward_last_arena(
+        &self,
+        tokens: &[usize],
+        arena: &ScratchArena,
+        route: &mut Vec<ExpertChoice>,
+    ) -> Tensor {
+        assert_eq!(tokens.len(), self.cfg.seq_len, "sequence length mismatch");
+        let z = tokens.iter().take_while(|&&t| t == 0).count().min(self.cfg.seq_len - 1);
+        let pad = if z > 0 { self.pad_kv(arena) } else { &[] };
+        route.clear();
+        self.forward_rows(tokens, z, pad, true, arena, |_, gate| {
+            route.push(ExpertChoice::top1(gate.row(gate.rows() - 1)));
+        })
+    }
+
+    /// Every block's keys and values over an all-token-0 window, built on
+    /// first use.
+    fn pad_kv(&self, arena: &ScratchArena) -> &[BlockKv] {
+        self.pad_kv.get_or_init(|| {
+            let mut kv = Vec::with_capacity(self.cfg.num_blocks);
+            let zeros = vec![0; self.cfg.seq_len];
+            let logits = self.forward_rows(&zeros, 0, &[], false, arena, |block_kv, _| {
+                kv.push(block_kv.clone());
+            });
+            arena.recycle(logits);
+            kv
+        })
+    }
+
+    /// The inference block stack over rows `z..seq_len` of `tokens` — the
+    /// one implementation behind every arena forward. Rows `..z` are
+    /// token-0 padding whose keys and values are copied from `pad`; with
+    /// `last_only` the last block projects keys and values for every
+    /// computed row but runs everything after that on the final row alone.
+    /// `each_block(kv, gate)` sees, in block order, the block's keys and
+    /// values over the whole window and the gate probabilities that routed
+    /// its computed rows. Returns the logits of the rows the last block
+    /// computed.
+    fn forward_rows(
+        &self,
+        tokens: &[usize],
+        z: usize,
+        pad: &[BlockKv],
+        last_only: bool,
+        arena: &ScratchArena,
+        mut each_block: impl FnMut(&BlockKv, &Tensor),
+    ) -> Tensor {
+        let (n, d, num_blocks) = (self.cfg.seq_len, self.cfg.d_model, self.cfg.num_blocks);
+        assert_eq!(tokens.len(), n, "sequence length mismatch");
+        let (table, pos) = (&self.tok_emb.table.value, &self.pos_emb.value);
+        let mut x = arena.take([n - z, d]);
+        for (r, &tok) in tokens[z..].iter().enumerate() {
+            for ((o, &e), &p) in x.row_mut(r).iter_mut().zip(table.row(tok)).zip(pos.row(z + r)) {
+                *o = e + p;
+            }
+        }
+        let mut pending = self.pending.borrow_mut();
+        pending.clear();
+        pending.resize_with(num_blocks, || None);
+        for (b, block) in self.blocks.iter().enumerate() {
+            let mut kv = BlockKv { k: arena.take([n, d]), v: arena.take([n, d]) };
+            if z > 0 {
+                kv.k.as_mut_slice()[..z * d].copy_from_slice(&pad[b].k.as_slice()[..z * d]);
+                kv.v.as_mut_slice()[..z * d].copy_from_slice(&pad[b].v.as_slice()[..z * d]);
+            }
+            block.attn.project_kv_into(&x, z, &mut kv.k, &mut kv.v);
+            if last_only && b + 1 == num_blocks {
+                x = last_row(x, arena);
+            }
+            let mut a = block.attn.attend_arena(&x, n - x.rows(), &kv.k, &kv.v, arena);
             a.add_scaled_inplace(&x, 1.0);
             arena.recycle(x);
-            let h = self.blocks[b].ln1.forward_inference_arena(&a, arena);
+            let h = block.ln1.forward_inference_arena(&a, arena);
             arena.recycle(a);
-            for target in self.topo.gates_hosted_at(b) {
-                pending[target] = Some(self.routers[target].route_inference(&h));
+            for &target in &self.hosted[b] {
+                pending[target] = Some(self.routers[target].gate_probs_arena(&h, arena));
             }
-            let dec = pending[b].take().expect("topology must route every block");
-            let mut m = self.blocks[b].moe.forward_inference_arena(&h, &dec, arena);
+            let mut gate = pending[b].take().expect("topology must route every block");
+            if gate.rows() > h.rows() {
+                // A pre-gate evaluated over every row for the narrowed last block.
+                gate = last_row(gate, arena);
+            }
+            let mut m = block.moe.forward_gated_arena(&h, &gate, arena);
             m.add_scaled_inplace(&h, 1.0);
             arena.recycle(h);
-            used.push(dec);
-            x = self.blocks[b].ln2.forward_inference_arena(&m, arena);
+            each_block(&kv, &gate);
+            arena.recycle(kv.k);
+            arena.recycle(kv.v);
+            arena.recycle(gate);
+            x = block.ln2.forward_inference_arena(&m, arena);
             arena.recycle(m);
         }
         let y = self.final_ln.forward_inference_arena(&x, arena);
         arena.recycle(x);
         let logits = self.out_proj.forward_inference_arena(&y, arena);
         arena.recycle(y);
-        (logits, used)
+        logits
     }
 
     /// Backward pass from `[seq_len, vocab]` logit gradients. Accumulates
@@ -300,12 +487,32 @@ impl SwitchNet {
 
     /// Mutable access to the position-embedding parameter.
     pub fn pos_emb_mut(&mut self) -> &mut Param {
+        self.invalidate();
         &mut self.pos_emb
     }
 }
 
+/// [`GateTopology::gates_hosted_at`] for every block.
+fn hosted_gates(topo: GateTopology) -> Vec<Vec<usize>> {
+    (0..topo.num_blocks()).map(|b| topo.gates_hosted_at(b)).collect()
+}
+
+/// `t`'s last row as a `[1, cols]` arena tensor (`t` itself when it has
+/// one row); `t` goes back to the arena.
+fn last_row(t: Tensor, arena: &ScratchArena) -> Tensor {
+    if t.rows() == 1 {
+        return t;
+    }
+    let mut row = arena.take([1, t.cols()]);
+    row.as_mut_slice().copy_from_slice(t.row(t.rows() - 1));
+    arena.recycle(t);
+    row
+}
+
 impl Layer for SwitchNet {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        // The visitor gets mutable access to every parameter.
+        self.invalidate();
         self.tok_emb.visit_params(f);
         f(&mut self.pos_emb);
         for block in &mut self.blocks {
@@ -322,6 +529,7 @@ impl Layer for SwitchNet {
     }
 
     fn visit_expert_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.invalidate();
         for block in &mut self.blocks {
             block.moe.visit_expert_params(f);
         }
@@ -530,6 +738,28 @@ mod tests {
             failures.len() <= 1, // allow one ReLU-kink casualty
             "gradient mismatches: {failures:?}"
         );
+    }
+
+    #[test]
+    fn validate_accepts_what_new_builds_and_rejects_what_it_cannot() {
+        let base = tiny(GatingMode::Conventional).config().clone();
+        for mode in [GatingMode::Pregated { level: 1 }, GatingMode::Pregated { level: 2 }] {
+            assert_eq!(SwitchNetConfig { mode, ..base.clone() }.validate(), Ok(()));
+        }
+        let unbuildable = [
+            SwitchNetConfig { num_blocks: 0, ..base.clone() },
+            SwitchNetConfig { num_experts: 0, ..base.clone() },
+            SwitchNetConfig { mode: GatingMode::Pregated { level: 0 }, ..base.clone() },
+            SwitchNetConfig { mode: GatingMode::Pregated { level: 3 }, ..base.clone() },
+        ];
+        for cfg in unbuildable {
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+            let built = std::panic::catch_unwind(|| {
+                SwitchNet::new(cfg.clone(), &mut StdRng::seed_from_u64(0))
+            });
+            assert!(built.is_err(), "{cfg:?} built");
+        }
+        assert!(SwitchNetConfig { d_model: 0, ..base }.validate().is_err());
     }
 
     #[test]

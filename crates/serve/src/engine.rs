@@ -27,12 +27,21 @@
 //! expert fetch/cache bookkeeping. The token streamed to the client and
 //! the expert traffic accounted on the device therefore come from the
 //! same forward pass.
+//!
+//! That forward is [`SwitchNet::forward_last_arena`] over the request's
+//! [`context_window`]: it computes only the rows the next token reads —
+//! the token-0 padding's keys and values come from the net's cache, and
+//! the last block runs past its key/value projection on the final row
+//! alone — and is bitwise identical to the last row of the full-window
+//! [`SwitchNet::forward_inference_arena`], the reference a client's
+//! tokens are checked against. Once warm it allocates nothing but the
+//! task boxes of a GEMM large enough to fan out to the worker pool.
 
 use crate::metrics::{ServerMetrics, SimSnapshot};
 use crate::poll::Waker;
 use crate::slo::SloGovernor;
 use pgmoe_device::SimTime;
-use pgmoe_model::net::{RouteDecision, SwitchNet, SwitchNetConfig};
+use pgmoe_model::net::{ExpertChoice, SwitchNet, SwitchNetConfig};
 use pgmoe_model::{GatingMode, ModelConfig};
 use pgmoe_runtime::{Admission, BatchConfig, BatchSession, LiveRouting, OffloadPolicy, SimOptions};
 use pgmoe_tensor::ScratchArena;
@@ -87,20 +96,23 @@ impl EngineConfig {
         }
     }
 
-    /// Cross-field validation (the per-crate configs validate themselves
-    /// when the session is built).
+    /// Everything the engine thread would otherwise find out by panicking:
+    /// the numeric network must be buildable ([`SwitchNetConfig::validate`])
+    /// with a vocabulary of at least 2, and the simulated device session
+    /// must build from `model`, `opts` and `batch` (a zero `max_batch`, a
+    /// paged-KV block of 0 tokens, options the policy rejects).
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
+        self.net.validate()?;
         if self.net.vocab < 2 {
             return Err("numeric network needs a vocabulary of at least 2".into());
         }
-        if self.net.seq_len == 0 {
-            return Err("numeric network needs a non-zero sequence window".into());
-        }
-        Ok(())
+        BatchSession::new(self.model.clone(), self.opts.clone(), self.batch)
+            .map(drop)
+            .map_err(|e| format!("device session: {e}"))
     }
 }
 
@@ -250,8 +262,10 @@ struct Decoding {
     /// Token produced by this iteration's forward pass, streamed once the
     /// simulated device retires the iteration.
     next_token: usize,
-    /// This iteration's per-block routing decisions from the real network.
-    decisions: Vec<RouteDecision>,
+    /// This iteration's expert (and gate probability) per block at the
+    /// last window position, from the real network; reused every
+    /// iteration.
+    experts: Vec<ExpertChoice>,
     /// Reused window buffer for the fixed-length forward pass.
     window: Vec<usize>,
     outbox: Arc<Outbox>,
@@ -264,7 +278,7 @@ impl Decoding {
             ctx: job.prompt,
             emitted: Vec::with_capacity(job.max_tokens),
             next_token: 0,
-            decisions: Vec::new(),
+            experts: Vec::new(),
             window: vec![0; seq_len],
             outbox: job.outbox,
             arrival_ns: job.arrival_ns,
@@ -301,10 +315,10 @@ struct DecisionRouting<'a> {
 
 impl LiveRouting for DecisionRouting<'_> {
     fn experts(&mut self, id: u64, _generated: usize, block: usize, out: &mut Vec<usize>) -> bool {
-        let Some(d) = self.active.get(&id) else { return false };
-        let Some(dec) = d.decisions.get(block) else { return false };
-        let Some(&expert) = dec.expert.last() else { return false };
-        out.push(expert);
+        let Some(choice) = self.active.get(&id).and_then(|d| d.experts.get(block)) else {
+            return false;
+        };
+        out.push(choice.expert);
         true
     }
 }
@@ -364,7 +378,7 @@ pub(crate) fn run_engine(
         cfg.model.clone().with_expert_precision(p).expert_bytes()
     };
     let mut session = BatchSession::new(cfg.model, cfg.opts, cfg.batch)
-        .expect("engine config validated before spawn");
+        .expect("EngineConfig::validate builds this session before spawn");
 
     let mut waiting = carryover;
     let mut active: HashMap<u64, Decoding> = HashMap::new();
@@ -459,10 +473,9 @@ pub(crate) fn run_engine(
         // Real forward pass per in-flight request: produces both the next
         // token and the routing decisions that drive the device step.
         for d in active.values_mut() {
-            let row = context_window(&d.ctx, &mut d.window);
-            let (logits, decisions) = net.forward_inference_arena(&d.window, &arena);
-            d.next_token = argmax(logits.row(row));
-            d.decisions = decisions;
+            context_window(&d.ctx, &mut d.window);
+            let logits = net.forward_last_arena(&d.window, &arena, &mut d.experts);
+            d.next_token = argmax(logits.row(0));
             arena.recycle(logits);
         }
 
@@ -549,6 +562,8 @@ pub(crate) fn run_engine(
 mod tests {
     use super::*;
     use crate::slo::SloConfig;
+    use pgmoe_model::ExpertPrecision;
+    use rand::Rng;
     use std::sync::mpsc::sync_channel;
 
     #[test]
@@ -675,6 +690,66 @@ mod tests {
         // Token content is a pure function of the prompt and the net seed —
         // not of the request id or batch composition.
         assert_eq!(run(1), run(99));
+    }
+
+    /// The full-window greedy decode the served stream must equal: every
+    /// token from all `seq_len` rows of `forward_inference_arena`, read at
+    /// the row `context_window` names.
+    fn full_window_decode(cfg: &EngineConfig, prompt: &[usize], max_tokens: usize) -> Vec<usize> {
+        let mut net = SwitchNet::new(cfg.net.clone(), &mut StdRng::seed_from_u64(cfg.net_seed));
+        if let Some(p) = cfg.opts.expert_precision {
+            net.quantize_experts(p);
+        }
+        let arena = ScratchArena::new();
+        let mut window = vec![0; cfg.net.seq_len];
+        let mut ctx = prompt.to_vec();
+        for _ in 0..max_tokens {
+            let row = context_window(&ctx, &mut window);
+            let (logits, _) = net.forward_inference_arena(&window, &arena);
+            ctx.push(argmax(logits.row(row)));
+        }
+        ctx.split_off(prompt.len())
+    }
+
+    #[test]
+    fn streamed_tokens_equal_the_full_window_greedy_decode() {
+        for precision in [None, Some(ExpertPrecision::Int8)] {
+            let mut cfg = EngineConfig::demo();
+            cfg.opts.expert_precision = precision;
+            let (seq_len, vocab) = (cfg.net.seq_len, cfg.net.vocab);
+            // Long enough that every context slides past the window.
+            let max_tokens = seq_len + 4;
+            let mut rng = StdRng::seed_from_u64(17);
+            let mut prompts: Vec<Vec<usize>> = [1, 12, seq_len, seq_len + 5]
+                .iter()
+                .map(|&len| (0..len).map(|_| rng.gen_range(0..vocab)).collect())
+                .collect();
+            prompts[1][0] = 0; // a prompt that starts like padding
+            let shared = shared();
+            let (tx, rx) = sync_channel(prompts.len());
+            let outboxes: Vec<Arc<Outbox>> = prompts
+                .iter()
+                .enumerate()
+                .map(|(id, prompt)| {
+                    let (j, out) = job(id as u64, &shared, prompt.clone(), max_tokens);
+                    tx.send(j).unwrap();
+                    out
+                })
+                .collect();
+            drop(tx);
+            run_to_shutdown(cfg.clone(), rx, shared);
+            for (prompt, out) in prompts.iter().zip(&outboxes) {
+                let streamed: Vec<usize> = collect(out)
+                    .into_iter()
+                    .filter_map(|m| match m {
+                        OutMsg::Token { token, .. } => Some(token),
+                        _ => None,
+                    })
+                    .collect();
+                let want = full_window_decode(&cfg, prompt, max_tokens);
+                assert_eq!(streamed, want, "{precision:?}, prompt of {} tokens", prompt.len());
+            }
+        }
     }
 
     fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {

@@ -47,7 +47,7 @@ use crate::json::{self, Json};
 use crate::metrics::ServerMetrics;
 use crate::poll::{poll, PollFd, Waker, POLLIN, POLLOUT};
 use crate::slo::{SloConfig, SloGovernor, Verdict};
-use pgmoe_runtime::{BatchSession, RuntimeError, ServeStats};
+use pgmoe_runtime::{RuntimeError, ServeStats};
 use pgmoe_workload::LiveClock;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -157,8 +157,10 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// * [`ServeError::Config`] / [`ServeError::Runtime`] if the engine
-    ///   configuration is invalid (validated *before* any thread spawns).
+    /// * [`ServeError::Config`] if the engine configuration is invalid
+    ///   ([`EngineConfig::validate`](crate::EngineConfig::validate), run
+    ///   *before* any thread spawns, builds the device session and checks
+    ///   the numeric network).
     /// * [`ServeError::Io`] if the listener cannot bind.
     pub fn start(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
         cfg.engine.validate().map_err(ServeError::Config)?;
@@ -167,14 +169,6 @@ impl Server {
                 "io_workers, queue_capacity, and max_conns_per_worker must be non-zero".into(),
             ));
         }
-        // Validate the device configuration now, on the caller's thread —
-        // the engine thread rebuilds its own session from the same config.
-        drop(BatchSession::new(
-            cfg.engine.model.clone(),
-            cfg.engine.opts.clone(),
-            cfg.engine.batch,
-        )?);
-
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -836,6 +830,8 @@ fn handle_generate(
 mod tests {
     use super::*;
     use crate::client;
+    use pgmoe_model::GatingMode;
+    use pgmoe_runtime::BatchConfig;
 
     /// The in-place encoders must put the same bytes on the wire as
     /// `chunk` over the formatted line, across every digit-count and
@@ -858,6 +854,31 @@ mod tests {
             let list = tokens.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",");
             let line = format!("{{\"done\":true,\"n\":{n},\"tokens\":[{list}]}}\n");
             assert_eq!(out, chunk(line.as_bytes()), "{line}");
+        }
+    }
+
+    /// A configuration the engine thread could not run is refused before
+    /// anything binds or spawns — not discovered as a panicked engine
+    /// thread and a `shutdown()` that returns `None`.
+    #[test]
+    fn unrunnable_engine_configs_are_refused_at_start() {
+        let mut zero_batch = ServeConfig::demo();
+        zero_batch.engine.batch = BatchConfig::new(0);
+        let mut no_experts = ServeConfig::demo();
+        no_experts.engine.net.num_experts = 0;
+        let mut level_too_deep = ServeConfig::demo();
+        level_too_deep.engine.net.mode = GatingMode::Pregated { level: 4 };
+        for (name, cfg) in
+            [("max_batch 0", zero_batch), ("0 experts", no_experts), ("level 4", level_too_deep)]
+        {
+            match Server::start(cfg) {
+                Err(ServeError::Config(msg)) => assert!(!msg.is_empty(), "{name}"),
+                Err(other) => panic!("{name}: expected a config error, got {other}"),
+                Ok(handle) => {
+                    handle.shutdown();
+                    panic!("{name}: server started");
+                }
+            }
         }
     }
 

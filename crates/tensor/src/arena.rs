@@ -2,12 +2,14 @@
 //!
 //! Serving decodes run the same layer shapes every iteration, so every
 //! intermediate a forward pass allocates can be recycled for the next one.
-//! [`ScratchArena`] is a free-list of `Vec<f32>` storages: [`take`] hands
-//! out a zeroed [`Tensor`] backed by a recycled buffer (growing one only
-//! when the free list has nothing big enough) and [`recycle`] returns a
-//! tensor's storage to the list. After a warm-up pass, steady-state decode
+//! [`ScratchArena`] is a free-list of recycled tensors: [`take`] hands out
+//! a zeroed [`Tensor`] of the requested extents backed by a recycled one
+//! (growing a buffer only when the free list has nothing big enough) and
+//! [`recycle`] returns a tensor to the list. A reuse rewrites the recycled
+//! tensor's shape in place, so after a warm-up pass steady-state decode
 //! through the arena-aware layer paths performs **zero heap allocations**
-//! for tensor data — [`ScratchArena::stats`] makes that claim testable.
+//! for tensors — [`ScratchArena::stats`] counts the reuses, and the model
+//! crate's counting-allocator test pins the whole live-rows decode.
 //!
 //! Usage rules:
 //!
@@ -23,7 +25,7 @@
 //! [`take`]: ScratchArena::take
 //! [`recycle`]: ScratchArena::recycle
 
-use crate::{Shape, Tensor};
+use crate::Tensor;
 use std::cell::{Cell, RefCell};
 
 /// Counters exposing arena behaviour (see [`ScratchArena::stats`]).
@@ -38,11 +40,10 @@ pub struct ArenaStats {
     pub free: usize,
 }
 
-/// A free-list of recycled `Vec<f32>` tensor storages (see the [module
-/// docs](self)).
+/// A free-list of recycled tensors (see the [module docs](self)).
 #[derive(Debug, Default)]
 pub struct ScratchArena {
-    free: RefCell<Vec<Vec<f32>>>,
+    free: RefCell<Vec<Tensor>>,
     takes: Cell<usize>,
     reuses: Cell<usize>,
 }
@@ -53,9 +54,10 @@ impl ScratchArena {
         ScratchArena::default()
     }
 
-    /// Hands out a zeroed tensor of `shape`, reusing a recycled buffer when
-    /// one with sufficient capacity exists (best fit), growing one
-    /// otherwise.
+    /// Hands out a zeroed tensor of extents `dims`, reusing a recycled
+    /// tensor when one with sufficient capacity exists (best fit), growing
+    /// one otherwise. A recycled tensor keeps its shape storage too, so a
+    /// reuse allocates nothing at all.
     ///
     /// The zeroing is a deliberate part of the contract (recycled buffers
     /// hold stale data from unrelated ops): it costs one cheap memset per
@@ -63,16 +65,16 @@ impl ScratchArena {
     /// scatter-style outputs like the grouped MoE path — stay correct. The
     /// GEMM kernels overwrite every element anyway and skip their own
     /// zero-fill, so outputs are not cleared twice.
-    pub fn take(&self, shape: impl Into<Shape>) -> Tensor {
-        let shape = shape.into();
-        let len = shape.len();
+    pub fn take(&self, dims: impl AsRef<[usize]>) -> Tensor {
+        let dims = dims.as_ref();
+        let len = dims.iter().product();
         let mut free = self.free.borrow_mut();
         // Best fit: smallest capacity that already holds `len`; otherwise
         // the largest buffer (so the grow happens on the best candidate).
         let mut best: Option<(usize, usize)> = None; // (index, capacity)
         let mut largest: Option<(usize, usize)> = None;
-        for (i, buf) in free.iter().enumerate() {
-            let cap = buf.capacity();
+        for (i, t) in free.iter().enumerate() {
+            let cap = t.capacity();
             if cap >= len && best.is_none_or(|(_, c)| cap < c) {
                 best = Some((i, cap));
             }
@@ -83,23 +85,21 @@ impl ScratchArena {
         let picked = best.or(largest).map(|(i, cap)| (free.swap_remove(i), cap >= len));
         drop(free);
         self.takes.set(self.takes.get() + 1);
-        let mut buf = match picked {
-            Some((buf, fits)) => {
+        match picked {
+            Some((mut t, fits)) => {
                 if fits {
                     self.reuses.set(self.reuses.get() + 1);
                 }
-                buf
+                t.reset_zeroed(dims);
+                t
             }
-            None => Vec::new(),
-        };
-        buf.clear();
-        buf.resize(len, 0.0);
-        Tensor::from_vec(shape, buf).expect("arena buffer sized to shape")
+            None => Tensor::zeros(dims),
+        }
     }
 
-    /// Returns a tensor's storage to the free list.
+    /// Returns a tensor (storage and shape) to the free list.
     pub fn recycle(&self, tensor: Tensor) {
-        self.free.borrow_mut().push(tensor.into_vec());
+        self.free.borrow_mut().push(tensor);
     }
 
     /// Current counters.

@@ -16,18 +16,32 @@
 //!
 //! # Register tiling and determinism
 //!
-//! The dense kernels compute the output in `6 × `[`JT`] register tiles
+//! [`matmul_into`] computes the output in `6 × `[`JT`] register tiles
 //! (the shape of the blocked kernels in CogitatorTech/infera's inference
 //! core): the tile's accumulators stay in SIMD registers across the entire
 //! `k` loop — six independent FMA chains hide the FMA latency, each loaded
 //! `B` vector feeds six accumulation streams, and the output is touched
-//! exactly once. The unrolled fixed-width inner loop is what lets the
-//! autovectorizer emit SIMD despite strict f32 semantics (pair it with the
-//! checked-in `target-cpu=native` in `.cargo/config.toml` for full vector
-//! width). Every output element accumulates its `k` terms in strictly
-//! ascending order regardless of tiling or thread count, so results are
-//! **bitwise identical** for 1 and N threads; `matmul_nt_into` packs
-//! `JT`-column panels of `Bᵀ` and reuses the same tile loop.
+//! exactly once. The one to five rows left over run as a single tile over
+//! all of them with two column tiles in flight, so a one-row GEMM still has
+//! several chains to overlap. The unrolled fixed-width inner loop is what
+//! lets the autovectorizer emit SIMD despite strict f32 semantics (pair it
+//! with the checked-in `target-cpu=native` in `.cargo/config.toml` for full
+//! vector width). `matmul_nt_into` packs `JT`-column panels of `Bᵀ` (the
+//! fused dequantizing GEMM in [`crate::quant`] dequantizes panels of its
+//! weight the same way) and runs `4 × JT` tiles over each. In all three the
+//! last `n % JT` columns go through a zero-padded panel, so every column
+//! runs through the same tile code.
+//!
+//! **Row independence** is the contract the rest of the workspace builds
+//! on: every output element `out[i, j]` is `Σ_k a[i, k]·b[k, j]` summed in
+//! strictly ascending `k` starting from `0.0` (products rounded, then
+//! added — no fused multiply-add), whatever the tile shape, the number of
+//! rows `m`, the row's position in the batch, or the thread count. So one
+//! row computed alone (`m = 1`) is **bitwise identical** to that row of
+//! the full product, 1 and N threads agree bit for bit, and the fused
+//! dequantizing GEMM in [`crate::quant`] obeys the same rule. The live-rows
+//! decode of the numeric Switch transformer computes only the rows the next
+//! token reads and relies on exactly this.
 //!
 //! Work is split across [`crate::pool::WorkerPool::global`] by contiguous
 //! output-row ranges once `m·k·n` crosses [`PAR_MIN_WORK`].
@@ -107,10 +121,154 @@ pub fn matmul_serial_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: us
     gemm_nn_rows(out, a, b, m, k, n);
 }
 
+std::thread_local! {
+    /// Packed `[k, JT]` column panel: a panel of `Bᵀ` for the `nt` kernel,
+    /// the zero-padded column tail of `B` for the `nn` kernel. Thread-local
+    /// so repeated calls are allocation-free in steady state without making
+    /// the kernels `&mut`.
+    static PANEL: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// A right-hand operand as the register tile reads it: element `(kx, j)`
+/// is `data[kx * stride + j]` — `B` itself (`stride = n`) or a packed
+/// `[k, JT]` panel (`stride = JT`).
+#[derive(Clone, Copy)]
+struct Panel<'a> {
+    data: &'a [f32],
+    stride: usize,
+}
+
+/// One `R × C·JT` register tile: rows `a_rows` times panel columns
+/// `col..col + C·JT`. The `R·C` accumulators stay in registers across the
+/// whole `k` loop, and every element sums its `k` products in ascending
+/// order starting from `0.0` — the invariant every kernel here shares.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a_rows: &[&[f32]; R],
+    panel: Panel<'_>,
+    col: usize,
+    k: usize,
+) -> [[[f32; JT]; C]; R] {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a_rows[r][..k]);
+    let mut acc = [[[0.0f32; JT]; C]; R];
+    for kx in 0..k {
+        for c in 0..C {
+            let at = kx * panel.stride + col + c * JT;
+            let bv: &[f32; JT] = panel.data[at..at + JT].try_into().expect("JT-wide tile");
+            for r in 0..R {
+                let av = a_rows[r][kx];
+                for t in 0..JT {
+                    acc[r][c][t] += av * bv[t];
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// Runs one `R × C·JT` tile for rows `i..i + R` of the row-major `out`
+/// (`n` columns) and writes its first `cols.len()` columns to `cols`.
+#[inline(always)]
+fn tile_into<const R: usize, const C: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    panel: Panel<'_>,
+    col: usize,
+    (i, k, n): (usize, usize, usize),
+    cols: std::ops::Range<usize>,
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let acc = tile::<R, C>(&a_rows, panel, col, k);
+    for (r, row) in acc.iter().enumerate() {
+        let at = (i + r) * n + cols.start;
+        if cols.len() == C * JT {
+            for (c, tile) in row.iter().enumerate() {
+                out[at + c * JT..at + (c + 1) * JT].copy_from_slice(tile);
+            }
+        } else {
+            let dst = &mut out[at..at + cols.len()];
+            for (chunk, tile) in dst.chunks_mut(JT).zip(row) {
+                chunk.copy_from_slice(&tile[..chunk.len()]);
+            }
+        }
+    }
+}
+
+/// Packs columns `j0..j0 + JT` of `B` into `panel` as a `[k, JT]` block,
+/// `value(kx, j)` giving element `(kx, j)`; columns at or past `n` are
+/// zero, so a partial tail panel runs through the same tile as a full one.
+pub(crate) fn pack_panel(
+    panel: &mut Vec<f32>,
+    k: usize,
+    n: usize,
+    j0: usize,
+    value: impl Fn(usize, usize) -> f32,
+) {
+    panel.resize(k * JT, 0.0);
+    let width = JT.min(n - j0);
+    for t in 0..JT {
+        for kx in 0..k {
+            panel[kx * JT + t] = if t < width { value(kx, j0 + t) } else { 0.0 };
+        }
+    }
+}
+
+/// Every row of `out[.., cols]` from one packed panel: four-row tiles (the
+/// panel stays in L1 while `A` streams past it once per panel), then one
+/// tile over the remaining one to three rows.
+pub(crate) fn panel_rows(
+    out: &mut [f32],
+    a: &[f32],
+    panel: &[f32],
+    (rows, k, n): (usize, usize, usize),
+    cols: std::ops::Range<usize>,
+) {
+    // A literal stride, so the inlined tiles index the panel by constants.
+    let panel = Panel { data: panel, stride: JT };
+    let mut i = 0;
+    while i + 4 <= rows {
+        tile_into::<4, 1>(out, a, panel, 0, (i, k, n), cols.clone());
+        i += 4;
+    }
+    let dims = (i, k, n);
+    match rows - i {
+        0 => {}
+        1 => tile_into::<1, 1>(out, a, panel, 0, dims, cols),
+        2 => tile_into::<2, 1>(out, a, panel, 0, dims, cols),
+        _ => tile_into::<3, 1>(out, a, panel, 0, dims, cols),
+    }
+}
+
+/// Rows `i..i + R` of `out = A·B`: `C` column tiles at a time straight out
+/// of `B`, then single tiles, then the zero-padded `tail` panel for the
+/// last `n % JT` columns.
+fn nn_row_block<const R: usize, const C: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    b: Panel<'_>,
+    tail: Panel<'_>,
+    (i, k, n): (usize, usize, usize),
+) {
+    let mut jj = 0;
+    while jj + C * JT <= n {
+        tile_into::<R, C>(out, a, b, jj, (i, k, n), jj..jj + C * JT);
+        jj += C * JT;
+    }
+    while jj + JT <= n {
+        tile_into::<R, 1>(out, a, b, jj, (i, k, n), jj..jj + JT);
+        jj += JT;
+    }
+    if jj < n {
+        tile_into::<R, 1>(out, a, tail, 0, (i, k, n), jj..n);
+    }
+}
+
 /// Register-tiled kernel over a contiguous row range:
 /// `out[m,n] = A[m,k]·B[k,n]`. Six output rows × [`JT`] columns accumulate
 /// in registers across the whole `k` loop (six independent FMA chains hide
-/// the FMA latency); the output is written once.
+/// the FMA latency); the one to five remaining rows run as one tile with
+/// two column tiles in flight, so a 1-row GEMM still keeps several chains
+/// busy. The output is written once.
 fn gemm_nn_rows(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     // Every element is written by pure assignment below, so the only case
     // that needs explicit zeroing is the empty contraction (k == 0).
@@ -118,89 +276,29 @@ fn gemm_nn_rows(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: us
         out.fill(0.0);
         return;
     }
-    let mut i = 0;
-    while i + 6 <= m {
-        let a0row = &a[i * k..(i + 1) * k];
-        let a1row = &a[(i + 1) * k..(i + 2) * k];
-        let a2row = &a[(i + 2) * k..(i + 3) * k];
-        let a3row = &a[(i + 3) * k..(i + 4) * k];
-        let a4row = &a[(i + 4) * k..(i + 5) * k];
-        let a5row = &a[(i + 5) * k..(i + 6) * k];
-        let mut jj = 0;
-        while jj + JT <= n {
-            let mut acc0 = [0.0f32; JT];
-            let mut acc1 = [0.0f32; JT];
-            let mut acc2 = [0.0f32; JT];
-            let mut acc3 = [0.0f32; JT];
-            let mut acc4 = [0.0f32; JT];
-            let mut acc5 = [0.0f32; JT];
-            for kx in 0..k {
-                let bv: &[f32; JT] =
-                    b[kx * n + jj..kx * n + jj + JT].try_into().expect("JT-wide tile");
-                let (a0, a1, a2) = (a0row[kx], a1row[kx], a2row[kx]);
-                let (a3, a4, a5) = (a3row[kx], a4row[kx], a5row[kx]);
-                for t in 0..JT {
-                    acc0[t] += a0 * bv[t];
-                    acc1[t] += a1 * bv[t];
-                    acc2[t] += a2 * bv[t];
-                    acc3[t] += a3 * bv[t];
-                    acc4[t] += a4 * bv[t];
-                    acc5[t] += a5 * bv[t];
-                }
-            }
-            out[i * n + jj..i * n + jj + JT].copy_from_slice(&acc0);
-            out[(i + 1) * n + jj..(i + 1) * n + jj + JT].copy_from_slice(&acc1);
-            out[(i + 2) * n + jj..(i + 2) * n + jj + JT].copy_from_slice(&acc2);
-            out[(i + 3) * n + jj..(i + 3) * n + jj + JT].copy_from_slice(&acc3);
-            out[(i + 4) * n + jj..(i + 4) * n + jj + JT].copy_from_slice(&acc4);
-            out[(i + 5) * n + jj..(i + 5) * n + jj + JT].copy_from_slice(&acc5);
-            jj += JT;
+    PANEL.with(|cell| {
+        let mut tail = cell.borrow_mut();
+        let j0 = n - n % JT;
+        if j0 < n {
+            pack_panel(&mut tail, k, n, j0, |kx, j| b[kx * n + j]);
         }
-        // Column tail: per-column dot with the same ascending-k order.
-        while jj < n {
-            let mut s = [0.0f32; 6];
-            for kx in 0..k {
-                let bv = b[kx * n + jj];
-                s[0] += a0row[kx] * bv;
-                s[1] += a1row[kx] * bv;
-                s[2] += a2row[kx] * bv;
-                s[3] += a3row[kx] * bv;
-                s[4] += a4row[kx] * bv;
-                s[5] += a5row[kx] * bv;
-            }
-            for (r, &v) in s.iter().enumerate() {
-                out[(i + r) * n + jj] = v;
-            }
-            jj += 1;
+        let b = Panel { data: b, stride: n };
+        let tail = Panel { data: &tail, stride: JT };
+        let mut i = 0;
+        while i + 6 <= m {
+            nn_row_block::<6, 1>(out, a, b, tail, (i, k, n));
+            i += 6;
         }
-        i += 6;
-    }
-    // Remainder rows: single-row tiles, same ascending-k accumulation order.
-    while i < m {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut jj = 0;
-        while jj + JT <= n {
-            let mut acc = [0.0f32; JT];
-            for (kx, &av) in arow.iter().enumerate() {
-                let bv: &[f32; JT] =
-                    b[kx * n + jj..kx * n + jj + JT].try_into().expect("JT-wide tile");
-                for t in 0..JT {
-                    acc[t] += av * bv[t];
-                }
-            }
-            out[i * n + jj..i * n + jj + JT].copy_from_slice(&acc);
-            jj += JT;
+        let dims = (i, k, n);
+        match m - i {
+            0 => {}
+            1 => nn_row_block::<1, 2>(out, a, b, tail, dims),
+            2 => nn_row_block::<2, 2>(out, a, b, tail, dims),
+            3 => nn_row_block::<3, 2>(out, a, b, tail, dims),
+            4 => nn_row_block::<4, 2>(out, a, b, tail, dims),
+            _ => nn_row_block::<5, 2>(out, a, b, tail, dims),
         }
-        while jj < n {
-            let mut s = 0.0f32;
-            for (kx, &av) in arow.iter().enumerate() {
-                s += av * b[kx * n + jj];
-            }
-            out[i * n + jj] = s;
-            jj += 1;
-        }
-        i += 1;
-    }
+    });
 }
 
 // ----------------------------------------------------------------------
@@ -226,18 +324,11 @@ pub fn matmul_nt_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize,
     });
 }
 
-std::thread_local! {
-    /// Packed `[k, JT]` panel of `Bᵀ` for the `nt` kernel — thread-local so
-    /// repeated calls are allocation-free in steady state without making
-    /// the kernels `&mut`.
-    static NT_PANEL: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// `A·Bᵀ` over a contiguous row range; `B` is `[n, k]`. Each [`JT`]-column
-/// panel of `Bᵀ` is packed once into contiguous `[k, JT]` scratch and then
-/// consumed by the same register-tile loop as [`gemm_nn_rows`] — the pack
-/// is `O(k·n)` against `O(rows·k·n)` compute, and no full transpose is ever
-/// materialised.
+/// panel of `Bᵀ` (the last one zero-padded) is packed once into contiguous
+/// `[k, JT]` scratch and then consumed by the same register tile as
+/// [`gemm_nn_rows`] — the pack is `O(k·n)` against `O(rows·k·n)` compute,
+/// and no full transpose is ever materialised.
 fn gemm_nt_rows(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) {
     // As in `gemm_nn_rows`: all writes below are assignments, so only the
     // empty contraction needs zeroing.
@@ -245,97 +336,23 @@ fn gemm_nt_rows(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n:
         out.fill(0.0);
         return;
     }
-    NT_PANEL.with(|cell| {
+    PANEL.with(|cell| {
         let mut panel = cell.borrow_mut();
-        panel.clear();
         panel.resize(k * JT, 0.0);
-        let mut jj = 0;
-        while jj + JT <= n {
-            // Pack: panel[kx][t] = B[jj + t][kx].
-            for t in 0..JT {
-                let brow = &b[(jj + t) * k..(jj + t + 1) * k];
-                for (kx, &v) in brow.iter().enumerate() {
+        for jj in (0..n).step_by(JT) {
+            // Pack: panel[kx][t] = B[jj + t][kx], zero past column n.
+            let width = JT.min(n - jj);
+            if width < JT {
+                panel.fill(0.0);
+            }
+            for t in 0..width {
+                for (kx, &v) in b[(jj + t) * k..(jj + t + 1) * k].iter().enumerate() {
                     panel[kx * JT + t] = v;
                 }
             }
-            let mut i = 0;
-            while i + 4 <= rows {
-                let a0row = &a[i * k..(i + 1) * k];
-                let a1row = &a[(i + 1) * k..(i + 2) * k];
-                let a2row = &a[(i + 2) * k..(i + 3) * k];
-                let a3row = &a[(i + 3) * k..(i + 4) * k];
-                let mut acc0 = [0.0f32; JT];
-                let mut acc1 = [0.0f32; JT];
-                let mut acc2 = [0.0f32; JT];
-                let mut acc3 = [0.0f32; JT];
-                for kx in 0..k {
-                    let bv: &[f32; JT] =
-                        panel[kx * JT..(kx + 1) * JT].try_into().expect("JT-wide tile");
-                    let (a0, a1, a2, a3) = (a0row[kx], a1row[kx], a2row[kx], a3row[kx]);
-                    for t in 0..JT {
-                        acc0[t] += a0 * bv[t];
-                        acc1[t] += a1 * bv[t];
-                        acc2[t] += a2 * bv[t];
-                        acc3[t] += a3 * bv[t];
-                    }
-                }
-                out[i * n + jj..i * n + jj + JT].copy_from_slice(&acc0);
-                out[(i + 1) * n + jj..(i + 1) * n + jj + JT].copy_from_slice(&acc1);
-                out[(i + 2) * n + jj..(i + 2) * n + jj + JT].copy_from_slice(&acc2);
-                out[(i + 3) * n + jj..(i + 3) * n + jj + JT].copy_from_slice(&acc3);
-                i += 4;
-            }
-            while i < rows {
-                let arow = &a[i * k..(i + 1) * k];
-                let mut acc = [0.0f32; JT];
-                for (kx, &av) in arow.iter().enumerate() {
-                    let bv: &[f32; JT] =
-                        panel[kx * JT..(kx + 1) * JT].try_into().expect("JT-wide tile");
-                    for t in 0..JT {
-                        acc[t] += av * bv[t];
-                    }
-                }
-                out[i * n + jj..i * n + jj + JT].copy_from_slice(&acc);
-                i += 1;
-            }
-            jj += JT;
-        }
-        // Column tail: plain row-by-row dots.
-        for j in jj..n {
-            let brow = &b[j * k..(j + 1) * k];
-            for i in 0..rows {
-                out[i * n + j] = dot16(&a[i * k..(i + 1) * k], brow);
-            }
+            panel_rows(out, a, &panel, (rows, k, n), jj..n.min(jj + JT));
         }
     });
-}
-
-/// Sixteen-lane unrolled dot product with a fixed reduction tree (the
-/// manual unroll is what lets the autovectorizer use SIMD despite strict
-/// f32 semantics; the fixed tree keeps it deterministic regardless of
-/// vector width or thread count).
-fn dot16(x: &[f32], y: &[f32]) -> f32 {
-    let head = x.len() - x.len() % 16;
-    let mut acc = [0.0f32; 16];
-    let (xc, xr) = x.split_at(head);
-    let (yc, yr) = y.split_at(head);
-    for (cx, cy) in xc.chunks_exact(16).zip(yc.chunks_exact(16)) {
-        for l in 0..16 {
-            acc[l] += cx[l] * cy[l];
-        }
-    }
-    let mut tail = 0.0;
-    for (a, b) in xr.iter().zip(yr) {
-        tail += a * b;
-    }
-    // Fixed pairwise reduction: lanes 8 apart, then 4, 2, 1.
-    let mut lanes = acc;
-    for span in [8usize, 4, 2, 1] {
-        for l in 0..span {
-            lanes[l] += lanes[l + span];
-        }
-    }
-    lanes[0] + tail
 }
 
 // ----------------------------------------------------------------------
@@ -543,18 +560,102 @@ mod tests {
             .collect()
     }
 
+    fn transpose(b: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0; rows * cols];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = b[r * cols + c];
+            }
+        }
+        t
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    const MS: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 32];
+    const NS: [usize; 7] = [1, 15, 16, 33, 64, 100, 512];
+    const KS: [usize; 3] = [1, 17, 64];
+
     #[test]
-    fn blocked_matches_reference_across_odd_shapes() {
-        for &(m, k, n) in
-            &[(1, 1, 1), (3, 5, 2), (4, 4, 4), (5, 9, 7), (17, 33, 12), (65, 130, 9), (2, 300, 3)]
-        {
-            let a = fill(m * k, 7);
-            let b = fill(k * n, 11);
-            let mut out = vec![0.0; m * n];
-            matmul_into(&mut out, &a, &b, m, k, n);
-            let want = reference(&a, &b, m, k, n);
-            for (x, y) in out.iter().zip(&want) {
-                assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "({m},{k},{n}): {x} vs {y}");
+    fn nn_and_nt_are_bitwise_equal_to_the_ascending_k_reference() {
+        for m in MS {
+            for n in NS {
+                for k in KS {
+                    let a = fill(m * k, 7);
+                    let b = fill(k * n, 11);
+                    let want = bits(&reference(&a, &b, m, k, n));
+                    let mut out = vec![0.0; m * n];
+                    matmul_into(&mut out, &a, &b, m, k, n);
+                    assert_eq!(bits(&out), want, "matmul_into ({m},{k},{n})");
+                    let bt = transpose(&b, k, n); // B as [n, k]
+                    matmul_nt_into(&mut out, &a, &bt, m, k, n);
+                    assert_eq!(bits(&out), want, "matmul_nt_into ({m},{k},{n})");
+                }
+            }
+        }
+    }
+
+    const KERNELS: [&str; 3] = ["matmul_into", "matmul_serial_into", "matmul_nt_into"];
+
+    /// `A·B` through the named entry point (`B` given as `[k, n]`).
+    fn product(kernel: &str, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0; m * n];
+        match kernel {
+            "matmul_into" => matmul_into(&mut out, a, b, m, k, n),
+            "matmul_serial_into" => matmul_serial_into(&mut out, a, b, m, k, n),
+            _ => matmul_nt_into(&mut out, a, &transpose(b, k, n), m, k, n),
+        }
+        out
+    }
+
+    #[test]
+    fn a_row_computed_alone_equals_that_row_of_the_full_product() {
+        for (m, k, n) in [(13, 17, 33), (32, 64, 100), (7, 64, 16), (32, 128, 32)] {
+            let a = fill(m * k, 3);
+            let b = fill(k * n, 5);
+            for kernel in KERNELS {
+                let full = product(kernel, &a, &b, m, k, n);
+                for i in 0..m {
+                    let alone = product(kernel, &a[i * k..(i + 1) * k], &b, 1, k, n);
+                    assert_eq!(bits(&alone), bits(&full[i * n..(i + 1) * n]), "{kernel}: row {i}");
+                }
+                // Any trailing run of rows, as the live-rows decode computes.
+                for start in [1, 5, m / 2] {
+                    let part = product(kernel, &a[start * k..], &b, m - start, k, n);
+                    assert_eq!(bits(&part), bits(&full[start * n..]), "{kernel}: rows {start}..");
+                }
+            }
+        }
+    }
+
+    type RowKernel = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+
+    #[test]
+    fn one_and_many_threads_agree_bitwise() {
+        // Large enough to cross PAR_MIN_WORK, so `matmul_into` fans out to
+        // whatever the global pool has; the explicit partitions below are
+        // what 1..=5 workers would each compute, whatever the pool size.
+        let (m, k, n) = (64, 128, 72);
+        assert!(m * k * n >= PAR_MIN_WORK);
+        let a = fill(m * k, 9);
+        let b = fill(k * n, 13);
+        let bt = transpose(&b, k, n);
+        let mut serial = vec![0.0; m * n];
+        matmul_serial_into(&mut serial, &a, &b, m, k, n);
+        let mut pooled = vec![0.0; m * n];
+        matmul_into(&mut pooled, &a, &b, m, k, n);
+        assert_eq!(bits(&pooled), bits(&serial), "global pool vs serial");
+        for blocks in 1..=5 {
+            let row_kernels: [(RowKernel, &[f32]); 2] = [(gemm_nn_rows, &b), (gemm_nt_rows, &bt)];
+            for (kernel, rhs) in row_kernels {
+                let mut out = vec![0.0; m * n];
+                for (start, chunk) in pool::split_row_blocks(&mut out, m, n, blocks) {
+                    let rows = chunk.len() / n;
+                    kernel(chunk, &a[start * k..(start + rows) * k], rhs, rows, k, n);
+                }
+                assert_eq!(bits(&out), bits(&serial), "{blocks} row blocks");
             }
         }
     }
@@ -569,46 +670,19 @@ mod tests {
     }
 
     #[test]
-    fn nt_matches_explicit_transpose() {
-        let (m, k, n) = (9, 21, 6);
-        let a = fill(m * k, 3);
-        let b = fill(n * k, 5); // B is [n, k]
-        let mut bt = vec![0.0; k * n];
-        for r in 0..n {
-            for c in 0..k {
-                bt[c * n + r] = b[r * k + c];
-            }
-        }
-        let mut got = vec![0.0; m * n];
-        matmul_nt_into(&mut got, &a, &b, m, k, n);
-        let want = reference(&a, &bt, m, k, n);
-        for (x, y) in got.iter().zip(&want) {
-            assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn tn_matches_explicit_transpose_and_accumulates() {
+    fn tn_is_bitwise_equal_to_the_reference_and_accumulates() {
         let (m, k, n) = (8, 13, 10);
         let a = fill(k * m, 9); // A is [k, m]
         let b = fill(k * n, 13);
-        let mut at = vec![0.0; m * k];
-        for r in 0..k {
-            for c in 0..m {
-                at[c * k + r] = a[r * m + c];
-            }
-        }
+        let at = transpose(&a, k, m);
         let mut got = vec![0.0; m * n];
         matmul_tn_into(&mut got, &a, &b, m, k, n);
         let want = reference(&at, &b, m, k, n);
-        for (x, y) in got.iter().zip(&want) {
-            assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "{x} vs {y}");
-        }
-        // The accumulating form adds on top.
+        assert_eq!(bits(&got), bits(&want));
+        // The accumulating form adds on top (doubling is exact).
         matmul_tn_acc_into(&mut got, &a, &b, m, k, n);
-        for (x, y) in got.iter().zip(&want) {
-            assert!((x - 2.0 * y).abs() <= 1e-3 * (1.0 + y.abs()), "{x} vs 2·{y}");
-        }
+        let doubled: Vec<f32> = want.iter().map(|y| 2.0 * y).collect();
+        assert_eq!(bits(&got), bits(&doubled));
     }
 
     #[test]

@@ -75,21 +75,60 @@ impl CausalSelfAttention {
 
     /// Inference forward through arena-recycled intermediates — the
     /// allocation-free serving path. The caller recycles the returned
-    /// tensor when done.
+    /// tensor when done. Exactly [`CausalSelfAttention::project_kv_into`]
+    /// over every row followed by [`CausalSelfAttention::attend_arena`]
+    /// from row 0.
     pub fn forward_inference_arena(&self, x: &Tensor, arena: &ScratchArena) -> Tensor {
-        let t = x.rows();
-        let q = self.wq.forward_inference_arena(x, arena);
-        let k = self.wk.forward_inference_arena(x, arena);
-        let v = self.wv.forward_inference_arena(x, arena);
-        let mut attn = arena.take([t, t]);
-        q.matmul_nt_into(&k, &mut attn).expect("attention: q/k width mismatch");
-        self.mask_and_softmax(&mut attn);
-        let mut ctx = arena.take([t, v.cols()]);
-        attn.matmul_into(&v, &mut ctx).expect("attention: attn/v mismatch");
-        let y = self.wo.forward_inference_arena(&ctx, arena);
-        arena.recycle(q);
+        let mut k = arena.take([x.rows(), self.dim()]);
+        let mut v = arena.take([x.rows(), self.dim()]);
+        self.project_kv_into(x, 0, &mut k, &mut v);
+        let y = self.attend_arena(x, 0, &k, &v, arena);
         arena.recycle(k);
         arena.recycle(v);
+        y
+    }
+
+    /// Writes the key and value projections of the rows of `x` into rows
+    /// `at..at + x.rows()` of `k` and `v` (both `[t, dim]`), leaving their
+    /// other rows untouched — so keys and values of a prefix computed
+    /// earlier can sit in front of freshly projected ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a width mismatch or if the rows do not fit.
+    pub fn project_kv_into(&self, x: &Tensor, at: usize, k: &mut Tensor, v: &mut Tensor) {
+        let span = at * self.dim()..(at + x.rows()) * self.dim();
+        self.wk.forward_into(x, &mut k.as_mut_slice()[span.clone()]);
+        self.wv.forward_into(x, &mut v.as_mut_slice()[span]);
+    }
+
+    /// Attention output for the query rows `x`, which sit at absolute
+    /// positions `at..at + x.rows()` of a sequence whose keys and values
+    /// are `k` and `v` (`[t, dim]`, as written by
+    /// [`CausalSelfAttention::project_kv_into`]). Row `i` attends to keys
+    /// `0..=at + i`; the scores still span all `t` keys (later ones
+    /// masked), so each output row is bitwise identical to that row of the
+    /// full-sequence forward. The caller recycles the returned tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a width mismatch or if `k`/`v` disagree in shape.
+    pub fn attend_arena(
+        &self,
+        x: &Tensor,
+        at: usize,
+        k: &Tensor,
+        v: &Tensor,
+        arena: &ScratchArena,
+    ) -> Tensor {
+        let q = self.wq.forward_inference_arena(x, arena);
+        let mut attn = arena.take([x.rows(), k.rows()]);
+        q.matmul_nt_into(k, &mut attn).expect("attention: q/k width mismatch");
+        self.mask_and_softmax(&mut attn, at);
+        let mut ctx = arena.take([x.rows(), v.cols()]);
+        attn.matmul_into(v, &mut ctx).expect("attention: attn/v mismatch");
+        let y = self.wo.forward_inference_arena(&ctx, arena);
+        arena.recycle(q);
         arena.recycle(attn);
         arena.recycle(ctx);
         y
@@ -99,16 +138,18 @@ impl CausalSelfAttention {
         // Q·Kᵀ through the transpose-aware kernel: K is never transposed in
         // memory.
         let mut scores = q.matmul_nt(k);
-        self.mask_and_softmax(&mut scores);
+        self.mask_and_softmax(&mut scores, 0);
         scores
     }
 
-    fn mask_and_softmax(&self, scores: &mut Tensor) {
-        let t = scores.rows();
+    /// Scales, masks every key after each query's own position (query row
+    /// `i` sits at position `at + i`), and softmaxes each row.
+    fn mask_and_softmax(&self, scores: &mut Tensor, at: usize) {
+        let (rows, keys) = (scores.rows(), scores.cols());
         let scale = self.scale;
         scores.map_inplace(|v| v * scale);
-        for i in 0..t {
-            for j in (i + 1)..t {
+        for i in 0..rows {
+            for j in (at + i + 1)..keys {
                 scores.set(&[i, j], f32::NEG_INFINITY);
             }
         }
@@ -193,6 +234,26 @@ mod tests {
                 assert!((a - b).abs() < 1e-6, "{a} vs {b}");
             }
             arena.recycle(y);
+        }
+    }
+
+    #[test]
+    fn attending_from_an_offset_matches_those_rows_of_the_full_forward() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let attn = CausalSelfAttention::new(8, &mut rng);
+        let x = crate::init::normal([7, 8], 0.0, 1.0, &mut rng);
+        let arena = ScratchArena::new();
+        let full = attn.forward_inference_arena(&x, &arena);
+        for at in 0..7 {
+            let tail = Tensor::from_vec([7 - at, 8], x.as_slice()[at * 8..].to_vec()).unwrap();
+            let head = Tensor::from_vec([at, 8], x.as_slice()[..at * 8].to_vec()).unwrap();
+            // Keys/values projected in two pieces land where one pass puts them.
+            let (mut k, mut v) = (Tensor::zeros([7, 8]), Tensor::zeros([7, 8]));
+            attn.project_kv_into(&head, 0, &mut k, &mut v);
+            attn.project_kv_into(&tail, at, &mut k, &mut v);
+            let y = attn.attend_arena(&tail, at, &k, &v, &arena);
+            let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(y.as_slice()), bits(&full.as_slice()[at * 8..]), "offset {at}");
         }
     }
 

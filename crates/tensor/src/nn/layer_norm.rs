@@ -53,7 +53,7 @@ impl LayerNorm {
     /// Inference forward into an arena-recycled output — the
     /// allocation-free serving path (no statistics cache is built).
     pub fn forward_inference_arena(&self, x: &Tensor, arena: &ScratchArena) -> Tensor {
-        let mut y = arena.take(x.shape().clone());
+        let mut y = arena.take(x.dims());
         layer_norm_inference_into(x, &self.gamma.value, &self.beta.value, self.eps, &mut y);
         y
     }

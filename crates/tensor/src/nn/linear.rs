@@ -88,11 +88,37 @@ impl Linear {
     /// eventually the returned tensor) when done.
     pub fn forward_inference_arena(&self, x: &Tensor, arena: &ScratchArena) -> Tensor {
         let mut y = arena.take([x.rows(), self.out_features()]);
-        x.matmul_into(&self.weight.value, &mut y).expect("Linear: input width mismatch");
-        if let Some(b) = &self.bias {
-            self.add_bias_inplace(&mut y, &b.value);
-        }
+        self.forward_into(x, y.as_mut_slice());
         y
+    }
+
+    /// Inference forward written into `out`, a row-major
+    /// `[x.rows(), out_features]` slice — e.g. a row range of a larger
+    /// tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `[n, in_features]` or `out` has the wrong
+    /// length.
+    pub(crate) fn forward_into(&self, x: &Tensor, out: &mut [f32]) {
+        let (rows, in_f) = x.shape().as_matrix().expect("Linear: input must be rank 2");
+        assert_eq!(in_f, self.in_features(), "Linear: input width mismatch");
+        let out_f = self.out_features();
+        crate::kernel::matmul_into(
+            out,
+            x.as_slice(),
+            self.weight.value.as_slice(),
+            rows,
+            in_f,
+            out_f,
+        );
+        if let Some(b) = &self.bias {
+            for row in out.chunks_mut(out_f) {
+                for (v, b) in row.iter_mut().zip(b.value.as_slice()) {
+                    *v += b;
+                }
+            }
+        }
     }
 
     fn add_bias_inplace(&self, y: &mut Tensor, bias: &Tensor) {

@@ -45,7 +45,7 @@
 //! super-block min step `dmin`. The property tests assert exactly these
 //! geometric bounds.
 
-use crate::kernel::{par_rows, JT};
+use crate::kernel::{pack_panel, panel_rows, par_rows, JT};
 use crate::simd;
 use crate::{Shape, Tensor};
 
@@ -804,11 +804,12 @@ std::thread_local! {
 }
 
 /// `A · Bq` over a contiguous row range. Each [`JT`]-wide column panel of
-/// `Bq` is dequantized once into `[k, JT]` scratch (an `O(k·n)` pass against
-/// `O(rows·k·n)` compute) and consumed by the same 4-row register-tile loop
-/// as the packed `nt` kernel. Every output element is a plain ascending-`k`
-/// sum of `a[i,kx] · deq(b[kx,j])`, so results are bitwise identical to the
-/// dense kernel on the dequantized matrix regardless of tiling or threads.
+/// `Bq` (the last one zero-padded) is dequantized once into `[k, JT]`
+/// scratch (an `O(k·n)` pass against `O(rows·k·n)` compute) and consumed by
+/// the same register tiles as the packed `nt` kernel. Every output element
+/// is a plain ascending-`k` sum of `a[i,kx] · deq(b[kx,j])`, so results are
+/// bitwise identical to the dense kernel on the dequantized matrix
+/// regardless of tiling or threads.
 fn gemm_dequant_rows(
     out: &mut [f32],
     a: &[f32],
@@ -826,68 +827,17 @@ fn gemm_dequant_rows(
         let mut panel = cell.borrow_mut();
         panel.clear();
         panel.resize(k * JT, 0.0);
-        let mut jj = 0;
-        while jj + JT <= n {
-            if !(simd && b.deq_panel_simd(k, jj, &mut panel)) {
+        for jj in (0..n).step_by(JT) {
+            if jj + JT > n {
+                pack_panel(&mut panel, k, n, jj, |kx, j| b.deq_at(kx, j));
+            } else if !(simd && b.deq_panel_simd(k, jj, &mut panel)) {
                 for kx in 0..k {
                     let dst: &mut [f32; JT] =
                         (&mut panel[kx * JT..(kx + 1) * JT]).try_into().expect("JT-wide tile");
                     b.deq_panel_row(kx, jj, dst);
                 }
             }
-            let mut i = 0;
-            while i + 4 <= rows {
-                let a0row = &a[i * k..(i + 1) * k];
-                let a1row = &a[(i + 1) * k..(i + 2) * k];
-                let a2row = &a[(i + 2) * k..(i + 3) * k];
-                let a3row = &a[(i + 3) * k..(i + 4) * k];
-                let mut acc0 = [0.0f32; JT];
-                let mut acc1 = [0.0f32; JT];
-                let mut acc2 = [0.0f32; JT];
-                let mut acc3 = [0.0f32; JT];
-                for kx in 0..k {
-                    let bv: &[f32; JT] =
-                        panel[kx * JT..(kx + 1) * JT].try_into().expect("JT-wide tile");
-                    let (a0, a1, a2, a3) = (a0row[kx], a1row[kx], a2row[kx], a3row[kx]);
-                    for t in 0..JT {
-                        acc0[t] += a0 * bv[t];
-                        acc1[t] += a1 * bv[t];
-                        acc2[t] += a2 * bv[t];
-                        acc3[t] += a3 * bv[t];
-                    }
-                }
-                out[i * n + jj..i * n + jj + JT].copy_from_slice(&acc0);
-                out[(i + 1) * n + jj..(i + 1) * n + jj + JT].copy_from_slice(&acc1);
-                out[(i + 2) * n + jj..(i + 2) * n + jj + JT].copy_from_slice(&acc2);
-                out[(i + 3) * n + jj..(i + 3) * n + jj + JT].copy_from_slice(&acc3);
-                i += 4;
-            }
-            while i < rows {
-                let arow = &a[i * k..(i + 1) * k];
-                let mut acc = [0.0f32; JT];
-                for (kx, &av) in arow.iter().enumerate() {
-                    let bv: &[f32; JT] =
-                        panel[kx * JT..(kx + 1) * JT].try_into().expect("JT-wide tile");
-                    for t in 0..JT {
-                        acc[t] += av * bv[t];
-                    }
-                }
-                out[i * n + jj..i * n + jj + JT].copy_from_slice(&acc);
-                i += 1;
-            }
-            jj += JT;
-        }
-        // Column tail: per-column dots, dequantizing on the fly with the
-        // same ascending-k order.
-        for j in jj..n {
-            for i in 0..rows {
-                let arow = &a[i * k..(i + 1) * k];
-                let mut s = 0.0f32;
-                for (kx, &av) in arow.iter().enumerate() {
-                    s += av * b.deq_at(kx, j);
-                }
-                out[i * n + j] = s;
-            }
+            panel_rows(out, a, &panel, (rows, k, n), jj..n.min(jj + JT));
         }
     });
 }
@@ -1045,6 +995,37 @@ mod tests {
                     got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
                     "({m},{k},{n}) {mode:?}: fused kernel diverged"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_gemm_row_computed_alone_equals_that_row_of_the_full_product() {
+        // The kernel module's row-independence contract, for every format:
+        // the live-rows decode runs quantized experts on 1..=5-row groups.
+        for &(m, k, n) in &[(13, 64, 33), (32, 128, 100), (6, 40, 16)] {
+            for mode in [
+                QuantMode::Int8 { group: 7 },
+                QuantMode::int8(),
+                QuantMode::F16,
+                QuantMode::Q4,
+                QuantMode::Q4K,
+            ] {
+                let a = fill(m * k, 19);
+                let q = QuantizedTensor::quantize(
+                    &Tensor::from_vec([k, n], fill(k * n, 29)).unwrap(),
+                    mode,
+                );
+                let mut full = vec![0.0f32; m * n];
+                matmul_dequant_into(&mut full, &a, &q, m, k, n);
+                for i in 0..m {
+                    let mut alone = vec![0.0f32; n];
+                    matmul_dequant_into(&mut alone, &a[i * k..(i + 1) * k], &q, 1, k, n);
+                    assert!(
+                        alone.iter().zip(&full[i * n..]).all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "({m},{k},{n}) {mode:?}: row {i} alone diverged from the full product"
+                    );
+                }
             }
         }
     }

@@ -38,6 +38,12 @@ impl Shape {
         Shape { dims: vec![rows, cols] }
     }
 
+    /// Replaces the extents in place, keeping the storage.
+    pub(crate) fn set_dims(&mut self, dims: &[usize]) {
+        self.dims.clear();
+        self.dims.extend_from_slice(dims);
+    }
+
     /// The dimension extents.
     pub fn dims(&self) -> &[usize] {
         &self.dims

@@ -62,6 +62,19 @@ impl Tensor {
         Tensor { shape, data: vec![0.0; len] }
     }
 
+    /// Turns a recycled tensor into a zeroed one of extents `dims`, in
+    /// place: no allocation while both buffers have the capacity.
+    pub(crate) fn reset_zeroed(&mut self, dims: &[usize]) {
+        self.shape.set_dims(dims);
+        self.data.clear();
+        self.data.resize(self.shape.len(), 0.0);
+    }
+
+    /// Elements the storage holds without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Creates a tensor filled with ones.
     pub fn ones(shape: impl Into<Shape>) -> Self {
         Tensor::full(shape, 1.0)
@@ -643,22 +656,6 @@ impl Tensor {
         best
     }
 
-    /// Per-row argmax of a rank-2 tensor.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows())
-            .map(|r| {
-                let row = self.row(r);
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
-    }
-
     /// Indices of the `k` largest elements of a rank-1 tensor, descending.
     ///
     /// Ties resolve to the lowest index first, matching a stable sort on
@@ -795,12 +792,6 @@ mod tests {
         let y = x.add_row_broadcast(&b);
         assert_eq!(y.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(y.row(1), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn argmax_rows_picks_first_on_tie() {
-        let x = Tensor::from_rows(&[&[1.0, 3.0, 3.0], &[5.0, 0.0, 2.0]]);
-        assert_eq!(x.argmax_rows(), vec![1, 0]);
     }
 
     #[test]
