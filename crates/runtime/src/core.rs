@@ -14,7 +14,8 @@
 
 use crate::plan::{PlanBytes, PlanOp, PlanRecorder};
 use crate::scheduler::{
-    ExpertScheduler, FetchSet, Phase, PolicyCtx, Prefetch, Residency, RoutedSource, RoutedView,
+    ExecPlan, ExpertScheduler, FetchSet, Phase, PolicyCtx, Prefetch, Residency, RoutedSource,
+    RoutedView,
 };
 use crate::{ExpertCache, ExpertKey, PlacementPlan, Result};
 use pgmoe_device::{AllocId, EventId, Machine, SimDuration, Tier};
@@ -42,6 +43,10 @@ struct Pending {
     /// full-set prefetches).
     covered: Vec<usize>,
     covered_all: bool,
+    /// Whether the coverage includes the block's whole routed set (a
+    /// [`FetchSet::Routed`] prefetch): the on-demand fill is then empty at
+    /// any routing, which is what lets a count-parametric plan omit it.
+    covers_routed: bool,
     buffers: Vec<AllocId>,
 }
 
@@ -50,6 +55,7 @@ impl Pending {
         self.done = None;
         self.covered.clear();
         self.covered_all = false;
+        self.covers_routed = false;
         debug_assert!(self.buffers.is_empty(), "iteration left transient buffers alive");
         self.buffers.clear();
     }
@@ -147,39 +153,30 @@ pub(crate) fn batched_prefill_costs(
 
 /// Enqueues migration of `experts` for cache key-space `block`. Experts the
 /// scheduler pins resident cost nothing; cache hits cost nothing; every
-/// other expert gets (when `alloc_buffers`) a transient HBM buffer pushed
-/// onto `buffers` and a copy from the offload tier. Returns the event after
-/// which every requested expert is GPU-resident, plus the bytes actually
-/// copied. On OOM the block's buffers are freed before the error
-/// propagates. When a [`PlanRecorder`] is attached (decode only, where
-/// every copy stages through a transient buffer) the whole fetch — copies
-/// and `demand` accounting — is captured as one [`PlanOp::Fetch`].
-#[allow(clippy::too_many_arguments)]
+/// other expert gets (when `buffers` is supplied) a transient HBM buffer
+/// pushed onto it and a copy from the offload tier, and counts toward the
+/// demand-stall bytes when `demand`. Returns the event after which every
+/// requested expert is GPU-resident, plus the number of experts copied. On
+/// OOM the block's buffers are freed before the error propagates.
 fn issue_copy(
-    machine: &mut Machine,
-    plan: &PlacementPlan,
-    cache: &mut Option<ExpertCache>,
-    offload_tier: Tier,
+    env: &mut CoreEnv<'_>,
     sched: &dyn ExpertScheduler,
     block: usize,
     experts: &[usize],
     waits: &[EventId],
-    alloc_buffers: bool,
-    buffers: &mut Vec<AllocId>,
+    mut buffers: Option<&mut Vec<AllocId>>,
     demand: bool,
-    rec: Option<&mut PlanRecorder>,
-) -> Result<(EventId, u64)> {
-    let trace = machine.trace_enabled();
+) -> Result<(EventId, usize)> {
+    let trace = env.machine.trace_enabled();
+    let expert_bytes = env.plan.expert_bytes();
     let mut last = None;
-    let mut copied = 0u64;
-    debug_assert!(rec.is_none() || alloc_buffers, "recorded fetches stage through buffers");
-    let mut copies: Vec<usize> = Vec::new();
+    let mut copied = 0usize;
     for &e in experts {
         let key = ExpertKey { block, expert: e };
         if sched.is_resident(key) {
             continue;
         }
-        let hit = match cache.as_mut() {
+        let hit = match env.cache.as_mut() {
             Some(c) => c.access_with(key, sched.cache_admission(key), sched.eviction_hint(key)),
             None => false,
         };
@@ -187,11 +184,11 @@ fn issue_copy(
             continue;
         }
         // Transient staging buffer; OOM here is a real capacity failure.
-        if alloc_buffers {
-            match machine.pool_mut(Tier::Hbm).alloc(plan.expert_bytes()) {
+        if let Some(buffers) = buffers.as_deref_mut() {
+            match env.machine.pool_mut(Tier::Hbm).alloc(expert_bytes) {
                 Ok(id) => buffers.push(id),
                 Err(err) => {
-                    free_buffers(machine, buffers);
+                    free_buffers(env.machine, buffers);
                     return Err(err.into());
                 }
             }
@@ -199,20 +196,20 @@ fn issue_copy(
         // Per-expert labels only exist to render Fig 9 timelines; skip the
         // string build on untraced (steady-state) runs.
         let ev = if trace {
-            machine.copy_to_gpu(
+            env.machine.copy_to_gpu(
                 &format!("fetch-b{block}e{e}"),
-                plan.expert_bytes(),
-                offload_tier,
+                expert_bytes,
+                env.offload_tier,
                 waits,
             )
         } else {
-            machine.copy_to_gpu("fetch", plan.expert_bytes(), offload_tier, waits)
+            env.machine.copy_to_gpu("fetch", expert_bytes, env.offload_tier, waits)
         };
-        copied += plan.expert_bytes();
+        copied += 1;
         last = Some(ev);
-        if rec.is_some() {
-            copies.push(e);
-        }
+    }
+    if demand {
+        *env.demand_bytes += copied as u64 * expert_bytes;
     }
     // All experts resident: the copy stream is in-order, so the last
     // submitted copy dominates. All-hit fetches complete immediately
@@ -220,23 +217,10 @@ fn issue_copy(
     let done = match last {
         Some(ev) => ev,
         None => {
-            let copy = machine.copy_stream();
-            machine.engine_mut().barrier(copy, waits)
+            let copy = env.machine.copy_stream();
+            env.machine.engine_mut().barrier(copy, waits)
         }
     };
-    if let Some(r) = rec {
-        let wait_slots = r.slots_of(waits);
-        let out = r.event(done);
-        r.op(PlanOp::Fetch {
-            block,
-            bytes_each: plan.expert_bytes(),
-            tier: offload_tier,
-            copies,
-            waits: wait_slots,
-            demand,
-            out,
-        });
-    }
     Ok((done, copied))
 }
 
@@ -338,57 +322,51 @@ pub(crate) fn decode_iteration(
                     FetchSet::Listed(v) => v,
                 };
                 let waits: &[EventId] = if after_gate { &[gate] } else { &[] };
-                let pending = &mut scratch.pending[b];
-                let (ev, copied) = issue_copy(
-                    env.machine,
-                    env.plan,
-                    env.cache,
-                    env.offload_tier,
-                    sched,
-                    enc_blocks + b,
-                    slice,
-                    waits,
-                    true,
-                    &mut pending.buffers,
-                    true,
-                    rec.as_deref_mut(),
-                )?;
-                *env.demand_bytes += copied;
-                scratch.waits.push(ev);
+                let buffers = Some(&mut scratch.pending[b].buffers);
+                let fetched = issue_copy(env, sched, enc_blocks + b, slice, waits, buffers, true)?;
+                if let Some(r) = rec.as_deref_mut() {
+                    r.fetch(b, set == FetchSet::Routed, slice.len(), fetched, waits, true);
+                }
+                scratch.waits.push(fetched.0);
                 scratch.waits.push(gate);
             }
             Residency::AwaitPending => match scratch.pending[b].done.take() {
                 Some(ev) => {
                     scratch.waits.push(ev);
                     // Fill whatever the prefetch missed, on demand.
+                    let pending = &scratch.pending[b];
                     scratch.missing.clear();
-                    if !scratch.pending[b].covered_all {
-                        let covered = &scratch.pending[b].covered;
+                    if !pending.covered_all {
                         scratch.missing.extend(experts.iter().copied().filter(|&e| {
-                            !covered.contains(&e)
+                            !pending.covered.contains(&e)
                                 && !sched
                                     .is_resident(ExpertKey { block: enc_blocks + b, expert: e })
                         }));
                     }
+                    if let Some(r) = rec.as_deref_mut() {
+                        // Only a prefetch of the whole routed set leaves an
+                        // empty fill at every routing; any other fill's
+                        // size depends on which experts were routed.
+                        if r.parametric() && !(pending.covered_all || pending.covers_routed) {
+                            r.poison();
+                        }
+                    }
                     if !scratch.missing.is_empty() {
                         let missing = &scratch.missing;
-                        let pending = &mut scratch.pending[b];
-                        let (dev, copied) = issue_copy(
-                            env.machine,
-                            env.plan,
-                            env.cache,
-                            env.offload_tier,
+                        let buffers = Some(&mut scratch.pending[b].buffers);
+                        let fetched = issue_copy(
+                            env,
                             sched,
                             enc_blocks + b,
                             missing,
                             &[gate],
+                            buffers,
                             true,
-                            &mut pending.buffers,
-                            true,
-                            rec.as_deref_mut(),
                         )?;
-                        *env.demand_bytes += copied;
-                        scratch.waits.push(dev);
+                        if let Some(r) = rec.as_deref_mut() {
+                            r.fetch(b, false, missing.len(), fetched, &[gate], true);
+                        }
+                        scratch.waits.push(fetched.0);
                     }
                     scratch.waits.push(gate);
                 }
@@ -396,23 +374,13 @@ pub(crate) fn decode_iteration(
                     // No prefetch in flight (first block(s) of the
                     // iteration): serialized routed fetch, like OnDemand —
                     // footnote 1 of the paper.
-                    let pending = &mut scratch.pending[b];
-                    let (ev, copied) = issue_copy(
-                        env.machine,
-                        env.plan,
-                        env.cache,
-                        env.offload_tier,
-                        sched,
-                        enc_blocks + b,
-                        experts,
-                        &[gate],
-                        true,
-                        &mut pending.buffers,
-                        true,
-                        rec.as_deref_mut(),
-                    )?;
-                    *env.demand_bytes += copied;
-                    scratch.waits.push(ev);
+                    let buffers = Some(&mut scratch.pending[b].buffers);
+                    let fetched =
+                        issue_copy(env, sched, enc_blocks + b, experts, &[gate], buffers, true)?;
+                    if let Some(r) = rec.as_deref_mut() {
+                        r.fetch(b, true, experts.len(), fetched, &[gate], true);
+                    }
+                    scratch.waits.push(fetched.0);
                     scratch.waits.push(gate);
                 }
             },
@@ -463,14 +431,19 @@ pub(crate) fn decode_iteration(
             if r.dequant() {
                 r.op(PlanOp::Dequant { block: b });
             }
+            let bytes = if r.parametric() {
+                // Count-parametric plans stream the routed set's bytes,
+                // which only the default single-GPU exec plan does.
+                if eplan != ExecPlan::local(experts.len(), env.plan.expert_bytes()) {
+                    r.poison();
+                }
+                PlanBytes::Routed(b)
+            } else {
+                PlanBytes::Lit(eplan.exec_bytes)
+            };
             let waits = r.slots_of(exec_waits);
             let out = r.event(exec);
-            r.op(PlanOp::Gemm {
-                label: "expert",
-                bytes: PlanBytes::Lit(eplan.exec_bytes),
-                waits,
-                out: Some(out),
-            });
+            r.op(PlanOp::Gemm { label: "expert", bytes, waits, out: Some(out) });
         }
         let done = if eplan.combine > SimDuration::ZERO {
             let combine = env.machine.compute_op("a2a-combine", eplan.combine, &[exec]);
@@ -484,9 +457,7 @@ pub(crate) fn decode_iteration(
             exec
         };
         if let Some(r) = rec.as_deref_mut() {
-            if !scratch.pending[b].buffers.is_empty() {
-                r.op(PlanOp::FreeBufs { count: scratch.pending[b].buffers.len() as u32 });
-            }
+            r.free(b);
         }
         free_buffers(env.machine, &mut scratch.pending[b].buffers);
         if let Some(lat) = block_latencies.as_deref_mut() {
@@ -502,11 +473,9 @@ pub(crate) fn decode_iteration(
     }
     // Safety net for schedulers that prefetched blocks which never
     // consumed their buffers.
-    for p in &mut scratch.pending {
+    for (b, p) in scratch.pending.iter_mut().enumerate() {
         if let Some(r) = rec.as_deref_mut() {
-            if !p.buffers.is_empty() {
-                r.op(PlanOp::FreeBufs { count: p.buffers.len() as u32 });
-            }
+            r.free(b);
         }
         free_buffers(env.machine, &mut p.buffers);
     }
@@ -540,6 +509,9 @@ fn issue_decode_prefetch(
     // and coverage accumulates. The copy stream is in-order, so waiting on
     // the newest event also covers every earlier copy.
     let merging = pending.done.is_some();
+    // A merge into a partial set copies only what the earlier directive
+    // missed — a count no routed-set size expresses.
+    let identity_merge = merging && !pending.covered_all;
     let dedup: Vec<usize>;
     let fetch_slice: &[usize] = if merging && pending.covered_all {
         &[]
@@ -549,13 +521,16 @@ fn issue_decode_prefetch(
     } else {
         pending.covered.clear();
         pending.covered_all = false;
+        pending.covers_routed = false;
         slice
     };
+    let routed_set = p.set == FetchSet::Routed;
     if matches!(p.set, FetchSet::All) {
         pending.covered_all = true;
     } else if !pending.covered_all {
         pending.covered.extend_from_slice(fetch_slice);
     }
+    pending.covers_routed |= routed_set;
     let waits_buf;
     let waits: &[EventId] = match (p.after_gate, gate) {
         (true, Some(g)) => {
@@ -564,21 +539,15 @@ fn issue_decode_prefetch(
         }
         _ => &[],
     };
-    let (ev, _copied) = issue_copy(
-        env.machine,
-        env.plan,
-        env.cache,
-        env.offload_tier,
-        sched,
-        enc_blocks + p.block,
-        fetch_slice,
-        waits,
-        true,
-        &mut pending.buffers,
-        false,
-        rec,
-    )?;
-    pending.done = Some(ev);
+    let buffers = Some(&mut pending.buffers);
+    let fetched = issue_copy(env, sched, enc_blocks + p.block, fetch_slice, waits, buffers, false)?;
+    if let Some(r) = rec {
+        if r.parametric() && identity_merge {
+            r.poison();
+        }
+        r.fetch(p.block, routed_set && !merging, fetch_slice.len(), fetched, waits, false);
+    }
+    pending.done = Some(fetched.0);
     Ok(())
 }
 
@@ -686,21 +655,8 @@ pub(crate) fn prefill_pass(
                     FetchSet::Listed(v) => v,
                 };
                 let copy_waits: &[EventId] = if after_gate { &[gate] } else { &[] };
-                let (ev, copied) = issue_copy(
-                    env.machine,
-                    env.plan,
-                    env.cache,
-                    env.offload_tier,
-                    sched,
-                    b,
-                    slice,
-                    copy_waits,
-                    alloc_buffers,
-                    &mut pending[b].buffers,
-                    true,
-                    None,
-                )?;
-                *env.demand_bytes += copied;
+                let buffers = alloc_buffers.then_some(&mut pending[b].buffers);
+                let (ev, _) = issue_copy(env, sched, b, slice, copy_waits, buffers, true)?;
                 waits.push(ev);
                 waits.push(gate);
             }
@@ -713,21 +669,8 @@ pub(crate) fn prefill_pass(
                     waits.push(gate);
                 }
                 None => {
-                    let (ev, copied) = issue_copy(
-                        env.machine,
-                        env.plan,
-                        env.cache,
-                        env.offload_tier,
-                        sched,
-                        b,
-                        &own,
-                        &[gate],
-                        alloc_buffers,
-                        &mut pending[b].buffers,
-                        true,
-                        None,
-                    )?;
-                    *env.demand_bytes += copied;
+                    let buffers = alloc_buffers.then_some(&mut pending[b].buffers);
+                    let (ev, _) = issue_copy(env, sched, b, &own, &[gate], buffers, true)?;
                     waits.push(ev);
                     waits.push(gate);
                 }
@@ -810,20 +753,8 @@ fn issue_prefill_prefetch(
         }
         _ => &[],
     };
-    let (ev, _copied) = issue_copy(
-        env.machine,
-        env.plan,
-        env.cache,
-        env.offload_tier,
-        sched,
-        p.block,
-        slice,
-        waits,
-        alloc_buffers,
-        &mut pending[p.block].buffers,
-        false,
-        None,
-    )?;
+    let buffers = alloc_buffers.then_some(&mut pending[p.block].buffers);
+    let (ev, _) = issue_copy(env, sched, p.block, slice, waits, buffers, false)?;
     pending[p.block].done = Some(ev);
     Ok(())
 }

@@ -25,6 +25,7 @@
 //! simulated HBM pool and arbitrates the budget between KV blocks and the
 //! expert cache (see `session.rs`).
 
+use pgmoe_device::{CostModel, Machine, SimDuration};
 use std::collections::HashMap;
 
 /// Knobs for the paged-KV serving path (see
@@ -46,7 +47,7 @@ pub struct PagedKvConfig {
     /// Whether block-table bookkeeping costs *simulated* time: each fresh
     /// block allocation charges one stream-sync of overhead and each
     /// copy-on-write copy charges a memory-bound read+write of the copied
-    /// bytes (see `crate::plan::kv_append_duration`). Off by default so the
+    /// bytes (see `kv_append_duration`). Off by default so the
     /// paged path stays timing-identical to the unpaged path when HBM is
     /// roomy (the golden-equivalence pins rely on that).
     pub timed_appends: bool,
@@ -417,9 +418,37 @@ impl KvBlockPool {
     }
 }
 
+/// Simulated cost of paged-KV block bookkeeping: copy-on-write block copies
+/// read and write HBM (`2 × cow_bytes` memory-bound), and each fresh block
+/// allocation costs one stream-sync of bookkeeping.
+pub(crate) fn kv_append_duration(cost: &CostModel, blocks: u64, cow_bytes: u64) -> SimDuration {
+    let copies = if cow_bytes > 0 { cost.membound_time(2 * cow_bytes) } else { SimDuration::ZERO };
+    SimDuration::from_nanos(copies.as_nanos() + blocks * cost.sync_overhead.as_nanos())
+}
+
+/// Charges paged-KV block bookkeeping to the compute stream (the paged
+/// session calls this outside the decode loop, once per chunked-prefill or
+/// token-append step).
+pub(crate) fn execute_kv_append(machine: &mut Machine, blocks: u64, cow_bytes: u64) {
+    let dur = kv_append_duration(machine.cost(), blocks, cow_bytes);
+    if dur > SimDuration::ZERO {
+        machine.compute_op("kv-append", dur, &[]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kv_append_cost_scales_with_cow_bytes_and_blocks() {
+        let cost = CostModel::a100_pcie4();
+        assert_eq!(kv_append_duration(&cost, 0, 0), SimDuration::ZERO);
+        let alloc_only = kv_append_duration(&cost, 3, 0);
+        assert_eq!(alloc_only.as_nanos(), 3 * cost.sync_overhead.as_nanos());
+        let with_cow = kv_append_duration(&cost, 3, 1 << 20);
+        assert!(with_cow > alloc_only);
+    }
 
     const BPT: u64 = 100; // bytes per token
 

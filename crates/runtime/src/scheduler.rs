@@ -386,22 +386,30 @@ pub trait ExpertScheduler {
     /// Returning `Some(fp)` is a contract: every hook must be a pure
     /// function of the scheduler's construction-time configuration (folded
     /// into `fp`) and the [`PolicyCtx`] fields the plan cache keys on — the
-    /// routing window and `expert_bytes` (runs with an [`ExpertCache`]
-    /// attached are never keyed, so `ctx.cache` is `None` here). Hooks
-    /// must not consult mutable state accumulated across iterations and
-    /// must not condition on `ctx.token`; schedulers that do either (e.g.
-    /// the frequency-tracking `speculative_top_m`) must keep the `None`
+    /// routing window (see [`ExpertScheduler::plan_routing_sensitivity`])
+    /// and `expert_bytes` (runs with an [`ExpertCache`] attached are never
+    /// keyed, so `ctx.cache` is `None` here). Hooks must not consult
+    /// mutable state accumulated across iterations and must not condition
+    /// on `ctx.token`; schedulers that do either (e.g. the
+    /// frequency-tracking `speculative_top_m`) must keep the `None`
     /// default, which makes the core interpret every iteration.
     fn plan_fingerprint(&self) -> Option<u64> {
         None
     }
 
     /// How much of the routing window this scheduler's decisions read,
-    /// which bounds what the plan cache must key on. The conservative
-    /// default says hooks may read exact expert ids; schedulers whose
-    /// decisions depend only on per-block routed-set *sizes* can answer
-    /// [`RoutingSensitivity::Counts`] and share one compiled plan across
-    /// every token with the same per-block counts.
+    /// which decides what a compiled plan may leave symbolic. The
+    /// conservative default, [`RoutingSensitivity::Exact`], keys plans on
+    /// every routed expert id. A scheduler whose hooks never call
+    /// [`PolicyCtx::experts`], never pin an expert through
+    /// [`ExpertScheduler::is_resident`], and keep the default
+    /// [`ExpertScheduler::exec_plan`] may answer
+    /// [`RoutingSensitivity::Oblivious`]: its plans record routed fetch
+    /// counts and expert-kernel bytes as parameters resolved at replay, so
+    /// one plan serves every routing of a batch shape. Declaring it
+    /// without meeting the contract replays wrong schedules; the recorder
+    /// catches pinned experts, non-default exec plans and identity-sized
+    /// fills in the iteration it records, not in later ones.
     fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
         RoutingSensitivity::Exact
     }
@@ -540,7 +548,7 @@ impl ExpertScheduler for GpuOnlySched {
     }
 
     fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
-        RoutingSensitivity::Counts
+        RoutingSensitivity::Oblivious
     }
 }
 
@@ -570,7 +578,7 @@ impl ExpertScheduler for OnDemandSched {
     }
 
     fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
-        RoutingSensitivity::Counts
+        RoutingSensitivity::Oblivious
     }
 }
 
@@ -619,7 +627,7 @@ impl ExpertScheduler for PrefetchAllSched {
     }
 
     fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
-        RoutingSensitivity::Counts
+        RoutingSensitivity::Oblivious
     }
 }
 
@@ -672,7 +680,7 @@ impl ExpertScheduler for PregatedSched {
     }
 
     fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
-        RoutingSensitivity::Counts
+        RoutingSensitivity::Oblivious
     }
 }
 

@@ -470,22 +470,15 @@ impl BatchSession {
         // Unpaged: reserve worst-case contiguous KV + working buffers for
         // the whole lifetime up front. Paged: reserve working buffers only,
         // and plan KV at block granularity — live blocks, the prompt's new
-        // blocks (discounting blocks a sibling's shared prefix already
-        // holds), and one growth block per in-flight sequence.
+        // blocks (less the shared-prefix discount below), and one growth
+        // block per in-flight sequence.
         let (act_bytes, kv_planned) = match &self.paged {
             Some(p) => {
                 let working = crate::memory::working_bytes(cfg, full_ctx, 1);
                 let block_bytes = p.pool.block_bytes();
                 let prompt_blocks = arr.request.input_tokens.div_ceil(p.cfg.block_tokens) as u64;
-                let shared = match (p.cfg.share_prefixes, arr.shared_prefix) {
-                    (true, Some(sp)) => {
-                        let n = sp.tokens.min(arr.request.input_tokens);
-                        p.pool.probe_shared_blocks((0..n).map(|i| kv_stamp(sp.hash, i))) as u64
-                    }
-                    _ => 0,
-                };
                 let growth = (self.inflight.len() as u64 + 1) * block_bytes;
-                (working, p.pool.used_bytes() + (prompt_blocks - shared) * block_bytes + growth)
+                (working, p.pool.used_bytes() + prompt_blocks * block_bytes + growth)
             }
             None => (PlacementPlan::new(cfg, opts, full_ctx, 1).activation_bytes(), 0),
         };
@@ -520,13 +513,31 @@ impl BatchSession {
             &self.base_plan,
             prefill_inputs,
         ));
-        let planned = self.base_plan.static_non_activation_bytes()
+        let mut planned = self.base_plan.static_non_activation_bytes()
             + in_flight_act
             + act_bytes
             + kv_planned
             + transient;
+        let lone = self.inflight.is_empty() && self.admitted_now.is_empty();
+        // The shared-prefix discount: prompt blocks a sibling's identical
+        // prefix already holds, at most every full block of the sharable
+        // prefix. Probing re-hashes the whole prefix, so it runs only when
+        // the undiscounted and fully-discounted plans straddle the budget,
+        // or when a lone request's exact shortfall must be reported. In
+        // every other case one of the two bounds already decides the offer.
+        if let (true, Some(p)) = (planned > self.budget, &self.paged) {
+            if let (true, Some(sp)) = (p.cfg.share_prefixes, arr.shared_prefix) {
+                let n = sp.tokens.min(arr.request.input_tokens);
+                let block_bytes = p.pool.block_bytes();
+                let most = (n / p.cfg.block_tokens) as u64 * block_bytes;
+                if lone || planned - most <= self.budget {
+                    let shared = p.pool.probe_shared_blocks((0..n).map(|i| kv_stamp(sp.hash, i)));
+                    planned -= shared as u64 * block_bytes;
+                }
+            }
+        }
         if planned > self.budget {
-            if self.inflight.is_empty() && self.admitted_now.is_empty() {
+            if lone {
                 // Even alone this request cannot fit: fail loudly rather
                 // than deadlock the queue.
                 return Err(RuntimeError::OutOfMemory(pgmoe_device::DeviceError::OutOfMemory {
@@ -848,7 +859,7 @@ impl BatchSession {
                     p.pool.append(table, &[stamp]);
                     if p.cfg.timed_appends {
                         let after = p.pool.stats();
-                        plan::execute_kv_append(
+                        crate::kv::execute_kv_append(
                             &mut self.machine,
                             after.blocks_allocated - before.blocks_allocated,
                             after.cow_copy_bytes - before.cow_copy_bytes,
@@ -957,7 +968,7 @@ impl BatchSession {
             p.pool.append(table, &stamps);
             if p.cfg.timed_appends {
                 let after = p.pool.stats();
-                plan::execute_kv_append(
+                crate::kv::execute_kv_append(
                     &mut self.machine,
                     after.blocks_allocated - before.blocks_allocated,
                     after.cow_copy_bytes - before.cow_copy_bytes,
@@ -1214,6 +1225,56 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_queue_head_is_admitted_once_its_prefix_discount_fits() {
+        // Short and long requests offered at once under the paged-KV gate's
+        // tight budget until one is refused; that queue head (a long prompt
+        // whose 384-token prefix its tenant's earlier requests hold) is then
+        // re-offered after every step. It is refused while the batch drains
+        // and admitted as soon as the plan *with* its prefix discount fits —
+        // sooner than the same session admits it with sharing disabled.
+        let cfg = ModelConfig::switch_base(8);
+        let opts = SimOptions::new(OffloadPolicy::Pregated);
+        let base = PlacementPlan::new(&cfg, &opts, 0, 1);
+        let long_act = PlacementPlan::new(&cfg, &opts, 536, 1).activation_bytes();
+        let budget =
+            base.static_non_activation_bytes() + 2 * long_act + 2 * 8 * base.expert_bytes();
+        let offer = |id: u64| match id % 2 {
+            0 => ArrivedRequest::at_nanos(0, req(32, 16)),
+            _ => ArrivedRequest::at_nanos(0, req(512, 24)).with_shared_prefix(0x7e1a, 384),
+        };
+        let run = |paged: PagedKvConfig| {
+            let batch = BatchConfig::new(16).with_hbm_budget(budget).with_paged_kv(paged);
+            let mut s = BatchSession::new(cfg.clone(), opts.clone(), batch).unwrap();
+            let mut head = 0;
+            while matches!(s.try_admit(head, offer(head)).unwrap(), Admission::Admitted { .. }) {
+                head += 1;
+            }
+            let mut refusals = 1;
+            loop {
+                s.step().unwrap();
+                match s.try_admit(head, offer(head)).unwrap() {
+                    Admission::OverBudget => refusals += 1,
+                    Admission::Admitted { .. } => break,
+                    Admission::BatchFull => panic!("the budget, not the batch size, binds"),
+                }
+            }
+            while s.in_flight() > 0 {
+                s.step().unwrap();
+            }
+            let stats = s.finish();
+            assert_eq!(stats.request_latencies.len() as u64, head + 1);
+            assert!(stats.request_latencies.iter().all(|&d| d > SimDuration::ZERO));
+            (head, refusals)
+        };
+        let paged = PagedKvConfig::new(16).with_prefill_chunk(256);
+        let (head, shared) = run(paged);
+        let (private_head, private) = run(paged.without_prefix_sharing());
+        assert_eq!((head % 2, private_head), (1, head), "the same long prompt heads the queue");
+        assert!(shared >= 3, "refused for several steps first, not {shared}");
+        assert!(shared < private, "the discount admits it sooner: {shared} vs {private}");
+    }
+
+    #[test]
     fn live_routing_overrides_trace_and_changes_traffic() {
         // A LiveRouting source that activates a single fixed expert must
         // fetch no more bytes than the synthetic trace's spread (dedup to
@@ -1402,11 +1463,12 @@ mod tests {
     }
 
     #[test]
-    fn routing_drift_compiles_one_plan_per_distinct_shape() {
-        // A live router whose fan-out width drifts across iterations: every
-        // distinct per-block set-size vector is a different plan key, so
-        // the session must recompile instead of replaying a plan whose
-        // fetch set no longer matches the routing.
+    fn routing_drift_replays_count_parametric_plans_and_recompiles_exact_ones() {
+        // A live router whose fan-out width drifts across iterations. A
+        // routing-oblivious scheduler (Pre-gated) replays one plan at every
+        // width, resolving the routed counts at replay, and must still match
+        // the interpreter bit for bit; an exact-routing one (Cache-Pinned
+        // partitions the routed set by id) recompiles on routing.
         struct Fan(usize);
         impl LiveRouting for Fan {
             fn experts(
@@ -1422,27 +1484,40 @@ mod tests {
                 true
             }
         }
-        let run = |width: &dyn Fn(usize) -> usize| {
-            let mut s = session(1);
+        let run = |opts: SimOptions, width: &dyn Fn(usize) -> usize| {
+            let mut s =
+                BatchSession::new(ModelConfig::switch_base(8), opts, BatchConfig::new(1)).unwrap();
             s.try_admit(0, ArrivedRequest::at_nanos(0, req(8, 9))).unwrap();
             let mut i = 0;
             while s.in_flight() > 0 {
                 s.step_routed(&mut Fan(width(i))).unwrap();
                 i += 1;
             }
-            s.plan_cache_stats()
+            let plans = s.plan_cache_stats();
+            (plans, s.finish())
         };
-        let steady = run(&|_| 1);
-        assert!(steady.hits > 0, "a constant width replays: {steady:?}");
-        assert_eq!((steady.misses, steady.cold_misses), (1, 1), "only the first step compiles");
-        let drifting = run(&|i| 1 + i % 3);
-        assert!(drifting.misses >= 3, "three distinct widths need three compiles: {drifting:?}");
-        assert!(drifting.misses > steady.misses, "{drifting:?} vs {steady:?}");
+        let drift = |i: usize| 1 + i % 3;
+        let pregated = SimOptions::new(OffloadPolicy::Pregated);
+        let (parametric, stats) = run(pregated.clone(), &drift);
+        assert_eq!((parametric.misses, parametric.cold_misses), (1, 1), "{parametric:?}");
+        assert_eq!(parametric.hits, 8, "every later width replays: {parametric:?}");
+        let (_, reference) = run(pregated.without_plan_cache(), &drift);
+        assert_eq!(stats.request_latencies, reference.request_latencies);
+        assert_eq!(stats.expert_fetch_bytes, reference.expert_fetch_bytes);
+        assert_eq!(stats.demand_fetch_bytes, reference.demand_fetch_bytes);
+        assert_eq!(stats.gpu_busy, reference.gpu_busy);
+        assert_eq!(stats.peak_hbm_bytes, reference.peak_hbm_bytes);
+
+        let pinned = SimOptions::new(crate::scheduler::PolicySpec::cache_pinned(2));
+        let (steady, _) = run(pinned.clone(), &|_| 1);
+        assert_eq!((steady.misses, steady.cold_misses), (1, 1), "{steady:?}");
+        let (exact, _) = run(pinned, &drift);
+        assert_eq!(exact.misses, 3, "three distinct routings need three compiles: {exact:?}");
         // One request at batch 1: after the cold first step, nothing but the
         // routing window can have changed the key.
-        assert_eq!(drifting.cold_misses, 1);
-        assert_eq!(drifting.routing_misses, drifting.misses - 1, "{drifting:?}");
-        assert_eq!((drifting.batch_shape_misses, drifting.other_misses), (0, 0));
+        assert_eq!(exact.cold_misses, 1);
+        assert_eq!(exact.routing_misses, exact.misses - 1, "{exact:?}");
+        assert_eq!((exact.batch_shape_misses, exact.other_misses), (0, 0));
     }
 
     #[test]

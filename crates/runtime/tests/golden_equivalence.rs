@@ -14,13 +14,19 @@
 //! this test fails, the shared core's event wiring has drifted from the
 //! paper's cost model — fix the core, do not re-capture, unless the change
 //! to the cost model is intentional and documented.
+//!
+//! The last test holds compiled-plan replay to the interpreter instead of
+//! to constants: default options against `without_plan_cache()`, bit for
+//! bit, over every paper policy, precision and KV layout.
 
-use pgmoe_model::{ExpertPrecision, ModelConfig};
+use pgmoe_model::{ExpertPrecision, GatingMode, ModelConfig};
 use pgmoe_runtime::{
-    serve_batched, BatchConfig, CacheConfig, InferenceSim, OffloadPolicy, Replacement, RunReport,
-    SimOptions,
+    serve_batched, BatchConfig, CacheConfig, InferenceSim, OffloadPolicy, PagedKvConfig,
+    PlacementPlan, Replacement, RunReport, ServeStats, SimOptions,
 };
-use pgmoe_workload::{ArrivalProcess, ArrivalStream, ArrivedRequest, DecodeRequest, RoutingKind};
+use pgmoe_workload::{
+    mixed_context_trace, ArrivalProcess, ArrivalStream, ArrivedRequest, DecodeRequest, RoutingKind,
+};
 
 /// FNV-1a over the little-endian nanos of every block latency.
 fn latency_hash(report: &RunReport) -> u64 {
@@ -537,4 +543,74 @@ fn trait_schedulers_reproduce_legacy_cache_interactions_bit_exactly() {
             cache: Some((0, 1728, 1651)),
         },
     );
+}
+
+/// Every field of a serving run but the plan-cache counters, rendered
+/// through `Debug` (floats print round-trip exact, so equal renderings are
+/// equal bits).
+fn served(stats: &ServeStats) -> String {
+    format!("{:?}", ServeStats { plan_cache_hits: 0, plan_cache_misses: 0, ..stats.clone() })
+}
+
+/// Same for a batch-1 run.
+fn reported(report: &RunReport) -> String {
+    format!("{:?}", RunReport { plan_cache_hits: 0, plan_cache_misses: 0, ..report.clone() })
+}
+
+#[test]
+fn compiled_plans_reproduce_the_interpreter_bit_exactly() {
+    // Replay with count-parametric plans against pure interpretation
+    // (`without_plan_cache`) on every paper policy × {unpaged, paged under
+    // the paged-KV gate's tight budget, paged on roomy HBM} × {f32, int8,
+    // q4} on the mixed short/long trace, plus the batch-1 engine.
+    let cfg = ModelConfig::switch_base(8);
+    let arrivals = mixed_context_trace(160, 512, 384, 2, 50_000);
+    let pregated_2 = GatingMode::Pregated { level: 2 };
+    let policies = [
+        ("GPU-only", SimOptions::new(OffloadPolicy::GpuOnly)),
+        ("OnDemand", SimOptions::new(OffloadPolicy::OnDemand)),
+        ("PrefetchAll", SimOptions::new(OffloadPolicy::PrefetchAll)),
+        ("Pre-gated L1", SimOptions::new(OffloadPolicy::Pregated)),
+        ("Pre-gated L2", SimOptions::new(OffloadPolicy::Pregated).with_gating(pregated_2)),
+    ];
+    for (name, policy) in policies {
+        for precision in [ExpertPrecision::F32, ExpertPrecision::Int8, ExpertPrecision::Q4] {
+            let on = match precision {
+                ExpertPrecision::F32 => policy.clone(),
+                p => policy.clone().with_expert_precision(p),
+            };
+            let off = on.clone().without_plan_cache();
+            let tag = format!("{name} / {precision}");
+
+            let single = |o: &SimOptions| {
+                InferenceSim::new(cfg.clone(), o.clone()).run(request(), 2).expect("batch-1 run")
+            };
+            let (a, b) = (single(&on), single(&off));
+            assert_eq!(reported(&a), reported(&b), "{tag} / batch-1");
+            assert!(a.plan_cache_hits > 0, "{tag} / batch-1 replays: {a:?}");
+
+            let base = PlacementPlan::new(&cfg, &on, 0, 1);
+            let long = PlacementPlan::new(&cfg, &on, 512 + 24, 1).activation_bytes();
+            let tight = base.static_non_activation_bytes() + 2 * long + 2 * 8 * base.expert_bytes();
+            let paged = PagedKvConfig::new(16).with_prefill_chunk(256);
+            let rows = [
+                ("unpaged", BatchConfig::new(16).with_hbm_budget(tight)),
+                ("paged tight", BatchConfig::new(16).with_hbm_budget(tight).with_paged_kv(paged)),
+                ("paged roomy", BatchConfig::new(16).with_paged_kv(paged)),
+            ];
+            for (row, batch) in rows {
+                let serve = |o: &SimOptions| {
+                    serve_batched(cfg.clone(), o.clone(), batch, arrivals.clone()).expect("serves")
+                };
+                let (a, b) = (serve(&on), serve(&off));
+                assert_eq!(served(&a), served(&b), "{tag} / {row}");
+                assert_eq!(a.request_latencies.len(), arrivals.len(), "{tag} / {row}");
+                let share =
+                    a.plan_cache_hits as f64 / (a.plan_cache_hits + a.plan_cache_misses) as f64;
+                if row == "paged tight" {
+                    assert!(share >= 0.9, "{tag} / {row}: hit share {share:.3}");
+                }
+            }
+        }
+    }
 }

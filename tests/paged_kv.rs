@@ -118,6 +118,51 @@ fn paged_doubles_admitted_batch_on_mixed_context_trace() {
     assert!(kv.shared_hit_bytes > 0, "tenant-shared prefixes must dedup blocks");
 }
 
+/// FNV-1a over `ServeStats`' `Debug` rendering with the plan-cache counters
+/// zeroed: every admission decision shows in the queueing delays, latencies,
+/// peak batch and KV counters; how many iterations replayed a plan does not.
+fn admission_digest(stats: &ServeStats) -> u64 {
+    let pinned = ServeStats { plan_cache_hits: 0, plan_cache_misses: 0, ..stats.clone() };
+    format!("{pinned:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Admission decisions under paged KV, pinned across budgets around the
+/// shared-prefix discount. At the tight budget (and one block under it)
+/// the discount decides only refusals; one block over it and at the full
+/// 24-block discount it also decides admissions — a long prompt fits only
+/// because its tenant's prefix blocks are already resident. Digests were
+/// captured before admission learned to skip the prefix probe when the
+/// discount cannot change the answer.
+#[test]
+fn paged_admission_decisions_are_pinned_across_budgets() {
+    let cfg = ModelConfig::switch_base(8);
+    let opts = SimOptions::new(OffloadPolicy::Pregated);
+    let arrivals = mixed_context_trace(48, 512, 384, 2, 50_000);
+    let tight = tight_budget(&cfg, &opts, 512 + 24);
+    let block = 16 * kv_bytes(cfg.total_layers(), 1, cfg.d_model, 1);
+    let largest_discount = (384 / 16) as u64 * block;
+    let cases = [
+        ("tight - 1 block", Some(tight - block), 0x124d_ffb4_613e_5e86u64),
+        ("tight", Some(tight), 0x124d_ffb4_613e_5e86),
+        ("tight + 1 block", Some(tight + block), 0x0773_cdef_c05d_c33f),
+        ("tight + discount / 2", Some(tight + largest_discount / 2), 0x64da_ec59_b3a6_62f0),
+        ("tight + discount", Some(tight + largest_discount), 0xe37b_d1ee_63f1_3282),
+        ("roomy", None, 0xc1af_0ac1_0d33_3bb1),
+    ];
+    for (name, budget, golden) in cases {
+        let mut batch =
+            BatchConfig::new(16).with_paged_kv(PagedKvConfig::new(16).with_prefill_chunk(256));
+        if let Some(budget) = budget {
+            batch = batch.with_hbm_budget(budget);
+        }
+        let stats = serve(batch, &arrivals);
+        assert_eq!(stats.request_latencies.len(), arrivals.len(), "{name}: every request served");
+        assert_eq!(admission_digest(&stats), golden, "{name}: admission decisions drifted");
+    }
+}
+
 /// Opt-in KV timing: by default paged bookkeeping is free (claim 1 pins
 /// the paged path bit-exact against unpaged), but `with_timed_appends`
 /// must charge simulated time for block allocation and copy-on-write.
