@@ -5,9 +5,24 @@
 //! LFU. The paper evaluates caching on top of both Pre-gated MoE and
 //! MoE-OnDemand with all three replacement policies — this type implements
 //! the cache those experiments share.
+//!
+//! # Eviction index
+//!
+//! No operation scans the residents. Residency lives in a per-block table
+//! indexed by expert id (keys are small `(block, expert)` integers, so
+//! nothing is hashed), and the eviction order in one ordered set of
+//! `(rank, key)` pairs. The rank is `last_used` under LRU, `uses` under LFU
+//! and `u64::MAX − inserted_at` under LIFO, so the victim is always the
+//! set's first element: the smallest rank, ties broken by key order. A hit
+//! re-keys its pair under LRU and LFU (a LIFO rank never moves); an insert
+//! or an eviction adds or drops one pair. A lookup is O(1), an access that
+//! changes the index O(log n) in the resident count n, and
+//! [`ExpertCache::set_capacity`] shrinking by k evictions O(k log n). The
+//! table walks keys in order, which is the order
+//! [`ExpertCache::state_fingerprint`] hashes them in.
 
 use crate::Replacement;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 /// Identity of an expert: (MoE block index, expert index within the block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,11 +56,23 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     inserted_at: u64,
     last_used: u64,
     uses: u64,
+}
+
+/// An entry's position in the eviction index under `replacement`: the
+/// smallest rank is evicted first.
+fn rank(replacement: Replacement, e: &Entry) -> u64 {
+    match replacement {
+        // LIFO keeps early residents and evicts the newest arrival —
+        // that is what protects hot experts admitted early.
+        Replacement::Lifo => u64::MAX - e.inserted_at,
+        Replacement::Lfu => e.uses,
+        Replacement::Lru => e.last_used,
+    }
 }
 
 /// A fixed-capacity set of GPU-resident experts.
@@ -71,7 +98,10 @@ struct Entry {
 pub struct ExpertCache {
     capacity: usize,
     replacement: Replacement,
-    entries: HashMap<ExpertKey, Entry>,
+    /// Residency table, `slots[block][expert]`, grown on insert.
+    slots: Vec<Vec<Option<Entry>>>,
+    /// Eviction index: `(rank, key)` of every resident, victim first.
+    order: BTreeSet<(u64, ExpertKey)>,
     clock: u64,
     stats: CacheStats,
 }
@@ -82,7 +112,8 @@ impl ExpertCache {
         ExpertCache {
             capacity,
             replacement,
-            entries: HashMap::new(),
+            slots: Vec::new(),
+            order: BTreeSet::new(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -95,17 +126,17 @@ impl ExpertCache {
 
     /// Number of experts currently resident.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.order.len()
     }
 
     /// Whether the cache holds no experts.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
     }
 
     /// Whether `key` is resident, without touching recency/frequency state.
     pub fn contains(&self, key: ExpertKey) -> bool {
-        self.entries.contains_key(&key)
+        self.entry(key).is_some()
     }
 
     /// Accumulated statistics.
@@ -135,9 +166,15 @@ impl ExpertCache {
             self.stats.misses += 1;
             return false;
         }
-        if let Some(e) = self.entries.get_mut(&key) {
+        if let Some(e) = entry_mut(&mut self.slots, key) {
+            let before = rank(self.replacement, e);
             e.last_used = self.clock;
             e.uses += 1;
+            let after = rank(self.replacement, e);
+            if after != before {
+                self.order.remove(&(before, key));
+                self.order.insert((after, key));
+            }
             self.stats.hits += 1;
             return true;
         }
@@ -145,16 +182,25 @@ impl ExpertCache {
         if !admit {
             return false;
         }
-        if self.entries.len() >= self.capacity {
+        if self.len() >= self.capacity {
             let victim = evict_hint
-                .filter(|hint| *hint != key && self.entries.contains_key(hint))
+                .filter(|hint| *hint != key && self.contains(*hint))
                 .or_else(|| self.pick_victim());
             if let Some(victim) = victim {
-                self.entries.remove(&victim);
+                self.remove(victim);
                 self.stats.evictions += 1;
             }
         }
-        self.entries.insert(key, Entry { inserted_at: self.clock, last_used: self.clock, uses: 1 });
+        let entry = Entry { inserted_at: self.clock, last_used: self.clock, uses: 1 };
+        if self.slots.len() <= key.block {
+            self.slots.resize_with(key.block + 1, Vec::new);
+        }
+        let row = &mut self.slots[key.block];
+        if row.len() <= key.expert {
+            row.resize(key.expert + 1, None);
+        }
+        row[key.expert] = Some(entry);
+        self.order.insert((rank(self.replacement, &entry), key));
         false
     }
 
@@ -165,14 +211,10 @@ impl ExpertCache {
     /// when headroom returns.
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        while self.entries.len() > self.capacity {
-            match self.pick_victim() {
-                Some(victim) => {
-                    self.entries.remove(&victim);
-                    self.stats.evictions += 1;
-                }
-                None => break,
-            }
+        while self.len() > self.capacity {
+            let victim = self.pick_victim().expect("an over-full cache has a victim");
+            self.remove(victim);
+            self.stats.evictions += 1;
         }
     }
 
@@ -190,81 +232,286 @@ impl ExpertCache {
     /// same residents in the same relative order fingerprint equal even
     /// though the absolute clock has moved on.
     pub fn state_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: u64, v: u64) -> u64 {
-            let mut h = h;
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h
-        }
-        // Tie-preserving rank: entries sharing a raw value share a rank.
-        fn ranks(values: &[u64]) -> Vec<u64> {
-            let mut sorted: Vec<u64> = values.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            values
-                .iter()
-                .map(|v| sorted.binary_search(v).expect("rank of present value") as u64)
-                .collect()
-        }
-        let mut keys: Vec<ExpertKey> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        let uses: Vec<u64> = keys.iter().map(|k| self.entries[k].uses).collect();
-        let inserted: Vec<u64> = keys.iter().map(|k| self.entries[k].inserted_at).collect();
-        let use_ranks = ranks(&uses);
-        let ins_ranks = ranks(&inserted);
-        let mut h = FNV_OFFSET;
-        h = mix(h, self.capacity as u64);
-        h = mix(
-            h,
-            match self.replacement {
-                Replacement::Lifo => 1,
-                Replacement::Lfu => 2,
-                Replacement::Lru => 3,
-            },
-        );
-        h = mix(h, keys.len() as u64);
-        for (i, k) in keys.iter().enumerate() {
-            h = mix(h, k.block as u64);
-            h = mix(h, k.expert as u64);
-            h = mix(h, self.clock - self.entries[k].last_used);
-            h = mix(h, use_ranks[i]);
-            h = mix(h, ins_ranks[i]);
+        // The table walks keys in `ExpertKey` order already.
+        let residents = self.slots.iter().enumerate().flat_map(|(block, row)| {
+            row.iter()
+                .enumerate()
+                .filter_map(move |(expert, e)| e.map(|e| (ExpertKey { block, expert }, e)))
+        });
+        fingerprint(self.capacity, self.replacement, self.clock, residents)
+    }
+
+    fn entry(&self, key: ExpertKey) -> Option<&Entry> {
+        self.slots.get(key.block)?.get(key.expert)?.as_ref()
+    }
+
+    /// The eviction candidate under the configured policy: the index's
+    /// first element, so ties break by key order.
+    fn pick_victim(&self) -> Option<ExpertKey> {
+        self.order.first().map(|&(_, key)| key)
+    }
+
+    /// Drops resident `key` from the table and the index.
+    fn remove(&mut self, key: ExpertKey) {
+        let e = self.slots[key.block][key.expert].take().expect("evicting a resident expert");
+        self.order.remove(&(rank(self.replacement, &e), key));
+    }
+}
+
+/// `key`'s resident entry, if any (a key past the table's end is absent).
+fn entry_mut(slots: &mut [Vec<Option<Entry>>], key: ExpertKey) -> Option<&mut Entry> {
+    slots.get_mut(key.block)?.get_mut(key.expert)?.as_mut()
+}
+
+/// FNV-1a over capacity, policy, and each resident in key order with its
+/// recency and its tie-preserving `uses` / `inserted_at` ranks.
+fn fingerprint(
+    capacity: usize,
+    replacement: Replacement,
+    clock: u64,
+    residents: impl Iterator<Item = (ExpertKey, Entry)>,
+) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    fn mix(h: u64, v: u64) -> u64 {
+        let mut h = h;
+        for byte in v.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(FNV_PRIME);
         }
         h
     }
-
-    /// The eviction candidate under the configured policy (ties broken by
-    /// key order for determinism).
-    fn pick_victim(&self) -> Option<ExpertKey> {
-        let best = |f: fn(&Entry) -> u64, prefer_large: bool| {
-            self.entries
-                .iter()
-                .min_by_key(|(k, e)| {
-                    let v = f(e);
-                    (if prefer_large { u64::MAX - v } else { v }, **k)
-                })
-                .map(|(k, _)| *k)
-        };
-        match self.replacement {
-            // LIFO keeps early residents and evicts the newest arrival —
-            // that is what protects hot experts admitted early.
-            Replacement::Lifo => best(|e| e.inserted_at, true),
-            Replacement::Lfu => best(|e| e.uses, false),
-            Replacement::Lru => best(|e| e.last_used, false),
-        }
+    // Tie-preserving rank: entries sharing a raw value share a rank.
+    fn ranks(values: &[u64]) -> Vec<u64> {
+        let mut sorted: Vec<u64> = values.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        values
+            .iter()
+            .map(|v| sorted.binary_search(v).expect("rank of present value") as u64)
+            .collect()
     }
+    let residents: Vec<(ExpertKey, Entry)> = residents.collect();
+    let uses: Vec<u64> = residents.iter().map(|(_, e)| e.uses).collect();
+    let inserted: Vec<u64> = residents.iter().map(|(_, e)| e.inserted_at).collect();
+    let use_ranks = ranks(&uses);
+    let ins_ranks = ranks(&inserted);
+    let mut h = FNV_OFFSET;
+    h = mix(h, capacity as u64);
+    h = mix(
+        h,
+        match replacement {
+            Replacement::Lifo => 1,
+            Replacement::Lfu => 2,
+            Replacement::Lru => 3,
+        },
+    );
+    h = mix(h, residents.len() as u64);
+    for (i, (k, e)) in residents.iter().enumerate() {
+        h = mix(h, k.block as u64);
+        h = mix(h, k.expert as u64);
+        h = mix(h, clock - e.last_used);
+        h = mix(h, use_ranks[i]);
+        h = mix(h, ins_ranks[i]);
+    }
+    h
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn key(block: usize, expert: usize) -> ExpertKey {
         ExpertKey { block, expert }
+    }
+
+    /// The linear-scan cache the eviction index replaced, kept as the
+    /// oracle: a `HashMap` of entries and a `(value, key)` minimum over all
+    /// of them per eviction.
+    struct LinearCache {
+        capacity: usize,
+        replacement: Replacement,
+        entries: HashMap<ExpertKey, Entry>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl LinearCache {
+        fn new(capacity: usize, replacement: Replacement) -> Self {
+            LinearCache {
+                capacity,
+                replacement,
+                entries: HashMap::new(),
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access_with(
+            &mut self,
+            key: ExpertKey,
+            admit: bool,
+            evict_hint: Option<ExpertKey>,
+        ) -> bool {
+            self.clock += 1;
+            if self.capacity == 0 {
+                self.stats.misses += 1;
+                return false;
+            }
+            if let Some(e) = self.entries.get_mut(&key) {
+                e.last_used = self.clock;
+                e.uses += 1;
+                self.stats.hits += 1;
+                return true;
+            }
+            self.stats.misses += 1;
+            if !admit {
+                return false;
+            }
+            if self.entries.len() >= self.capacity {
+                let victim = evict_hint
+                    .filter(|hint| *hint != key && self.entries.contains_key(hint))
+                    .or_else(|| self.pick_victim());
+                if let Some(victim) = victim {
+                    self.entries.remove(&victim);
+                    self.stats.evictions += 1;
+                }
+            }
+            self.entries
+                .insert(key, Entry { inserted_at: self.clock, last_used: self.clock, uses: 1 });
+            false
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            self.capacity = capacity;
+            while self.entries.len() > self.capacity {
+                match self.pick_victim() {
+                    Some(victim) => {
+                        self.entries.remove(&victim);
+                        self.stats.evictions += 1;
+                    }
+                    None => break,
+                }
+            }
+        }
+
+        fn state_fingerprint(&self) -> u64 {
+            let mut keys: Vec<ExpertKey> = self.entries.keys().copied().collect();
+            keys.sort_unstable();
+            let residents = keys.iter().map(|k| (*k, self.entries[k]));
+            fingerprint(self.capacity, self.replacement, self.clock, residents)
+        }
+
+        fn pick_victim(&self) -> Option<ExpertKey> {
+            let best = |f: fn(&Entry) -> u64, prefer_large: bool| {
+                self.entries
+                    .iter()
+                    .min_by_key(|(k, e)| {
+                        let v = f(e);
+                        (if prefer_large { u64::MAX - v } else { v }, **k)
+                    })
+                    .map(|(k, _)| *k)
+            };
+            match self.replacement {
+                Replacement::Lifo => best(|e| e.inserted_at, true),
+                Replacement::Lfu => best(|e| e.uses, false),
+                Replacement::Lru => best(|e| e.last_used, false),
+            }
+        }
+    }
+
+    /// The eviction index against the linear scan over seeded streams:
+    /// every policy × admission vetoes × eviction hints (resident, absent,
+    /// the accessed key itself) × `set_capacity` shrink and regrow ×
+    /// capacities 0, 1 and 115. Return values, counters, residency and
+    /// fingerprints must agree after every step.
+    #[test]
+    fn indexed_cache_matches_linear_scan_oracle() {
+        const BLOCKS: usize = 12;
+        const EXPERTS: usize = 64;
+        for policy in Replacement::ALL {
+            for capacity in [0usize, 1, 115] {
+                for (vetoes, hints, resizes) in (0..8).map(|m| (m & 1 != 0, m & 2 != 0, m & 4 != 0))
+                {
+                    let tag = format!(
+                        "{policy:?} cap {capacity} vetoes {vetoes} hints {hints} resizes {resizes}"
+                    );
+                    let mut fast = ExpertCache::new(capacity, policy);
+                    let mut slow = LinearCache::new(capacity, policy);
+                    let mut state = 0x9E37_79B9u64 ^ capacity as u64;
+                    let mut next = move |n: usize| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (state >> 33) as usize % n
+                    };
+                    for step in 0..800 {
+                        // Two thirds of the traffic on a 160-key hot set,
+                        // so every policy both hits and evicts.
+                        let id = if next(3) < 2 { next(160) * 5 } else { next(BLOCKS * EXPERTS) };
+                        let k = key(id / EXPERTS, id % EXPERTS);
+                        let admit = !vetoes || next(4) != 0;
+                        let hint = if !hints {
+                            None
+                        } else {
+                            match next(4) {
+                                0 => None,
+                                1 => Some(k),
+                                2 => Some(key(BLOCKS + 3, next(EXPERTS))),
+                                // The first resident at or after a random
+                                // key, when there is one.
+                                _ => {
+                                    let from = next(BLOCKS * EXPERTS);
+                                    (0..BLOCKS * EXPERTS)
+                                        .map(|i| (from + i) % (BLOCKS * EXPERTS))
+                                        .map(|i| key(i / EXPERTS, i % EXPERTS))
+                                        .find(|&r| slow.entries.contains_key(&r))
+                                }
+                            }
+                        };
+                        assert_eq!(
+                            fast.access_with(k, admit, hint),
+                            slow.access_with(k, admit, hint),
+                            "{tag}: step {step} hit"
+                        );
+                        if resizes && next(40) == 0 {
+                            let to = match next(3) {
+                                0 => capacity / 2,
+                                1 => 0,
+                                _ => capacity + next(8),
+                            };
+                            fast.set_capacity(to);
+                            slow.set_capacity(to);
+                        }
+                        assert_eq!(fast.stats(), slow.stats, "{tag}: step {step} stats");
+                        assert_eq!(fast.len(), slow.entries.len(), "{tag}: step {step} len");
+                        assert_eq!(fast.capacity(), slow.capacity, "{tag}: step {step} capacity");
+                        assert_eq!(
+                            fast.state_fingerprint(),
+                            slow.state_fingerprint(),
+                            "{tag}: step {step} fingerprint"
+                        );
+                        assert_eq!(fast.contains(k), slow.entries.contains_key(&k), "{tag}");
+                        if step % 64 == 0 {
+                            for b in 0..=BLOCKS {
+                                for e in 0..EXPERTS {
+                                    assert_eq!(
+                                        fast.contains(key(b, e)),
+                                        slow.entries.contains_key(&key(b, e)),
+                                        "{tag}: step {step} residency of ({b}, {e})"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    if capacity > 1 {
+                        let s = fast.stats();
+                        assert!(s.hits > 0 && s.evictions > 0, "{tag}: stream too tame: {s:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

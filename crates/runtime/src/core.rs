@@ -61,14 +61,22 @@ impl Pending {
     }
 }
 
-/// Reusable decode-iteration state: hoisted out of the token loop so the
-/// steady state performs no heap allocation (capacities are retained).
+/// Reusable decode-iteration and prefill-pass state: hoisted out of the
+/// token loop so the steady state performs no heap allocation (capacities
+/// are retained).
 pub(crate) struct CoreScratch {
     pending: Vec<Pending>,
     prefetches: Vec<Prefetch>,
     waits: Vec<EventId>,
     all_experts: Vec<usize>,
     missing: Vec<usize>,
+    /// Prefill's per-encoder-block pending state (sized on first use).
+    prefill_pending: Vec<Pending>,
+    /// Prefill expert draws: the shuffle pool, the block's own sample and
+    /// a routed prefetch's sample.
+    draw_pool: Vec<usize>,
+    own: Vec<usize>,
+    sampled: Vec<usize>,
 }
 
 impl CoreScratch {
@@ -79,6 +87,10 @@ impl CoreScratch {
             waits: Vec::with_capacity(4),
             all_experts: (0..num_experts).collect(),
             missing: Vec::new(),
+            prefill_pending: Vec::new(),
+            draw_pool: Vec::with_capacity(num_experts),
+            own: Vec::with_capacity(num_experts),
+            sampled: Vec::with_capacity(num_experts),
         }
     }
 
@@ -606,26 +618,21 @@ pub(crate) fn prefill_pass(
     costs: &PrefillCosts,
     rng: &mut StdRng,
     alloc_buffers: bool,
+    scratch: &mut CoreScratch,
 ) -> Result<()> {
-    let mut pending: Vec<Pending> = (0..enc_blocks).map(|_| Pending::default()).collect();
-    let mut prefetches: Vec<Prefetch> = Vec::new();
-    let all_experts: Vec<usize> = (0..env.num_experts).collect();
+    scratch.prefill_pending.resize_with(enc_blocks, Pending::default);
+    for p in &mut scratch.prefill_pending {
+        p.done = None;
+        p.buffers.clear();
+    }
+    let mut prefetches = std::mem::take(&mut scratch.prefetches);
+    prefetches.clear();
     {
         let ctx = prefill_ctx(env, topo, enc_blocks);
         sched.on_iteration_start(&ctx, &mut prefetches);
     }
-    for p in std::mem::take(&mut prefetches) {
-        issue_prefill_prefetch(
-            env,
-            sched,
-            &p,
-            None,
-            costs,
-            rng,
-            alloc_buffers,
-            &all_experts,
-            &mut pending,
-        )?;
+    for p in prefetches.drain(..) {
+        issue_prefill_prefetch(env, sched, &p, None, costs, rng, alloc_buffers, scratch)?;
     }
 
     let mut moe_idx = 0usize;
@@ -638,10 +645,19 @@ pub(crate) fn prefill_pass(
         }
         let b = moe_idx;
         // Sample this block's distinct activated experts.
-        let own = sample_distinct_experts(costs.distinct, env.num_experts, rng);
+        sample_distinct_experts(
+            costs.distinct,
+            env.num_experts,
+            rng,
+            &mut scratch.draw_pool,
+            &mut scratch.own,
+        );
+        let own = &scratch.own;
+        let pending = &mut scratch.prefill_pending;
+        let waits = &mut scratch.waits;
+        waits.clear();
         let gate = env.machine.compute_op("gate", env.machine.cost().gate_overhead, &[]);
 
-        let mut waits: Vec<EventId> = Vec::with_capacity(3);
         let residency = {
             let ctx = prefill_ctx(env, topo, enc_blocks);
             sched.on_block_start(&ctx, b)
@@ -650,8 +666,8 @@ pub(crate) fn prefill_pass(
             Residency::Resident => waits.push(gate),
             Residency::Fetch { set, after_gate } => {
                 let slice: &[usize] = match &set {
-                    FetchSet::Routed => &own,
-                    FetchSet::All => &all_experts,
+                    FetchSet::Routed => own,
+                    FetchSet::All => &scratch.all_experts,
                     FetchSet::Listed(v) => v,
                 };
                 let copy_waits: &[EventId] = if after_gate { &[gate] } else { &[] };
@@ -670,7 +686,7 @@ pub(crate) fn prefill_pass(
                 }
                 None => {
                     let buffers = alloc_buffers.then_some(&mut pending[b].buffers);
-                    let (ev, _) = issue_copy(env, sched, b, &own, &[gate], buffers, true)?;
+                    let (ev, _) = issue_copy(env, sched, b, own, &[gate], buffers, true)?;
                     waits.push(ev);
                     waits.push(gate);
                 }
@@ -678,15 +694,15 @@ pub(crate) fn prefill_pass(
         }
         let eplan = {
             let ctx = prefill_ctx(env, topo, enc_blocks);
-            sched.exec_plan(&ctx, b, &own)
+            sched.exec_plan(&ctx, b, own)
         };
         if eplan.dispatch > SimDuration::ZERO {
-            let d = env.machine.compute_op("a2a-dispatch", eplan.dispatch, &waits);
+            let d = env.machine.compute_op("a2a-dispatch", eplan.dispatch, waits);
             waits.clear();
             waits.push(d);
         }
         let exec =
-            env.machine.launch_kernel(costs.labels[2], costs.exec_flops, eplan.exec_bytes, &waits);
+            env.machine.launch_kernel(costs.labels[2], costs.exec_flops, eplan.exec_bytes, waits);
         if eplan.combine > SimDuration::ZERO {
             env.machine.compute_op("a2a-combine", eplan.combine, &[exec]);
         }
@@ -698,24 +714,15 @@ pub(crate) fn prefill_pass(
             let ctx = prefill_ctx(env, topo, enc_blocks);
             sched.on_gate(&ctx, b, &mut prefetches);
         }
-        for p in std::mem::take(&mut prefetches) {
-            issue_prefill_prefetch(
-                env,
-                sched,
-                &p,
-                Some(gate),
-                costs,
-                rng,
-                alloc_buffers,
-                &all_experts,
-                &mut pending,
-            )?;
+        for p in prefetches.drain(..) {
+            issue_prefill_prefetch(env, sched, &p, Some(gate), costs, rng, alloc_buffers, scratch)?;
         }
         moe_idx += 1;
     }
-    for p in &mut pending {
+    for p in &mut scratch.prefill_pending {
         free_buffers(env.machine, &mut p.buffers);
     }
+    scratch.prefetches = prefetches;
     Ok(())
 }
 
@@ -730,19 +737,23 @@ fn issue_prefill_prefetch(
     costs: &PrefillCosts,
     rng: &mut StdRng,
     alloc_buffers: bool,
-    all_experts: &[usize],
-    pending: &mut [Pending],
+    scratch: &mut CoreScratch,
 ) -> Result<()> {
-    if p.block >= pending.len() {
+    if p.block >= scratch.prefill_pending.len() {
         return Ok(());
     }
-    let sampled;
     let slice: &[usize] = match &p.set {
         FetchSet::Routed => {
-            sampled = sample_distinct_experts(costs.distinct, env.num_experts, rng);
-            &sampled
+            sample_distinct_experts(
+                costs.distinct,
+                env.num_experts,
+                rng,
+                &mut scratch.draw_pool,
+                &mut scratch.sampled,
+            );
+            &scratch.sampled
         }
-        FetchSet::All => all_experts,
+        FetchSet::All => &scratch.all_experts,
         FetchSet::Listed(v) => v,
     };
     let waits_buf;
@@ -753,9 +764,10 @@ fn issue_prefill_prefetch(
         }
         _ => &[],
     };
-    let buffers = alloc_buffers.then_some(&mut pending[p.block].buffers);
+    let pending = &mut scratch.prefill_pending[p.block];
+    let buffers = alloc_buffers.then_some(&mut pending.buffers);
     let (ev, _) = issue_copy(env, sched, p.block, slice, waits, buffers, false)?;
-    pending[p.block].done = Some(ev);
+    pending.done = Some(ev);
     Ok(())
 }
 
@@ -775,20 +787,24 @@ pub(crate) fn expected_distinct_experts(draws: usize, experts: usize) -> usize {
     (expected.round() as usize).clamp(1, experts)
 }
 
-/// Draws `count` distinct experts uniformly (partial Fisher–Yates), sorted.
+/// Draws `count` distinct experts uniformly (partial Fisher–Yates over
+/// `pool`) into `out`, sorted.
 pub(crate) fn sample_distinct_experts(
     count: usize,
     experts: usize,
     rng: &mut StdRng,
-) -> Vec<usize> {
-    let mut pool: Vec<usize> = (0..experts).collect();
+    pool: &mut Vec<usize>,
+    out: &mut Vec<usize>,
+) {
+    pool.clear();
+    pool.extend(0..experts);
     for i in 0..count.min(experts) {
         let j = rng.gen_range(i..experts);
         pool.swap(i, j);
     }
-    let mut chosen: Vec<usize> = pool[..count.min(experts)].to_vec();
-    chosen.sort_unstable();
-    chosen
+    out.clear();
+    out.extend_from_slice(&pool[..count.min(experts)]);
+    out.sort_unstable();
 }
 
 #[cfg(test)]

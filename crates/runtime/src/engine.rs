@@ -198,6 +198,7 @@ impl InferenceSim {
                 request.input_tokens,
                 req as u64,
                 &mut demand_bytes,
+                &mut scratch,
             )?;
             for tok in 0..request.output_tokens {
                 // Keep the timeline bounded: retain only the final iteration.
@@ -304,6 +305,7 @@ impl InferenceSim {
         input_tokens: usize,
         request_seed: u64,
         demand_bytes: &mut u64,
+        scratch: &mut CoreScratch,
     ) -> Result<()> {
         let cfg = &self.cfg;
         let enc_blocks = cfg.encoder_layers / cfg.moe_every;
@@ -339,7 +341,7 @@ impl InferenceSim {
             num_experts: cfg.num_experts,
             demand_bytes,
         };
-        core::prefill_pass(&mut env, sched, topo, enc_blocks, &costs, &mut rng, false)?;
+        core::prefill_pass(&mut env, sched, topo, enc_blocks, &costs, &mut rng, false, scratch)?;
         if let Some(staging) = staging {
             machine.pool_mut(Tier::Hbm).free(staging).expect("encoder staging double free");
         }

@@ -1018,6 +1018,7 @@ impl BatchSession {
             &costs,
             &mut rng,
             true,
+            &mut self.scratch,
         )
     }
 

@@ -7,7 +7,8 @@
 //! bit-exactly** — per-block latencies (hashed), total time, TTFT, measured
 //! and predicted peak HBM, GPU/PCIe busy time, and migrated bytes — for all
 //! 4 policies × {DDR, SSD} × {f32, int8}, plus a cached Zipf row per policy
-//! (hit/miss/eviction counters included).
+//! (hit/miss/eviction counters included), and the cached rows again under
+//! LFU and LIFO replacement.
 //!
 //! The constants below were captured by running the pre-refactor engine
 //! (commit `5cb1dc9`) on `Switch-Base-32`, request 32→8, default seed. If
@@ -65,6 +66,17 @@ fn request() -> DecodeRequest {
 }
 
 fn check(policy: OffloadPolicy, tier: Tier, precision: ExpertPrecision, golden: Golden) {
+    check_with(policy, tier, precision, Replacement::Lru, golden);
+}
+
+/// [`check`] with the cached rows' replacement policy spelled out.
+fn check_with(
+    policy: OffloadPolicy,
+    tier: Tier,
+    precision: ExpertPrecision,
+    replacement: Replacement,
+    golden: Golden,
+) {
     let mut opts = SimOptions::new(policy);
     if matches!(tier, Tier::Ssd) {
         opts = opts.with_ssd_offload();
@@ -75,10 +87,10 @@ fn check(policy: OffloadPolicy, tier: Tier, precision: ExpertPrecision, golden: 
     if golden.cache.is_some() {
         opts = opts
             .with_routing(RoutingKind::Zipf { s: 1.2 })
-            .with_cache(CacheConfig::new(0.2, Replacement::Lru));
+            .with_cache(CacheConfig::new(0.2, replacement));
     }
     let r = InferenceSim::new(ModelConfig::switch_base(32), opts).run(request(), 1).expect("run");
-    let tag = format!("{policy} / {tier:?} / {precision}");
+    let tag = format!("{policy} / {tier:?} / {precision} / {replacement:?}");
     assert_eq!(latency_hash(&r), golden.lat_hash, "{tag}: block latencies diverged");
     assert_eq!(r.total_time.as_nanos(), golden.total_ns, "{tag}: total time");
     assert_eq!(r.time_to_first_token.as_nanos(), golden.ttft_ns, "{tag}: TTFT");
@@ -531,6 +543,111 @@ fn trait_schedulers_reproduce_legacy_cache_interactions_bit_exactly() {
         OffloadPolicy::PrefetchAll,
         Tier::Ddr,
         ExpertPrecision::F32,
+        Golden {
+            lat_hash: 0x1b00789ed40dc544,
+            total_ns: 1036901088,
+            ttft_ns: 230737632,
+            peak: 3333396480,
+            predicted: 3333396480,
+            gpu_busy_ns: 112414992,
+            pcie_busy_ns: 1036495872,
+            fetch_bytes: 32614907904,
+            cache: Some((0, 1728, 1651)),
+        },
+    );
+    // The same rows under LFU and LIFO (captured on the linear-scan cache):
+    // the eviction index must pick the scan's victim, ties included.
+    let c = check_with;
+    c(
+        OffloadPolicy::Pregated,
+        Tier::Ddr,
+        ExpertPrecision::F32,
+        Replacement::Lfu,
+        Golden {
+            lat_hash: 0xbb69857aa884b239,
+            total_ns: 144383096,
+            ttft_ns: 88805688,
+            peak: 2163185664,
+            predicted: 2163185664,
+            gpu_busy_ns: 112414992,
+            pcie_busy_ns: 91173248,
+            fetch_bytes: 2868903936,
+            cache: Some((16, 152, 75)),
+        },
+    );
+    c(
+        OffloadPolicy::OnDemand,
+        Tier::Ddr,
+        ExpertPrecision::F32,
+        Replacement::Lfu,
+        Golden {
+            lat_hash: 0x8a0281f0d627f765,
+            total_ns: 203588240,
+            ttft_ns: 135414528,
+            peak: 2144311296,
+            predicted: 2144311296,
+            gpu_busy_ns: 112414992,
+            pcie_busy_ns: 91173248,
+            fetch_bytes: 2868903936,
+            cache: Some((16, 152, 75)),
+        },
+    );
+    c(
+        OffloadPolicy::PrefetchAll,
+        Tier::Ddr,
+        ExpertPrecision::F32,
+        Replacement::Lfu,
+        Golden {
+            lat_hash: 0x80946d0c7e2d1246,
+            total_ns: 720299984,
+            ttft_ns: 230737632,
+            peak: 3333396480,
+            predicted: 3333396480,
+            gpu_busy_ns: 112414992,
+            pcie_busy_ns: 717389504,
+            fetch_bytes: 22573744128,
+            cache: Some((532, 1196, 1119)),
+        },
+    );
+    c(
+        OffloadPolicy::Pregated,
+        Tier::Ddr,
+        ExpertPrecision::F32,
+        Replacement::Lifo,
+        Golden {
+            lat_hash: 0xbc3fd438c36023bd,
+            total_ns: 145582744,
+            ttft_ns: 88805688,
+            peak: 2163185664,
+            predicted: 2163185664,
+            gpu_busy_ns: 112414992,
+            pcie_busy_ns: 100770432,
+            fetch_bytes: 3170893824,
+            cache: Some((0, 168, 91)),
+        },
+    );
+    c(
+        OffloadPolicy::OnDemand,
+        Tier::Ddr,
+        ExpertPrecision::F32,
+        Replacement::Lifo,
+        Golden {
+            lat_hash: 0xed863c5fd680ec25,
+            total_ns: 213185424,
+            ttft_ns: 135414528,
+            peak: 2144311296,
+            predicted: 2144311296,
+            gpu_busy_ns: 112414992,
+            pcie_busy_ns: 100770432,
+            fetch_bytes: 3170893824,
+            cache: Some((0, 168, 91)),
+        },
+    );
+    c(
+        OffloadPolicy::PrefetchAll,
+        Tier::Ddr,
+        ExpertPrecision::F32,
+        Replacement::Lifo,
         Golden {
             lat_hash: 0x1b00789ed40dc544,
             total_ns: 1036901088,
