@@ -58,14 +58,14 @@ pub mod prelude {
     pub use pgmoe_device::{Machine, MachineConfig, SimDuration, SimTime, Tier};
     pub use pgmoe_model::{ExpertPrecision, GateTopology, GatingMode, ModelConfig, Precision};
     pub use pgmoe_runtime::{
-        serve_batched, serve_cluster, serve_stream, Admission, BatchConfig, BatchScheduler,
-        BatchSession, CacheAffinity, CacheCapacity, CacheConfig, ClusterConfig, ControlAction,
-        ControlOptions, ControlStats, ControlWindow, ControlledFleet, DispatchPolicy,
-        DriftSwitcher, ExpertScheduler, FetchSet, FleetConfig, FleetController, FleetSim,
-        FleetStats, InferenceSim, JoinShortestQueue, KvBlockPool, KvServeStats, LiveRouting,
-        NoControl, OffloadPolicy, PagedKvConfig, PlanTrace, PolicyCtx, PolicySpec, Prefetch,
-        QueueAutoScaler, Replacement, ReplicaObs, ReplicaView, RequestProfile, Residency,
-        RoundRobin, RunReport, SchedulerFactory, ServeStats, SimOptions, TokenEvent,
+        serve_batched, serve_cluster, Admission, BatchConfig, BatchScheduler, BatchSession,
+        CacheAffinity, CacheCapacity, CacheConfig, ClusterConfig, ControlAction, ControlOptions,
+        ControlStats, ControlWindow, ControlledFleet, DispatchPolicy, DriftSwitcher,
+        ExpertScheduler, FetchSet, FleetConfig, FleetController, FleetSim, FleetStats,
+        InferenceSim, JoinShortestQueue, KvBlockPool, KvServeStats, LiveRouting, NoControl,
+        OffloadPolicy, PagedKvConfig, PlanTrace, PolicyCtx, PolicySpec, Prefetch, QueueAutoScaler,
+        Replacement, ReplicaObs, ReplicaView, RequestProfile, Residency, RoundRobin, RunReport,
+        SchedulerFactory, ServeStats, SimOptions, TokenEvent,
     };
     pub use pgmoe_serve::{EngineConfig, ServeConfig, Server, ServerHandle, SloConfig};
     pub use pgmoe_train::{Trainer, TrainerConfig};

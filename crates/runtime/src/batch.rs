@@ -1,8 +1,10 @@
 //! Continuous-batching serving scheduler.
 //!
-//! [`crate::serve_stream`] reproduces the paper's operating point — batch-1,
-//! closed-loop serving. Production serving is open-loop: requests arrive on
-//! their own schedule and a scheduler decides how to share the GPU. This
+//! [`crate::InferenceSim`] reproduces the paper's operating point — batch-1
+//! decoding — and a [`BatchScheduler`] at `max_batch = 1` with every request
+//! queued at time zero serves that as a closed-loop stream. Production
+//! serving is open-loop: requests arrive on their own schedule and a
+//! scheduler decides how to share the GPU. This
 //! module implements **iteration-level continuous batching** (the
 //! Orca/vLLM discipline) on top of the same device simulator, placement
 //! plan, expert cache — and, since the policy redesign, the exact same
@@ -128,8 +130,8 @@ impl BatchScheduler {
     /// * [`RuntimeError::OutOfMemory`] if the static footprint (or a single
     ///   admitted request) cannot fit the HBM budget.
     /// * [`RuntimeError::InvalidConfig`] for a zero `max_batch`, a request
-    ///   with zero output tokens or batch size ≠ 1, unsorted arrivals, or
-    ///   options the policy surface rejects.
+    ///   with an empty prompt, zero output tokens or batch size ≠ 1,
+    ///   unsorted arrivals, or options the policy surface rejects.
     pub fn serve(&self, arrivals: impl IntoIterator<Item = ArrivedRequest>) -> Result<ServeStats> {
         let arrivals: Vec<ArrivedRequest> = arrivals.into_iter().collect();
         if self.batch.max_batch == 0 {
@@ -151,33 +153,19 @@ impl BatchScheduler {
         }
         Ok(session.finish())
     }
-
-    /// Test/diagnostic variant of [`crate::session`]'s decode-transient
-    /// bound, building its own scheduler instance.
-    #[cfg(test)]
-    fn worst_case_transient_bytes(&self, plan: &crate::PlacementPlan, batch: usize) -> u64 {
-        let sched = self.opts.policy.build(&self.opts.setup_for(&self.cfg));
-        crate::session::decode_transient_bytes(&self.cfg, sched.as_ref(), plan, batch)
-    }
-
-    /// Test/diagnostic variant of [`crate::session`]'s prefill-transient
-    /// bound, building its own scheduler instance.
-    #[cfg(test)]
-    fn prefill_transient_bytes(&self, plan: &crate::PlacementPlan, total_inputs: usize) -> u64 {
-        let sched = self.opts.policy.build(&self.opts.setup_for(&self.cfg));
-        crate::session::prefill_transient_bytes_of(&self.cfg, sched.as_ref(), plan, total_inputs)
-    }
 }
 
 /// What every open-loop driver requires of its trace: single-sequence
-/// requests with at least one output token, sorted by arrival time.
+/// requests with a non-empty prompt and at least one output token, sorted
+/// by arrival time.
 pub(crate) fn validate_arrivals(arrivals: &[ArrivedRequest]) -> Result<()> {
     for (i, a) in arrivals.iter().enumerate() {
-        if a.request.output_tokens == 0 || a.request.batch_size != 1 {
+        let r = a.request;
+        if r.input_tokens == 0 || r.output_tokens == 0 || r.batch_size != 1 {
             return Err(RuntimeError::InvalidConfig {
                 message: format!(
                     "request {i}: continuous batching serves single-sequence requests \
-                     with at least one output token"
+                     with a non-empty prompt and at least one output token"
                 ),
             });
         }
@@ -345,14 +333,14 @@ mod tests {
         let cfg = ModelConfig::switch_base(8);
         let opts =
             SimOptions::new(OffloadPolicy::Pregated).with_gating(GatingMode::Pregated { level: 2 });
-        let scheduler = BatchScheduler::new(cfg.clone(), opts.clone(), BatchConfig::new(8));
+        let sched = opts.policy.build(&opts.setup_for(&cfg));
         let base = PlacementPlan::new(&cfg, &opts, 0, 1);
         let act = PlacementPlan::new(&cfg, &opts, 20, 1).activation_bytes();
         let budget = base.static_non_activation_bytes()
             + 2 * act
-            + scheduler
-                .worst_case_transient_bytes(&base, 2)
-                .max(scheduler.prefill_transient_bytes(&base, 2 * 16));
+            + crate::session::decode_transient_bytes(&cfg, sched.as_ref(), &base, 2).max(
+                crate::session::prefill_transient_bytes_of(&cfg, sched.as_ref(), &base, 2 * 16),
+            );
         let stats = serve_batched(
             cfg,
             opts,

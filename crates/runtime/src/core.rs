@@ -132,12 +132,11 @@ pub(crate) struct PrefillCosts {
     pub labels: [&'static str; 3],
 }
 
-/// The batched serving paths' encoder-pass cost model: prefilling
-/// `total_inputs` prompt tokens against a batch whose live contexts read
-/// `attn_bytes` per attention layer. The all-at-once prefill and the paged
-/// path's chunked prefill both build their [`PrefillCosts`] here so the two
-/// cannot drift — with an unbounded chunk they submit byte- and
-/// flop-identical passes.
+/// The encoder-pass cost model: prefilling `total_inputs` prompt tokens
+/// against a batch whose live contexts read `attn_bytes` per attention
+/// layer. Token-parallel kernels: flops scale with tokens, weight bytes are
+/// read once. A session's prefill and [`crate::InferenceSim`]'s batch-1
+/// pass both build their [`PrefillCosts`] here, so the two cannot drift.
 pub(crate) fn batched_prefill_costs(
     cfg: &pgmoe_model::ModelConfig,
     plan: &PlacementPlan,

@@ -1,8 +1,17 @@
 //! The inference simulator: schedules one serving run under a policy.
+//!
+//! [`InferenceSim`] is deliberately not `BatchSession::pump` at
+//! `max_batch = 1`. Figs 10–12 and the goldens pin three things only it
+//! does:
+//!
+//! * its encoder pass stages fetches through a scheduler-sized region
+//!   instead of per-expert buffers;
+//! * it reserves the whole run's placement once, at full context and
+//!   `batch_size`, instead of per admitted request;
+//! * it replays one routing trace across its back-to-back requests and
+//!   records every decode block's latency.
 
-use crate::core::{
-    self, expected_distinct_experts, CoreEnv, CoreScratch, DecodeCosts, PrefillCosts,
-};
+use crate::core::{self, CoreEnv, CoreScratch, DecodeCosts, PrefillCosts};
 use crate::plan::{self, PlanSession, PlanTrace};
 use crate::scheduler::{ExpertScheduler, RoutedSource};
 use crate::{CacheStats, ExpertCache, PlacementPlan, Result, RuntimeError, SimOptions};
@@ -210,7 +219,7 @@ impl InferenceSim {
                 }
                 let costs = DecodeCosts {
                     attn_bytes: self.attn_bytes(ctx_len + tok),
-                    ffn_bytes: self.dense_ffn_bytes(),
+                    ffn_bytes: dense_ffn_bytes_for(cfg),
                     decoder_layers: cfg.decoder_layers,
                     moe_every: cfg.moe_every,
                 };
@@ -285,10 +294,6 @@ impl InferenceSim {
         attn_bytes_for(&self.cfg, [ctx])
     }
 
-    fn dense_ffn_bytes(&self) -> u64 {
-        dense_ffn_bytes_for(&self.cfg)
-    }
-
     /// Simulates the encoder pass over the prompt: policy hooks drive the
     /// fetch structure through the shared prefill core, and fetches stream
     /// through a scheduler-sized staging region (`alloc_buffers = false`)
@@ -309,29 +314,17 @@ impl InferenceSim {
     ) -> Result<()> {
         let cfg = &self.cfg;
         let enc_blocks = cfg.encoder_layers / cfg.moe_every;
-        let distinct =
-            expected_distinct_experts(input_tokens * plan.active_per_block(), cfg.num_experts);
         let staging = if plan.staging_experts() > 0 {
             Some(machine.pool_mut(Tier::Hbm).alloc(plan.staging_experts() * plan.expert_bytes())?)
         } else {
             None
         };
         let mut rng = StdRng::seed_from_u64(self.opts.seed ^ request_seed.wrapping_mul(0x9E37));
-        // Token-parallel encoder kernels: flops scale with tokens, weight
-        // bytes are read once.
-        let tokens = input_tokens as f64;
-        let d = cfg.d_model as f64;
-        let ffn_flops_dense = tokens * 4.0 * d * cfg.d_ff as f64;
+        // The shared prefill cost model over one prompt; only the kernel
+        // labels differ, so timelines keep their names.
         let costs = PrefillCosts {
-            attn_flops: tokens * 2.0 * (4.0 * d * d + 2.0 * d * tokens),
-            attn_bytes: self.attn_bytes(input_tokens),
-            ffn_flops: ffn_flops_dense,
-            ffn_bytes: self.dense_ffn_bytes(),
-            exec_flops: ffn_flops_dense * plan.active_per_block() as f64,
-            encoder_layers: cfg.encoder_layers,
-            moe_every: cfg.moe_every,
-            distinct,
             labels: ["attn", "ffn", "expert"],
+            ..core::batched_prefill_costs(cfg, plan, input_tokens, self.attn_bytes(input_tokens))
         };
         let mut env = CoreEnv {
             machine,

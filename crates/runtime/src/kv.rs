@@ -20,12 +20,17 @@
 //!   parallel-sampling seam) triggers **copy-on-write**: the writer gets a
 //!   private copy, the sibling's contents are untouched.
 //!
-//! The pool is a pure data structure — it owns no device memory. The
-//! serving session reconciles [`KvBlockPool::used_bytes`] against the
-//! simulated HBM pool and arbitrates the budget between KV blocks and the
-//! expert cache (see `session.rs`).
+//! The pool is a pure data structure — it owns no device memory.
+//! [`PagedKv`] is the serving session's whole view of paged KV: it places
+//! the expert-cache region, plans admissions at block granularity, appends
+//! prompt chunks and decode tokens, reconciles [`KvBlockPool::used_bytes`]
+//! against the simulated HBM pool, and arbitrates the budget between KV
+//! blocks and the expert cache. A session without it keeps contiguous KV.
 
-use pgmoe_device::{CostModel, Machine, SimDuration};
+use crate::{ExpertCache, PlacementPlan, Result};
+use pgmoe_device::{AllocId, Machine, Tier};
+use pgmoe_model::ModelConfig;
+use pgmoe_workload::ArrivedRequest;
 use std::collections::HashMap;
 
 /// Knobs for the paged-KV serving path (see
@@ -44,25 +49,13 @@ pub struct PagedKvConfig {
     /// Whether full blocks inside a declared shared prefix are deduplicated
     /// across requests.
     pub share_prefixes: bool,
-    /// Whether block-table bookkeeping costs *simulated* time: each fresh
-    /// block allocation charges one stream-sync of overhead and each
-    /// copy-on-write copy charges a memory-bound read+write of the copied
-    /// bytes (see `kv_append_duration`). Off by default so the
-    /// paged path stays timing-identical to the unpaged path when HBM is
-    /// roomy (the golden-equivalence pins rely on that).
-    pub timed_appends: bool,
 }
 
 impl PagedKvConfig {
     /// Paged KV with `block_tokens`-token blocks, unbounded prefill chunks,
     /// and prefix sharing enabled.
     pub fn new(block_tokens: usize) -> Self {
-        PagedKvConfig {
-            block_tokens,
-            prefill_chunk_tokens: usize::MAX,
-            share_prefixes: true,
-            timed_appends: false,
-        }
+        PagedKvConfig { block_tokens, prefill_chunk_tokens: usize::MAX, share_prefixes: true }
     }
 
     /// Builder: bound prompt prefill to `tokens` per scheduler step.
@@ -75,13 +68,6 @@ impl PagedKvConfig {
     /// private blocks).
     pub fn without_prefix_sharing(mut self) -> Self {
         self.share_prefixes = false;
-        self
-    }
-
-    /// Builder: charge simulated time for block allocation and
-    /// copy-on-write copies (see [`PagedKvConfig::timed_appends`]).
-    pub fn with_timed_appends(mut self) -> Self {
-        self.timed_appends = true;
         self
     }
 }
@@ -418,37 +404,217 @@ impl KvBlockPool {
     }
 }
 
-/// Simulated cost of paged-KV block bookkeeping: copy-on-write block copies
-/// read and write HBM (`2 × cow_bytes` memory-bound), and each fresh block
-/// allocation costs one stream-sync of bookkeeping.
-pub(crate) fn kv_append_duration(cost: &CostModel, blocks: u64, cow_bytes: u64) -> SimDuration {
-    let copies = if cow_bytes > 0 { cost.membound_time(2 * cow_bytes) } else { SimDuration::ZERO };
-    SimDuration::from_nanos(copies.as_nanos() + blocks * cost.sync_overhead.as_nanos())
+/// Splitmix-style finalizer: deterministic, well-spread content stamps for
+/// synthetic KV blocks.
+fn kv_stamp(seed: u64, pos: usize) -> u64 {
+    let mut z = seed ^ (pos as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-/// Charges paged-KV block bookkeeping to the compute stream (the paged
-/// session calls this outside the decode loop, once per chunked-prefill or
-/// token-append step).
-pub(crate) fn execute_kv_append(machine: &mut Machine, blocks: u64, cow_bytes: u64) {
-    let dur = kv_append_duration(machine.cost(), blocks, cow_bytes);
-    if dur > SimDuration::ZERO {
-        machine.compute_op("kv-append", dur, &[]);
+/// One request's paged KV: its block table and the identity its synthetic
+/// content stamps derive from.
+pub(crate) struct KvSeq {
+    table: BlockTable,
+    /// The declared shared prefix's hash and its length within the prompt.
+    prefix: (u64, usize),
+    /// Stamp seed of every position outside the prefix.
+    private: u64,
+}
+
+impl KvSeq {
+    /// Content stamp of the token at position `pos`: shared-prefix tokens
+    /// stamp off the tenant's prefix hash (equal across that tenant's
+    /// requests, which is what makes their KV blocks deduplicate), every
+    /// other position off the request's private seed.
+    fn stamp_at(&self, pos: usize) -> u64 {
+        kv_stamp(if pos < self.prefix.1 { self.prefix.0 } else { self.private }, pos)
+    }
+}
+
+/// Paged KV for one serving session: the block pool, its machine-side byte
+/// mirror, and the resizable expert-cache region it arbitrates against.
+pub(crate) struct PagedKv {
+    cfg: PagedKvConfig,
+    pool: KvBlockPool,
+    /// One HBM alloc mirroring `pool.used_bytes()`, re-reconciled whenever
+    /// the pool grows or shrinks.
+    kv_alloc: Option<AllocId>,
+    kv_alloc_bytes: u64,
+    /// The expert-cache region's own alloc, resizable under KV pressure.
+    cache_alloc: Option<AllocId>,
+    cache_experts_now: usize,
+    plan_cache_experts: usize,
+    expert_bytes: u64,
+    shrink_events: u64,
+    /// Reused buffer for the stamps one append writes.
+    stamps: Vec<u64>,
+}
+
+impl PagedKv {
+    /// Places `plan`'s static footprint with the expert-cache region as its
+    /// own alloc, so arbitration can resize it (the same total bytes as the
+    /// contiguous layout's single alloc, so peak accounting is untouched).
+    pub(crate) fn place(
+        cfg: PagedKvConfig,
+        model: &ModelConfig,
+        plan: &PlacementPlan,
+        machine: &mut Machine,
+    ) -> Result<Self> {
+        let hbm = machine.pool_mut(Tier::Hbm);
+        let cache_region = plan.cache_experts() as u64 * plan.expert_bytes();
+        hbm.alloc(plan.static_non_activation_bytes() - cache_region)?;
+        let cache_alloc = if cache_region > 0 { Some(hbm.alloc(cache_region)?) } else { None };
+        let bytes_per_token = crate::memory::kv_bytes(model.total_layers(), 1, model.d_model, 1);
+        Ok(PagedKv {
+            cfg,
+            pool: KvBlockPool::new(cfg.block_tokens, bytes_per_token),
+            kv_alloc: None,
+            kv_alloc_bytes: 0,
+            cache_alloc,
+            cache_experts_now: plan.cache_experts(),
+            plan_cache_experts: plan.cache_experts(),
+            expert_bytes: plan.expert_bytes(),
+            shrink_events: 0,
+            stamps: Vec::new(),
+        })
+    }
+
+    /// Most prompt tokens prefilled per scheduler step.
+    pub(crate) fn prefill_chunk(&self) -> usize {
+        self.cfg.prefill_chunk_tokens
+    }
+
+    /// The admission plan for `arr` joining `inflight` requests: working
+    /// buffers only, and KV at block granularity — live blocks, the
+    /// prompt's new blocks, and one growth block per in-flight sequence.
+    pub(crate) fn admission_bytes(
+        &self,
+        model: &ModelConfig,
+        arr: &ArrivedRequest,
+        inflight: usize,
+    ) -> (u64, u64) {
+        let full_ctx = arr.request.input_tokens + arr.request.output_tokens;
+        let blocks = arr.request.input_tokens.div_ceil(self.cfg.block_tokens) + inflight + 1;
+        let kv = self.pool.used_bytes() + blocks as u64 * self.pool.block_bytes();
+        (crate::memory::working_bytes(model, full_ctx, 1), kv)
+    }
+
+    /// The shared-prefix discount on a plan `over` bytes above budget:
+    /// prompt blocks a sibling's identical prefix already holds, at most
+    /// every full block of the sharable prefix. Probing re-hashes the whole
+    /// prefix, so it runs only when the discount could close the gap, or
+    /// when the `exact` shortfall must be reported. Otherwise the
+    /// undiscounted plan already decides the offer and this returns 0.
+    pub(crate) fn prefix_discount(&self, arr: &ArrivedRequest, over: u64, exact: bool) -> u64 {
+        let (true, Some(sp)) = (self.cfg.share_prefixes, arr.shared_prefix) else {
+            return 0;
+        };
+        let n = sp.tokens.min(arr.request.input_tokens);
+        let block_bytes = self.pool.block_bytes();
+        let most = (n / self.cfg.block_tokens) as u64 * block_bytes;
+        if !exact && most < over {
+            return 0;
+        }
+        self.pool.probe_shared_blocks((0..n).map(|i| kv_stamp(sp.hash, i))) as u64 * block_bytes
+    }
+
+    /// An empty sequence for `arr`, its stamps outside the shared prefix
+    /// seeded off `route_seed`.
+    pub(crate) fn open(&self, arr: &ArrivedRequest, route_seed: u64) -> KvSeq {
+        let prefix = arr
+            .shared_prefix
+            .map_or((0, 0), |sp| (sp.hash, sp.tokens.min(arr.request.input_tokens)));
+        let sharable = if self.cfg.share_prefixes { prefix.1 } else { 0 };
+        KvSeq {
+            table: self.pool.new_table(sharable),
+            prefix,
+            private: route_seed ^ 0xD6E8_FEB8_6659_FD93,
+        }
+    }
+
+    /// Appends the KV of `seq`'s next `tokens` tokens: a prompt chunk, or
+    /// one decode token.
+    pub(crate) fn append(&mut self, seq: &mut KvSeq, tokens: usize) {
+        let from = seq.table.tokens();
+        self.stamps.clear();
+        self.stamps.extend((from..from + tokens).map(|pos| seq.stamp_at(pos)));
+        self.pool.append(&mut seq.table, &self.stamps);
+    }
+
+    /// Returns a finished or aborted sequence's blocks to the pool.
+    pub(crate) fn release(&mut self, seq: KvSeq) {
+        self.pool.release(seq.table);
+    }
+
+    /// Reconciles the machine's HBM bookkeeping with the block pool and
+    /// arbitrates the expert-cache region against KV pressure: when live KV
+    /// blocks plus the `committed` bytes — static weights (cache region
+    /// included), the batch's working buffers and the scheduler's own
+    /// transient claim — leave less headroom under `budget` than the
+    /// cache's plan capacity, the cache shrinks (evicting through its
+    /// replacement policy); when headroom returns it regrows, up to the
+    /// plan capacity.
+    pub(crate) fn sync(
+        &mut self,
+        machine: &mut Machine,
+        cache: &mut Option<ExpertCache>,
+        committed: u64,
+        budget: u64,
+    ) -> Result<()> {
+        let hbm = machine.pool_mut(Tier::Hbm);
+        let want = self.pool.used_bytes();
+        if want != self.kv_alloc_bytes {
+            if let Some(id) = self.kv_alloc.take() {
+                hbm.free(id).expect("kv alloc double free");
+            }
+            if want > 0 {
+                self.kv_alloc = Some(hbm.alloc(want)?);
+            }
+            self.kv_alloc_bytes = want;
+        }
+        if self.plan_cache_experts == 0 {
+            return Ok(());
+        }
+        let region = self.plan_cache_experts as u64 * self.expert_bytes;
+        let headroom = budget.saturating_sub(committed - region + want);
+        let target = self.plan_cache_experts.min((headroom / self.expert_bytes.max(1)) as usize);
+        if target != self.cache_experts_now {
+            if target < self.cache_experts_now {
+                self.shrink_events += 1;
+            }
+            if let Some(id) = self.cache_alloc.take() {
+                hbm.free(id).expect("cache alloc double free");
+            }
+            if target > 0 {
+                self.cache_alloc = Some(hbm.alloc(target as u64 * self.expert_bytes)?);
+            }
+            if let Some(c) = cache.as_mut() {
+                c.set_capacity(target);
+            }
+            self.cache_experts_now = target;
+        }
+        Ok(())
+    }
+
+    /// The session's paged-KV statistics.
+    pub(crate) fn stats(&self) -> KvServeStats {
+        KvServeStats {
+            block_tokens: self.pool.block_tokens(),
+            peak_blocks: self.pool.peak_blocks(),
+            peak_kv_bytes: self.pool.peak_bytes(),
+            shared_hit_bytes: self.pool.stats().shared_hit_bytes,
+            cow_copy_bytes: self.pool.stats().cow_copy_bytes,
+            cache_shrink_events: self.shrink_events,
+            final_cache_experts: self.cache_experts_now,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kv_append_cost_scales_with_cow_bytes_and_blocks() {
-        let cost = CostModel::a100_pcie4();
-        assert_eq!(kv_append_duration(&cost, 0, 0), SimDuration::ZERO);
-        let alloc_only = kv_append_duration(&cost, 3, 0);
-        assert_eq!(alloc_only.as_nanos(), 3 * cost.sync_overhead.as_nanos());
-        let with_cow = kv_append_duration(&cost, 3, 1 << 20);
-        assert!(with_cow > alloc_only);
-    }
 
     const BPT: u64 = 100; // bytes per token
 

@@ -6,8 +6,8 @@
 //! Expert migration is a *pluggable policy*: the public [`ExpertScheduler`]
 //! trait decides what to fetch, when, and for which MoE block, and a single
 //! shared decode core executes those decisions for every serving path
-//! (batch-1 [`InferenceSim`], continuous-batching [`BatchScheduler`], QoS
-//! [`serve_stream`], and the multi-replica [`fleet`] layer with its
+//! (batch-1 [`InferenceSim`], continuous-batching [`BatchScheduler`] and
+//! its incremental [`BatchSession`], and the multi-replica [`fleet`] layer with its
 //! pluggable [`DispatchPolicy`] and iso-GPU expert-parallel backend
 //! [`PolicySpec::expert_parallel`]). The paper's four design points
 //! (Section V) ship as built-in schedulers behind the [`OffloadPolicy`]
@@ -97,5 +97,5 @@ pub use scheduler::{
     ExecPlan, ExpertScheduler, FetchSet, HbmPlan, MemoryProfile, Phase, PolicyCtx, PolicySpec,
     Prefetch, Residency, SchedulerFactory, SchedulerSetup,
 };
-pub use serve::{serve_stream, ServeStats};
+pub use serve::ServeStats;
 pub use session::{AbortedRequest, Admission, BatchSession, LiveRouting, TokenEvent};

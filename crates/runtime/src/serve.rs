@@ -1,22 +1,21 @@
-//! Multi-request serving with QoS statistics.
+//! Request-level QoS statistics.
 //!
 //! The paper motivates offloading by *quality of service*: "CPU offloading …
 //! comes with a significant increase in inference latency, deteriorating
-//! quality of service (QoS) to end users" (Section I). This module serves a
-//! stream of requests through [`InferenceSim`] and reports the request-level
-//! latency distribution a serving operator would monitor.
+//! quality of service (QoS) to end users" (Section I). [`ServeStats`] is the
+//! request-level latency distribution a serving operator would monitor.
 
-use crate::{InferenceSim, Result, SimOptions};
+use crate::SimOptions;
 use pgmoe_device::SimDuration;
 use pgmoe_model::ModelConfig;
-use pgmoe_workload::DecodeRequest;
 
 /// Request-level latency/throughput statistics for a served stream.
 ///
-/// Produced by both serving paths: the closed-loop batch-1
-/// [`serve_stream`] (requests queued at time zero, served back-to-back) and
-/// the open-loop continuous-batching [`crate::BatchScheduler`] (requests
-/// arrive over time and are interleaved).
+/// Produced by every serving path built on a
+/// [`crate::BatchSession`]: [`crate::BatchScheduler`] (requests arrive over
+/// time and are interleaved; at `max_batch = 1` with every request queued
+/// at time zero it serves the paper's closed-loop batch-1 stream), each
+/// fleet replica, and the HTTP front door.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// Display name of the scheduler that served the stream.
@@ -48,9 +47,8 @@ pub struct ServeStats {
     /// GPU compute-busy time across the stream (the utilization numerator a
     /// fleet divides by its makespan).
     pub gpu_busy: SimDuration,
-    /// Largest number of requests decoded together in one iteration (1 on
-    /// the batch-1 path; the admitted-batch metric the paged-KV gate
-    /// compares).
+    /// Largest number of requests decoded together in one iteration (the
+    /// admitted-batch metric the paged-KV gate compares).
     pub peak_batch: usize,
     /// Decode iterations replayed from a compiled plan across the stream
     /// (see [`crate::plan`]). Uncacheable configurations count neither hits
@@ -159,102 +157,11 @@ impl ServeStats {
     }
 }
 
-/// Serves a finite request stream back-to-back under one policy and gathers
-/// QoS statistics.
-///
-/// Requests are served sequentially (batch-1 serving, the paper's operating
-/// point) in a *closed loop*: the whole stream is queued at time zero and
-/// request `i` waits for requests `0..i` to finish. Its queueing delay is
-/// therefore the sum of the earlier service times, its TTFT adds the
-/// encoder pass plus one decode iteration, and its end-to-end latency adds
-/// its full service time. For open-loop arrivals (Poisson/bursty) and
-/// continuous batching, use [`crate::BatchScheduler`].
-///
-/// # Errors
-///
-/// Propagates the first simulator error (e.g. OOM under GPU-only).
-///
-/// # Example
-///
-/// ```
-/// use pgmoe_model::ModelConfig;
-/// use pgmoe_runtime::{serve_stream, OffloadPolicy, SimOptions};
-/// use pgmoe_workload::{DecodeRequest, RequestStream};
-///
-/// let stream = RequestStream::new(
-///     DecodeRequest { input_tokens: 16, output_tokens: 4, batch_size: 1 }, 2, 7);
-/// let stats = serve_stream(
-///     ModelConfig::switch_base(8),
-///     SimOptions::new(OffloadPolicy::Pregated),
-///     stream.take(5),
-/// )?;
-/// assert_eq!(stats.request_latencies.len(), 5);
-/// # Ok::<(), pgmoe_runtime::RuntimeError>(())
-/// ```
-pub fn serve_stream(
-    cfg: ModelConfig,
-    opts: SimOptions,
-    requests: impl IntoIterator<Item = DecodeRequest>,
-) -> Result<ServeStats> {
-    let mut latencies = Vec::new();
-    let mut queueing_delays = Vec::new();
-    let mut ttfts = Vec::new();
-    let mut total_tokens = 0usize;
-    let mut busy = SimDuration::ZERO;
-    let mut peak = 0u64;
-    let mut fetched = 0u64;
-    let mut demand = 0u64;
-    let mut gpu_busy = SimDuration::ZERO;
-    let mut plan_hits = 0u64;
-    let mut plan_misses = 0u64;
-    let mut policy_name: Option<String> = None;
-    for (i, request) in requests.into_iter().enumerate() {
-        // Each request runs on a fresh simulated timeline; back-to-back
-        // serving sums the busy periods (no idle gaps at saturation).
-        let mut opts_i = opts.clone();
-        opts_i.seed = opts.seed.wrapping_add(i as u64);
-        let report = InferenceSim::new(cfg.clone(), opts_i).run(request, 1)?;
-        // Closed loop: request i's queueing delay is the busy period so far.
-        queueing_delays.push(busy);
-        ttfts.push(busy + report.time_to_first_token);
-        latencies.push(busy + report.total_time);
-        busy += report.total_time;
-        total_tokens += request.output_tokens;
-        peak = peak.max(report.peak_hbm_bytes);
-        fetched += report.expert_fetch_bytes;
-        demand += report.demand_fetch_bytes;
-        gpu_busy += report.gpu_busy;
-        plan_hits += report.plan_cache_hits;
-        plan_misses += report.plan_cache_misses;
-        policy_name.get_or_insert(report.policy);
-    }
-    let tokens_per_sec =
-        if busy == SimDuration::ZERO { 0.0 } else { total_tokens as f64 / busy.as_secs_f64() };
-    Ok(ServeStats {
-        // Empty streams still report the *built* scheduler's name, so the
-        // label matches what a non-empty stream (or the batch path) reports.
-        policy: policy_name.unwrap_or_else(|| opts.policy.build(&opts.setup_for(&cfg)).name()),
-        request_latencies: latencies,
-        queueing_delays,
-        ttfts,
-        total_tokens,
-        tokens_per_sec,
-        peak_hbm_bytes: peak,
-        expert_fetch_bytes: fetched,
-        demand_fetch_bytes: demand,
-        gpu_busy,
-        peak_batch: if total_tokens > 0 { 1 } else { 0 },
-        plan_cache_hits: plan_hits,
-        plan_cache_misses: plan_misses,
-        kv: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OffloadPolicy;
-    use pgmoe_workload::RequestStream;
+    use crate::{serve_batched, BatchConfig, OffloadPolicy, Result};
+    use pgmoe_workload::{ArrivedRequest, DecodeRequest, RequestStream};
 
     fn small_stream(n: usize) -> Vec<DecodeRequest> {
         RequestStream::new(
@@ -266,27 +173,33 @@ mod tests {
         .collect()
     }
 
+    /// The paper's closed-loop batch-1 stream: every request queued at time
+    /// zero, served one at a time in order.
+    fn closed_loop(
+        cfg: ModelConfig,
+        policy: OffloadPolicy,
+        requests: impl IntoIterator<Item = DecodeRequest>,
+    ) -> Result<ServeStats> {
+        let arrivals = requests.into_iter().map(|r| ArrivedRequest::at_nanos(0, r));
+        serve_batched(cfg, SimOptions::new(policy), BatchConfig::new(1), arrivals)
+    }
+
     #[test]
     fn serves_all_requests_and_sums_tokens() {
-        let stats = serve_stream(
-            ModelConfig::switch_base(8),
-            SimOptions::new(OffloadPolicy::Pregated),
-            small_stream(6),
-        )
-        .unwrap();
+        let stats =
+            closed_loop(ModelConfig::switch_base(8), OffloadPolicy::Pregated, small_stream(6))
+                .unwrap();
         assert_eq!(stats.request_latencies.len(), 6);
         assert!(stats.total_tokens >= 6 * 2);
         assert!(stats.tokens_per_sec > 0.0);
+        assert_eq!(stats.peak_batch, 1);
     }
 
     #[test]
     fn quantiles_are_ordered() {
-        let stats = serve_stream(
-            ModelConfig::switch_base(8),
-            SimOptions::new(OffloadPolicy::OnDemand),
-            small_stream(10),
-        )
-        .unwrap();
+        let stats =
+            closed_loop(ModelConfig::switch_base(8), OffloadPolicy::OnDemand, small_stream(10))
+                .unwrap();
         let p50 = stats.latency_quantile(0.5);
         let p99 = stats.latency_quantile(0.99);
         assert!(p50 <= p99);
@@ -296,29 +209,17 @@ mod tests {
     #[test]
     fn pregated_beats_ondemand_qos() {
         // The QoS motivation: tail latency under Pre-gated is lower.
-        let pg = serve_stream(
-            ModelConfig::switch_base(64),
-            SimOptions::new(OffloadPolicy::Pregated),
-            small_stream(8),
-        )
-        .unwrap();
-        let od = serve_stream(
-            ModelConfig::switch_base(64),
-            SimOptions::new(OffloadPolicy::OnDemand),
-            small_stream(8),
-        )
-        .unwrap();
+        let run = |policy| closed_loop(ModelConfig::switch_base(64), policy, small_stream(8));
+        let (pg, od) =
+            (run(OffloadPolicy::Pregated).unwrap(), run(OffloadPolicy::OnDemand).unwrap());
         assert!(pg.latency_quantile(0.9) < od.latency_quantile(0.9));
         assert!(pg.tokens_per_sec > od.tokens_per_sec);
     }
 
     #[test]
     fn gpu_only_oom_propagates() {
-        let err = serve_stream(
-            ModelConfig::switch_large_128(),
-            SimOptions::new(OffloadPolicy::GpuOnly),
-            small_stream(1),
-        );
+        let err =
+            closed_loop(ModelConfig::switch_large_128(), OffloadPolicy::GpuOnly, small_stream(1));
         assert!(matches!(err, Err(crate::RuntimeError::OutOfMemory(_))));
     }
 
@@ -326,12 +227,9 @@ mod tests {
     fn quantiles_of_empty_stream_are_zero() {
         // Regression: these asserted "no requests served" and panicked,
         // which took down anything reading tail stats off an idle window.
-        let stats = serve_stream(
-            ModelConfig::switch_base(8),
-            SimOptions::new(OffloadPolicy::Pregated),
-            std::iter::empty(),
-        )
-        .unwrap();
+        let stats =
+            closed_loop(ModelConfig::switch_base(8), OffloadPolicy::Pregated, std::iter::empty())
+                .unwrap();
         for q in [0.0, 0.5, 0.95, 1.0] {
             assert_eq!(stats.latency_quantile(q), SimDuration::ZERO);
             assert_eq!(stats.ttft_quantile(q), SimDuration::ZERO);
@@ -397,23 +295,17 @@ mod tests {
 
     #[test]
     fn closed_loop_queueing_and_ttft_accounting() {
-        // Deterministic trace: three identical requests queued at time zero.
-        // Queueing delays must be the cumulative service times, TTFT must
-        // sit strictly between queueing delay and completion, and the
-        // accounting identity latency = queue + service must hold.
+        // Three identical requests queued at time zero on one batch slot:
+        // each is admitted the instant its predecessor completes, so its
+        // queueing delay is that predecessor's latency, and its TTFT sits
+        // strictly between its queueing delay and its completion.
         let requests = vec![DecodeRequest { input_tokens: 16, output_tokens: 3, batch_size: 1 }; 3];
-        let stats = serve_stream(
-            ModelConfig::switch_base(8),
-            SimOptions::new(OffloadPolicy::Pregated),
-            requests,
-        )
-        .unwrap();
+        let stats =
+            closed_loop(ModelConfig::switch_base(8), OffloadPolicy::Pregated, requests).unwrap();
         assert_eq!(stats.queueing_delays[0], SimDuration::ZERO);
-        let services: Vec<SimDuration> = (0..3)
-            .map(|i| stats.request_latencies[i].saturating_sub(stats.queueing_delays[i]))
-            .collect();
-        assert_eq!(stats.queueing_delays[1], services[0]);
-        assert_eq!(stats.queueing_delays[2], services[0] + services[1]);
+        for i in 1..3 {
+            assert_eq!(stats.queueing_delays[i], stats.request_latencies[i - 1], "at {i}");
+        }
         for i in 0..3 {
             assert!(stats.ttfts[i] > stats.queueing_delays[i], "TTFT covers queueing at {i}");
             assert!(stats.ttfts[i] < stats.request_latencies[i], "TTFT precedes completion at {i}");

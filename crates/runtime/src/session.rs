@@ -14,9 +14,9 @@
 //!   admission control (max batch + the scheduler's own HBM contract)
 //!   answers [`Admission::Admitted`], [`Admission::BatchFull`], or
 //!   [`Admission::OverBudget`].
-//! * [`BatchSession::step`] — run one scheduler step: prefill for anything
-//!   admitted since the last step, then one decode iteration for the whole
-//!   batch, returning a [`TokenEvent`] per in-flight request.
+//! * [`BatchSession::step`] — run one scheduler step: prefill for pending
+//!   prompts, then one decode iteration for every fully prefilled request,
+//!   returning a [`TokenEvent`] per request that decoded.
 //! * [`BatchSession::finish`] — consume the session and produce the same
 //!   [`ServeStats`] the run-to-completion path reports.
 //!
@@ -43,14 +43,14 @@ use crate::core::{
     self, batched_prefill_costs, expected_distinct_experts, CoreEnv, CoreScratch, DecodeCosts,
 };
 use crate::engine::{attn_bytes_for, dense_ffn_bytes_for};
-use crate::kv::{BlockTable, KvBlockPool, KvServeStats, PagedKvConfig};
+use crate::kv::{KvSeq, PagedKv};
 use crate::plan::{self, PlanCacheStats, PlanSession};
 use crate::scheduler::{ExpertScheduler, MemoryProfile, PolicySpec, RoutedSource};
 use crate::serve::ServeStats;
 use crate::{ExpertCache, PlacementPlan, Result, RuntimeError, SimOptions};
 use pgmoe_device::{AllocId, Machine, SimDuration, SimTime, Tier};
 use pgmoe_model::{ExpertPrecision, GateTopology, ModelConfig};
-use pgmoe_workload::{ArrivedRequest, RoutingTrace, SharedPrefix};
+use pgmoe_workload::{ArrivedRequest, RoutingTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -128,17 +128,15 @@ struct InFlight {
     first_token_at: Option<SimTime>,
     act_alloc: AllocId,
     act_bytes: u64,
-    /// Prompt tokens prefilled so far. The unpaged path prefills whole
-    /// prompts in the admission step, so this starts at `input_tokens`;
-    /// the paged path advances it chunk by chunk across steps.
+    /// Prompt tokens prefilled so far: the first step after admission
+    /// prefills the whole prompt, or its share of a bounded paged chunk.
     prefilled: usize,
-    /// Paged-KV block table (paged sessions only).
-    table: Option<BlockTable>,
+    /// Paged KV (paged sessions only).
+    kv: Option<KvSeq>,
     /// The request's routing identity: its stamped `route_seed`, or the
     /// id-derived default. Seeds the decode trace, the prefill expert draw
     /// and the synthetic KV content stamps outside the shared prefix.
     route_seed: u64,
-    shared_prefix: Option<SharedPrefix>,
 }
 
 impl InFlight {
@@ -151,44 +149,6 @@ impl InFlight {
     fn ready(&self) -> bool {
         self.prefilled >= self.request.input_tokens
     }
-
-    /// Content stamp of the token at position `pos`: shared-prefix tokens
-    /// stamp off the tenant's prefix hash (equal across that tenant's
-    /// requests, which is what makes their KV blocks deduplicate), every
-    /// other position off the request's private seed.
-    fn stamp_at(&self, pos: usize) -> u64 {
-        match self.shared_prefix {
-            Some(p) if pos < p.tokens.min(self.request.input_tokens) => kv_stamp(p.hash, pos),
-            _ => kv_stamp(self.route_seed ^ 0xD6E8_FEB8_6659_FD93, pos),
-        }
-    }
-}
-
-/// Splitmix-style finalizer: deterministic, well-spread content stamps for
-/// synthetic KV blocks.
-fn kv_stamp(seed: u64, pos: usize) -> u64 {
-    let mut z = seed ^ (pos as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Paged-KV machinery for one session: the block pool, its machine-side
-/// byte mirror, and the resizable expert-cache region it arbitrates
-/// against (see [`crate::kv`]).
-struct PagedState {
-    cfg: PagedKvConfig,
-    pool: KvBlockPool,
-    /// One HBM alloc mirroring `pool.used_bytes()`, re-reconciled whenever
-    /// the pool grows or shrinks.
-    kv_alloc: Option<AllocId>,
-    kv_alloc_bytes: u64,
-    /// The expert-cache region's own alloc, resizable under KV pressure.
-    cache_alloc: Option<AllocId>,
-    cache_experts_now: usize,
-    plan_cache_experts: usize,
-    expert_bytes: u64,
-    shrink_events: u64,
 }
 
 /// Per-request completion record, in admission order.
@@ -247,9 +207,9 @@ pub struct BatchSession {
     cache: Option<ExpertCache>,
     budget: u64,
     inflight: Vec<InFlight>,
-    /// Indices (into `inflight`) admitted since the last step; they get a
-    /// prefill pass at the start of the next step.
-    admitted_now: Vec<usize>,
+    /// Indices into `inflight` awaiting prefill, in admission order
+    /// (rebuilt every step; kept to reuse its allocation).
+    prefill_order: Vec<usize>,
     records: Vec<Record>,
     scratch: CoreScratch,
     plans: PlanSession,
@@ -261,7 +221,7 @@ pub struct BatchSession {
     total_tokens: usize,
     first_arrival: Option<SimTime>,
     last_completion: SimTime,
-    paged: Option<PagedState>,
+    kv: Option<PagedKv>,
     peak_batch: usize,
 }
 
@@ -298,35 +258,8 @@ impl BatchSession {
         // replay does not re-emit trace spans — see [`crate::plan`]).
         machine.set_trace_enabled(false);
         let base_plan = PlacementPlan::new(&cfg, &opts, 0, 1);
-        // Paged sessions place the expert-cache region as its own alloc so
-        // KV arbitration can resize it; the unpaged path keeps the single
-        // static alloc (same total bytes either way, so peak accounting is
-        // untouched).
-        let cache_region = base_plan.cache_experts() as u64 * base_plan.expert_bytes();
-        let paged = match batch.paged_kv {
-            Some(pcfg) => {
-                machine
-                    .pool_mut(Tier::Hbm)
-                    .alloc(base_plan.static_non_activation_bytes() - cache_region)?;
-                let cache_alloc = if cache_region > 0 {
-                    Some(machine.pool_mut(Tier::Hbm).alloc(cache_region)?)
-                } else {
-                    None
-                };
-                let bytes_per_token =
-                    crate::memory::kv_bytes(cfg.total_layers(), 1, cfg.d_model, 1);
-                Some(PagedState {
-                    cfg: pcfg,
-                    pool: KvBlockPool::new(pcfg.block_tokens, bytes_per_token),
-                    kv_alloc: None,
-                    kv_alloc_bytes: 0,
-                    cache_alloc,
-                    cache_experts_now: base_plan.cache_experts(),
-                    plan_cache_experts: base_plan.cache_experts(),
-                    expert_bytes: base_plan.expert_bytes(),
-                    shrink_events: 0,
-                })
-            }
+        let kv = match batch.paged_kv {
+            Some(pcfg) => Some(PagedKv::place(pcfg, &cfg, &base_plan, &mut machine)?),
             None => {
                 machine.pool_mut(Tier::Hbm).alloc(base_plan.static_non_activation_bytes())?;
                 None
@@ -354,7 +287,7 @@ impl BatchSession {
             cache,
             budget,
             inflight: Vec::new(),
-            admitted_now: Vec::new(),
+            prefill_order: Vec::new(),
             records: Vec::new(),
             scratch,
             plans,
@@ -366,7 +299,7 @@ impl BatchSession {
             total_tokens: 0,
             first_arrival: None,
             last_completion: SimTime::ZERO,
-            paged,
+            kv,
             peak_batch: 0,
             cfg,
             opts,
@@ -441,17 +374,18 @@ impl BatchSession {
     ///
     /// # Errors
     ///
-    /// * [`RuntimeError::InvalidConfig`] for a request with zero output
-    ///   tokens, a batch size other than 1, or an arrival stamp ahead of
-    ///   the clock.
+    /// * [`RuntimeError::InvalidConfig`] for a request with an empty prompt,
+    ///   zero output tokens, a batch size other than 1, or an arrival stamp
+    ///   ahead of the clock.
     /// * [`RuntimeError::OutOfMemory`] if the request cannot fit the HBM
     ///   budget even with the batch otherwise empty — it will *never* be
     ///   admissible, so the caller should reject it rather than retry.
     pub fn try_admit(&mut self, id: u64, arr: ArrivedRequest) -> Result<Admission> {
-        if arr.request.output_tokens == 0 || arr.request.batch_size != 1 {
+        let req = arr.request;
+        if req.input_tokens == 0 || req.output_tokens == 0 || req.batch_size != 1 {
             return Err(RuntimeError::InvalidConfig {
-                message: "batched serving admits single-sequence requests with at least one \
-                          output token"
+                message: "batched serving admits single-sequence requests with a non-empty \
+                          prompt and at least one output token"
                     .into(),
             });
         }
@@ -466,41 +400,16 @@ impl BatchSession {
         }
         let cfg = &self.cfg;
         let opts = &self.opts;
-        let full_ctx = arr.request.input_tokens + arr.request.output_tokens;
-        // Unpaged: reserve worst-case contiguous KV + working buffers for
-        // the whole lifetime up front. Paged: reserve working buffers only,
-        // and plan KV at block granularity — live blocks, the prompt's new
-        // blocks (less the shared-prefix discount below), and one growth
-        // block per in-flight sequence.
-        let (act_bytes, kv_planned) = match &self.paged {
-            Some(p) => {
-                let working = crate::memory::working_bytes(cfg, full_ctx, 1);
-                let block_bytes = p.pool.block_bytes();
-                let prompt_blocks = arr.request.input_tokens.div_ceil(p.cfg.block_tokens) as u64;
-                let growth = (self.inflight.len() as u64 + 1) * block_bytes;
-                (working, p.pool.used_bytes() + prompt_blocks * block_bytes + growth)
-            }
+        let full_ctx = req.input_tokens + req.output_tokens;
+        // Contiguous KV reserves the worst-case context plus working
+        // buffers for the whole lifetime up front; paged KV plans blocks.
+        let (act_bytes, kv_planned) = match &self.kv {
+            Some(kv) => kv.admission_bytes(cfg, &arr, self.inflight.len()),
             None => (PlacementPlan::new(cfg, opts, full_ctx, 1).activation_bytes(), 0),
         };
         let in_flight_act: u64 = self.inflight.iter().map(|r| r.act_bytes).sum();
-        let prefill_inputs = match &self.paged {
-            Some(p) => {
-                let pending: usize = self
-                    .inflight
-                    .iter()
-                    .map(|r| r.request.input_tokens - r.prefilled)
-                    .sum::<usize>()
-                    + arr.request.input_tokens;
-                pending.min(p.cfg.prefill_chunk_tokens)
-            }
-            None => {
-                self.admitted_now
-                    .iter()
-                    .map(|&i| self.inflight[i].request.input_tokens)
-                    .sum::<usize>()
-                    + arr.request.input_tokens
-            }
-        };
+        let pending: usize =
+            self.inflight.iter().map(|r| r.request.input_tokens - r.prefilled).sum::<usize>();
         let transient = decode_transient_bytes(
             cfg,
             self.sched.as_ref(),
@@ -511,30 +420,17 @@ impl BatchSession {
             cfg,
             self.sched.as_ref(),
             &self.base_plan,
-            prefill_inputs,
+            (pending + req.input_tokens).min(self.prefill_chunk()),
         ));
         let mut planned = self.base_plan.static_non_activation_bytes()
             + in_flight_act
             + act_bytes
             + kv_planned
             + transient;
-        let lone = self.inflight.is_empty() && self.admitted_now.is_empty();
-        // The shared-prefix discount: prompt blocks a sibling's identical
-        // prefix already holds, at most every full block of the sharable
-        // prefix. Probing re-hashes the whole prefix, so it runs only when
-        // the undiscounted and fully-discounted plans straddle the budget,
-        // or when a lone request's exact shortfall must be reported. In
-        // every other case one of the two bounds already decides the offer.
-        if let (true, Some(p)) = (planned > self.budget, &self.paged) {
-            if let (true, Some(sp)) = (p.cfg.share_prefixes, arr.shared_prefix) {
-                let n = sp.tokens.min(arr.request.input_tokens);
-                let block_bytes = p.pool.block_bytes();
-                let most = (n / p.cfg.block_tokens) as u64 * block_bytes;
-                if lone || planned - most <= self.budget {
-                    let shared = p.pool.probe_shared_blocks((0..n).map(|i| kv_stamp(sp.hash, i)));
-                    planned -= shared as u64 * block_bytes;
-                }
-            }
+        let lone = self.inflight.is_empty();
+        if let (true, Some(kv)) = (planned > self.budget, &self.kv) {
+            // A lone request's exact shortfall is reported below.
+            planned -= kv.prefix_discount(&arr, planned - self.budget, lone);
         }
         if planned > self.budget {
             if lone {
@@ -557,7 +453,7 @@ impl BatchSession {
         // from the caller-chosen id.
         let seed = arr.route_seed.unwrap_or(opts.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let trace = RoutingTrace::generate(
-            arr.request.output_tokens,
+            req.output_tokens,
             cfg.decoder_moe_layers(),
             cfg.num_experts,
             self.base_plan.active_per_block(),
@@ -569,38 +465,28 @@ impl BatchSession {
             Some(t) => t.min(arrival),
             None => arrival,
         });
-        let (prefilled, table) = match self.paged.as_mut() {
-            Some(p) => {
-                let sharable = if p.cfg.share_prefixes {
-                    arr.shared_prefix.map(|sp| sp.tokens.min(arr.request.input_tokens)).unwrap_or(0)
-                } else {
-                    0
-                };
-                (0, Some(p.pool.new_table(sharable)))
-            }
-            // Unpaged prompts prefill whole in the admission step.
-            None => (arr.request.input_tokens, None),
-        };
         self.records.push(Record { queueing, ttft: SimDuration::ZERO, latency: SimDuration::ZERO });
         self.inflight.push(InFlight {
             id,
             record: self.records.len() - 1,
             arrival,
-            request: arr.request,
+            request: req,
             trace,
             generated: 0,
             first_token_at: None,
             act_alloc,
             act_bytes,
-            prefilled,
-            table,
+            prefilled: 0,
+            kv: self.kv.as_ref().map(|kv| kv.open(&arr, seed)),
             route_seed: seed,
-            shared_prefix: arr.shared_prefix,
         });
-        if self.paged.is_none() {
-            self.admitted_now.push(self.inflight.len() - 1);
-        }
         Ok(Admission::Admitted { queueing })
+    }
+
+    /// Most prompt tokens one step prefills: the paged chunk, unbounded
+    /// with contiguous KV.
+    fn prefill_chunk(&self) -> usize {
+        self.kv.as_ref().map_or(usize::MAX, PagedKv::prefill_chunk)
     }
 
     /// One turn of the serving discipline every driver of a session runs
@@ -609,8 +495,8 @@ impl BatchSession {
     /// queue head's arrival; the queue is offered FIFO while its head has
     /// arrived and the session accepts it, `admitted` hearing each
     /// admission's handle and queueing delay; then one
-    /// [`BatchSession::step`] — prefill for the newly admitted, one decode
-    /// iteration for the whole batch.
+    /// [`BatchSession::step`] — prefill for pending prompts, one decode
+    /// iteration for every fully prefilled request.
     pub(crate) fn pump(
         &mut self,
         queue: &mut VecDeque<(usize, ArrivedRequest)>,
@@ -648,23 +534,12 @@ impl BatchSession {
     pub fn abort(&mut self, id: u64) -> Option<AbortedRequest> {
         let i = self.inflight.iter().position(|r| r.id == id)?;
         let r = self.inflight.swap_remove(i);
-        // `admitted_now` holds indices into `inflight`: drop the aborted
-        // entry and re-point whichever entry the swap_remove relocated.
-        let moved = self.inflight.len();
-        self.admitted_now.retain(|&x| x != i);
-        for x in &mut self.admitted_now {
-            if *x == moved {
-                *x = i;
-            }
-        }
         self.machine.pool_mut(Tier::Hbm).free(r.act_alloc).expect("activation double free");
-        if let Some(p) = self.paged.as_mut() {
-            if let Some(table) = r.table {
-                p.pool.release(table);
-            }
+        if let (Some(kv), Some(seq)) = (self.kv.as_mut(), r.kv) {
+            kv.release(seq);
             // Releasing blocks only shrinks the pool, so the reconcile's
             // free-then-alloc cannot fail.
-            self.sync_paged_kv().expect("kv reconcile after abort");
+            self.sync_kv().expect("kv reconcile after abort");
         }
         Some(AbortedRequest { id: r.id, tokens_generated: r.generated })
     }
@@ -722,8 +597,8 @@ impl BatchSession {
     }
 
     /// Runs one scheduler step with synthetic trace routing: prefill for
-    /// requests admitted since the last step, then one decode iteration
-    /// emitting one token per in-flight request.
+    /// pending prompts, then one decode iteration emitting one token per
+    /// fully prefilled request.
     ///
     /// # Errors
     ///
@@ -754,14 +629,9 @@ impl BatchSession {
         // server retains every op's event for the life of the process.
         self.machine.engine_mut().retire_events();
         let span_start = self.machine.horizon();
-        if self.paged.is_some() {
-            self.chunked_prefill()?;
-        } else {
-            self.prefill()?;
-        }
-        self.admitted_now.clear();
-        // Only fully-prefilled requests decode (the unpaged path prefills
-        // whole prompts at admission, so there the filter admits everyone).
+        self.prefill()?;
+        // Only fully-prefilled requests decode (a bounded paged chunk can
+        // leave a long prompt pending across steps).
         let ready = self.inflight.iter().filter(|r| r.ready()).count();
         self.peak_batch = self.peak_batch.max(ready);
         if ready > 0 {
@@ -845,37 +715,18 @@ impl BatchSession {
                 self.last_completion = self.last_completion.max(self.clock);
                 self.machine.pool_mut(Tier::Hbm).free(r.act_alloc).expect("activation double free");
                 let finished = self.inflight.swap_remove(i);
-                if let (Some(p), Some(table)) = (self.paged.as_mut(), finished.table) {
-                    p.pool.release(table);
+                if let (Some(kv), Some(seq)) = (self.kv.as_mut(), finished.kv) {
+                    kv.release(seq);
                 }
             } else {
-                if let Some(p) = self.paged.as_mut() {
-                    // The new decode token's KV joins the block table
-                    // (opening a fresh block at each boundary).
-                    let r = &mut self.inflight[i];
-                    let stamp = r.stamp_at(r.ctx_len() - 1);
-                    let table = r.table.as_mut().expect("paged request has a table");
-                    let before = p.pool.stats();
-                    p.pool.append(table, &[stamp]);
-                    if p.cfg.timed_appends {
-                        let after = p.pool.stats();
-                        crate::kv::execute_kv_append(
-                            &mut self.machine,
-                            after.blocks_allocated - before.blocks_allocated,
-                            after.cow_copy_bytes - before.cow_copy_bytes,
-                        );
-                    }
+                // The new decode token's KV joins its paged block table.
+                if let (Some(kv), Some(seq)) = (self.kv.as_mut(), r.kv.as_mut()) {
+                    kv.append(seq, 1);
                 }
                 i += 1;
             }
         }
-        self.sync_paged_kv()?;
-        // Timed paged-KV appends submitted during token retirement land
-        // after the measured span: fold their cost into the clock here so
-        // the next step starts from a consistent horizon. A no-op unless
-        // `timed_appends` charged something above.
-        let tail = self.machine.horizon() - span_start;
-        self.clock += tail.saturating_sub(span);
+        self.sync_kv()?;
         Ok(events)
     }
 
@@ -895,15 +746,6 @@ impl BatchSession {
         } else {
             self.total_tokens as f64 / span.as_secs_f64()
         };
-        let kv = self.paged.as_ref().map(|p| KvServeStats {
-            block_tokens: p.pool.block_tokens(),
-            peak_blocks: p.pool.peak_blocks(),
-            peak_kv_bytes: p.pool.peak_bytes(),
-            shared_hit_bytes: p.pool.stats().shared_hit_bytes,
-            cow_copy_bytes: p.pool.stats().cow_copy_bytes,
-            cache_shrink_events: p.shrink_events,
-            final_cache_experts: p.cache_experts_now,
-        });
         ServeStats {
             policy: self.sched.name(),
             request_latencies: self.records.iter().map(|r| r.latency).collect(),
@@ -918,87 +760,49 @@ impl BatchSession {
             peak_batch: self.peak_batch,
             plan_cache_hits: self.plans.stats().hits,
             plan_cache_misses: self.plans.stats().misses,
-            kv,
+            kv: self.kv.as_ref().map(PagedKv::stats),
         }
     }
 
-    /// Prefill (encoder pass) for newly admitted requests, batched: weight
-    /// reads amortize across the admitted set, expert fetches move the
-    /// expected distinct set their prompts activate — structured by the
-    /// same scheduler hooks as everything else.
+    /// Prefill at the decode-iteration boundary: spends at most
+    /// [`BatchSession::prefill_chunk`] prompt tokens on the oldest pending
+    /// prompts (admission order), appending their paged KV as it goes, then
+    /// submits one batched encoder pass over them. Weight reads amortize
+    /// across the prompts and expert fetches move the expected distinct set
+    /// they activate; a bounded chunk changes only *when* prefill work
+    /// runs, not what it costs.
     fn prefill(&mut self) -> Result<()> {
-        let Some(&first) = self.admitted_now.first() else {
+        self.prefill_order.clear();
+        self.prefill_order.extend((0..self.inflight.len()).filter(|&i| !self.inflight[i].ready()));
+        self.prefill_order.sort_unstable_by_key(|&i| self.inflight[i].record);
+        let Some(&first) = self.prefill_order.first() else {
             return Ok(());
         };
-        let total_inputs: usize =
-            self.admitted_now.iter().map(|&i| self.inflight[i].request.input_tokens).sum();
-        self.prefill_pass_for(total_inputs, self.inflight[first].route_seed)
-    }
-
-    /// Chunked prefill at the decode-iteration boundary (paged sessions):
-    /// spends at most `prefill_chunk_tokens` prompt tokens on the oldest
-    /// pending prompts (admission order), appending their KV blocks as it
-    /// goes. With an unbounded chunk this submits the same encoder pass as
-    /// the unpaged all-at-once prefill ([`batched_prefill_costs`] is
-    /// shared), so long prompts only change *when* prefill work runs, not
-    /// what it costs.
-    fn chunked_prefill(&mut self) -> Result<()> {
-        let p = self.paged.as_mut().expect("chunked prefill requires paged state");
-        let mut budget = p.cfg.prefill_chunk_tokens;
-        let mut order: Vec<usize> =
-            (0..self.inflight.len()).filter(|&i| !self.inflight[i].ready()).collect();
-        order.sort_unstable_by_key(|&i| self.inflight[i].record);
+        // Which experts the prompts activate is sampled (a fixed set would
+        // make every later prefill a cache hit), seeded off the first
+        // prompt's routing seed — like decode routing, a property of the
+        // request rather than of the handle its driver numbered it with.
+        let mut rng = StdRng::seed_from_u64(self.inflight[first].route_seed);
+        let budget = self.prefill_chunk();
         let mut total = 0usize;
-        let mut first_seed = None;
-        let mut stamps: Vec<u64> = Vec::new();
-        for &i in &order {
-            if budget == 0 {
-                break;
-            }
+        for &i in &self.prefill_order {
             let r = &mut self.inflight[i];
-            let todo = (r.request.input_tokens - r.prefilled).min(budget);
-            if todo == 0 {
-                continue;
-            }
-            first_seed.get_or_insert(r.route_seed);
-            stamps.clear();
-            stamps.extend((r.prefilled..r.prefilled + todo).map(|pos| r.stamp_at(pos)));
-            let table = r.table.as_mut().expect("paged request has a table");
-            let before = p.pool.stats();
-            p.pool.append(table, &stamps);
-            if p.cfg.timed_appends {
-                let after = p.pool.stats();
-                crate::kv::execute_kv_append(
-                    &mut self.machine,
-                    after.blocks_allocated - before.blocks_allocated,
-                    after.cow_copy_bytes - before.cow_copy_bytes,
-                );
+            let todo = (r.request.input_tokens - r.prefilled).min(budget - total);
+            if let (Some(kv), Some(seq)) = (self.kv.as_mut(), r.kv.as_mut()) {
+                kv.append(seq, todo);
             }
             r.prefilled += todo;
             total += todo;
-            budget -= todo;
+            if total == budget {
+                break;
+            }
         }
-        let Some(seed) = first_seed else {
-            return Ok(());
-        };
-        self.sync_paged_kv()?;
-        self.prefill_pass_for(total, seed)
-    }
-
-    /// The shared encoder pass both prefill flavours submit: `total_inputs`
-    /// prompt tokens, expert samples seeded off the first prefilled
-    /// request's routing seed — like decode routing, a property of the
-    /// request rather than of the handle its driver numbered it with.
-    fn prefill_pass_for(&mut self, total_inputs: usize, seed: u64) -> Result<()> {
+        self.sync_kv()?;
         let cfg = &self.cfg;
-        // Sample which experts the prompts activate (per block, like the
-        // batch-1 encoder pass) — a fixed 0..distinct set would turn every
-        // later prefill into a guaranteed cache hit and undercount traffic.
-        let mut rng = StdRng::seed_from_u64(seed);
         let costs = batched_prefill_costs(
             cfg,
             &self.base_plan,
-            total_inputs,
+            total,
             attn_bytes_for(cfg, self.inflight.iter().map(InFlight::ctx_len)),
         );
         let enc_blocks = cfg.encoder_layers / cfg.moe_every;
@@ -1022,59 +826,18 @@ impl BatchSession {
         )
     }
 
-    /// Reconciles the machine's HBM bookkeeping with the block pool and
-    /// arbitrates the expert-cache region against KV pressure: when live
-    /// KV blocks plus working buffers and the scheduler's own claim
-    /// ([`crate::HbmPlan::total_bytes`]) leave less headroom than the
-    /// cache's plan capacity, the cache shrinks (evicting through its
-    /// replacement policy); when headroom returns it regrows, up to the
-    /// plan capacity.
-    fn sync_paged_kv(&mut self) -> Result<()> {
-        let Some(p) = self.paged.as_mut() else {
+    /// Reconciles paged KV with HBM after its pool grew or shrank (see
+    /// [`PagedKv::sync`]); a no-op with contiguous KV.
+    fn sync_kv(&mut self) -> Result<()> {
+        let Some(kv) = self.kv.as_mut() else {
             return Ok(());
         };
-        let want = p.pool.used_bytes();
-        if want != p.kv_alloc_bytes {
-            if let Some(id) = p.kv_alloc.take() {
-                self.machine.pool_mut(Tier::Hbm).free(id).expect("kv alloc double free");
-            }
-            if want > 0 {
-                p.kv_alloc = Some(self.machine.pool_mut(Tier::Hbm).alloc(want)?);
-            }
-            p.kv_alloc_bytes = want;
-        }
-        if p.plan_cache_experts == 0 {
-            return Ok(());
-        }
-        let static_wo_cache = self.base_plan.static_non_activation_bytes()
-            - p.plan_cache_experts as u64 * p.expert_bytes;
         let working: u64 = self.inflight.iter().map(|r| r.act_bytes).sum();
-        let transient = decode_transient_bytes(
-            &self.cfg,
-            self.sched.as_ref(),
-            &self.base_plan,
-            self.inflight.len().max(1),
-        );
-        let committed = static_wo_cache + working + want + transient;
-        let headroom = self.budget.saturating_sub(committed);
-        let target = p.plan_cache_experts.min((headroom / p.expert_bytes.max(1)) as usize);
-        if target != p.cache_experts_now {
-            if target < p.cache_experts_now {
-                p.shrink_events += 1;
-            }
-            if let Some(id) = p.cache_alloc.take() {
-                self.machine.pool_mut(Tier::Hbm).free(id).expect("cache alloc double free");
-            }
-            if target > 0 {
-                p.cache_alloc =
-                    Some(self.machine.pool_mut(Tier::Hbm).alloc(target as u64 * p.expert_bytes)?);
-            }
-            if let Some(c) = self.cache.as_mut() {
-                c.set_capacity(target);
-            }
-            p.cache_experts_now = target;
-        }
-        Ok(())
+        let batch = self.inflight.len().max(1);
+        let transient =
+            decode_transient_bytes(&self.cfg, self.sched.as_ref(), &self.base_plan, batch);
+        let committed = self.base_plan.static_non_activation_bytes() + working + transient;
+        kv.sync(&mut self.machine, &mut self.cache, committed, self.budget)
     }
 }
 
@@ -1117,7 +880,7 @@ pub(crate) fn decode_transient_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OffloadPolicy;
+    use crate::{OffloadPolicy, PagedKvConfig};
     use pgmoe_workload::DecodeRequest;
 
     fn req(input: usize, output: usize) -> DecodeRequest {
@@ -1387,20 +1150,52 @@ mod tests {
     }
 
     #[test]
-    fn abort_before_first_step_cancels_the_pending_prefill() {
-        // Admit two, abort one before stepping: the survivor's prefill must
-        // still run exactly once and the session must stay consistent.
-        let mut s = session(4);
-        s.try_admit(0, ArrivedRequest::at_nanos(0, req(8, 2))).unwrap();
-        s.try_admit(1, ArrivedRequest::at_nanos(0, req(8, 2))).unwrap();
-        assert!(s.abort(0).is_some());
-        let events = s.step().unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].id, 1);
-        while s.in_flight() > 0 {
-            s.step().unwrap();
+    fn zero_token_prompt_is_invalid_on_both_kv_layouts() {
+        // An empty prompt has nothing to prefill; admitting it once ran an
+        // encoder pass over zero tokens on contiguous KV and none at all
+        // on paged KV.
+        for batch in
+            [BatchConfig::new(2), BatchConfig::new(2).with_paged_kv(PagedKvConfig::new(16))]
+        {
+            let cfg = ModelConfig::switch_base(8);
+            let opts = SimOptions::new(OffloadPolicy::Pregated);
+            let mut s = BatchSession::new(cfg.clone(), opts.clone(), batch).unwrap();
+            let empty = ArrivedRequest::at_nanos(0, req(0, 4));
+            let bad = s.try_admit(0, empty);
+            assert!(matches!(bad, Err(RuntimeError::InvalidConfig { .. })), "{batch:?}: {bad:?}");
+            let bad = crate::serve_batched(cfg, opts, batch, [empty]);
+            assert!(matches!(bad, Err(RuntimeError::InvalidConfig { .. })), "{batch:?}");
         }
-        assert_eq!(s.total_tokens(), 2);
+    }
+
+    #[test]
+    fn abort_before_first_step_cancels_the_pending_prefill() {
+        // Admit three, abort the middle one before stepping: the survivors'
+        // prefill must run exactly once and cost exactly what it costs in a
+        // session that only ever admitted them, on either KV layout.
+        for batch in
+            [BatchConfig::new(4), BatchConfig::new(4).with_paged_kv(PagedKvConfig::new(16))]
+        {
+            let run = |ids: &[u64], abort: Option<u64>| {
+                let opts = SimOptions::new(OffloadPolicy::Pregated);
+                let mut s = BatchSession::new(ModelConfig::switch_base(8), opts, batch).unwrap();
+                for &id in ids {
+                    s.try_admit(id, ArrivedRequest::at_nanos(0, req(8 + id as usize, 2))).unwrap();
+                }
+                if let Some(id) = abort {
+                    assert!(s.abort(id).is_some());
+                }
+                let events = s.step().unwrap();
+                assert_eq!(events.iter().map(|e| e.id).collect::<Vec<_>>(), vec![0, 2]);
+                while s.in_flight() > 0 {
+                    s.step().unwrap();
+                }
+                assert_eq!(s.total_tokens(), 4);
+                let stats = (s.expert_fetch_bytes(), s.demand_fetch_bytes(), s.peak_hbm_bytes());
+                (s.clock(), stats)
+            };
+            assert_eq!(run(&[0, 1, 2], Some(1)), run(&[0, 2], None), "{batch:?}");
+        }
     }
 
     #[test]

@@ -163,33 +163,6 @@ fn paged_admission_decisions_are_pinned_across_budgets() {
     }
 }
 
-/// Opt-in KV timing: by default paged bookkeeping is free (claim 1 pins
-/// the paged path bit-exact against unpaged), but `with_timed_appends`
-/// must charge simulated time for block allocation and copy-on-write.
-#[test]
-fn timed_appends_charge_simulated_time_only_when_opted_in() {
-    let arrivals = mixed_context_trace(16, 512, 384, 2, 50_000);
-    let batch = BatchConfig::new(8);
-    let untimed = serve(batch.with_paged_kv(PagedKvConfig::new(16)), &arrivals);
-    let timed = serve(batch.with_paged_kv(PagedKvConfig::new(16).with_timed_appends()), &arrivals);
-    assert_eq!(timed.total_tokens, untimed.total_tokens, "timing must not change the work");
-    assert_eq!(
-        timed.kv.expect("kv stats").peak_blocks,
-        untimed.kv.expect("kv stats").peak_blocks,
-        "timing must not change block accounting"
-    );
-    assert!(
-        timed.request_latencies.iter().zip(&untimed.request_latencies).all(|(t, u)| t >= u),
-        "charged bookkeeping can only slow requests down"
-    );
-    assert!(
-        timed.tokens_per_sec < untimed.tokens_per_sec,
-        "fresh blocks and CoW copies must cost simulated time: {} vs {}",
-        timed.tokens_per_sec,
-        untimed.tokens_per_sec
-    );
-}
-
 /// Claim 3: prefix sharing, specifically, is where the KV bytes go.
 #[test]
 fn prefix_sharing_reduces_peak_kv_bytes() {

@@ -4,10 +4,17 @@
 use pregated_moe::model::net::{SwitchNet, SwitchNetConfig};
 use pregated_moe::model::{load_params, save_params, GatingMode};
 use pregated_moe::prelude::*;
-use pregated_moe::runtime::{serve_stream, simulate_expert_parallel, ClusterConfig};
+use pregated_moe::runtime::{simulate_expert_parallel, ClusterConfig};
 use pregated_moe::tensor::nn::Layer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The paper's closed-loop batch-1 stream: every request queued at time
+/// zero on one batch slot, served back-to-back.
+fn closed_loop(cfg: ModelConfig, policy: OffloadPolicy, requests: &[DecodeRequest]) -> ServeStats {
+    let arrivals = requests.iter().map(|&r| ArrivedRequest::at_nanos(0, r));
+    serve_batched(cfg, SimOptions::new(policy), BatchConfig::new(1), arrivals).unwrap()
+}
 
 #[test]
 fn qos_tail_latency_ranks_policies_like_fig11() {
@@ -19,9 +26,7 @@ fn qos_tail_latency_ranks_policies_like_fig11() {
     .take(6)
     .collect();
     let p95 = |policy| {
-        serve_stream(ModelConfig::switch_base(64), SimOptions::new(policy), requests.clone())
-            .unwrap()
-            .latency_quantile(0.95)
+        closed_loop(ModelConfig::switch_base(64), policy, &requests).latency_quantile(0.95)
     };
     let gpu = p95(OffloadPolicy::GpuOnly);
     let pg = p95(OffloadPolicy::Pregated);
@@ -84,20 +89,12 @@ fn expert_parallel_cluster_vs_single_gpu_tco() {
 }
 
 #[test]
-fn serve_stream_is_deterministic() {
-    let requests: Vec<DecodeRequest> =
-        vec![DecodeRequest { input_tokens: 16, output_tokens: 3, batch_size: 1 }; 3];
-    let a = serve_stream(
-        ModelConfig::switch_base(8),
-        SimOptions::new(OffloadPolicy::Pregated),
-        requests.clone(),
-    )
-    .unwrap();
-    let b = serve_stream(
-        ModelConfig::switch_base(8),
-        SimOptions::new(OffloadPolicy::Pregated),
-        requests,
-    )
-    .unwrap();
+fn closed_loop_stream_is_deterministic() {
+    let requests = [DecodeRequest { input_tokens: 16, output_tokens: 3, batch_size: 1 }; 3];
+    let run = || closed_loop(ModelConfig::switch_base(8), OffloadPolicy::Pregated, &requests);
+    let (a, b) = (run(), run());
     assert_eq!(a.request_latencies, b.request_latencies);
+    assert_eq!(a.ttfts, b.ttfts);
+    assert_eq!(a.queueing_delays, b.queueing_delays);
+    assert_eq!(a.expert_fetch_bytes, b.expert_fetch_bytes);
 }
