@@ -161,7 +161,7 @@ pub fn precision_sweep() -> String {
 /// (`Speculative-Top8`, `Cache-Pinned-8`), each reporting throughput, mean
 /// block latency, total migrated bytes, and on-demand miss-stall bytes on a
 /// Zipf-hot trace. The new columns make the speculative tradeoff visible:
-/// fewer critical-path bytes, more link bytes.
+/// fewer critical-path bytes, more link bytes. Self-asserts both trades.
 pub fn policies_sweep() -> String {
     let cfg = ModelConfig::switch_base(64);
     let request = DecodeRequest { input_tokens: 32, output_tokens: 16, batch_size: 1 };
@@ -176,6 +176,7 @@ pub fn policies_sweep() -> String {
         "{:<18} {:>10} {:>16} {:>14} {:>12}\n",
         "scheduler", "tokens/s", "mean block", "fetched (MB)", "demand (MB)"
     ));
+    let mut reports = Vec::new();
     for spec in specs {
         let r = run(&cfg, SimOptions::new(spec).with_routing(zipf), request);
         out.push_str(&format!(
@@ -186,7 +187,21 @@ pub fn policies_sweep() -> String {
             r.expert_fetch_bytes as f64 / 1e6,
             r.demand_fetch_bytes as f64 / 1e6,
         ));
+        reports.push(r);
     }
+    // The two trait schedulers do what their names claim.
+    let bytes = |name: &str| {
+        let r = reports.iter().find(|r| r.policy == name).expect(name);
+        (r.expert_fetch_bytes, r.demand_fetch_bytes)
+    };
+    let [(pg_fetched, pg_demand), (spec_fetched, spec_demand), (pinned_fetched, _)] =
+        ["Pre-gated MoE", "Speculative-Top8", "Cache-Pinned-8"].map(bytes);
+    assert!(
+        spec_demand < pg_demand && spec_fetched > pg_fetched,
+        "Speculative-Top8 must trade link bytes for fewer miss stalls: fetched {spec_fetched} \
+         vs {pg_fetched}, demand {spec_demand} vs {pg_demand}"
+    );
+    assert!(pinned_fetched < pg_fetched, "Cache-Pinned-8 must shrink migration");
     out.push_str(
         "shape: Speculative-Top8 trades link bytes for miss stalls (lower demand MB\n\
          than Pre-gated, higher fetched MB); Cache-Pinned-8 buys migration savings\n\
@@ -324,10 +339,11 @@ pub fn fleet_shootout() -> String {
 }
 
 /// The chaos suite (`repro -- chaos`): fault injection, replica failure
-/// recovery, autoscaling, and online policy switching on the controlled
-/// fleet layer. Every row is recomputed and the robustness claims are
-/// self-asserted — a regression in recovery or the controller loop panics
-/// here, not just in CI.
+/// recovery, autoscaling (against every static fleet size on the same
+/// trace), and online policy switching on the controlled fleet layer. Every
+/// row is recomputed and the robustness claims are self-asserted — a
+/// regression in recovery or the controller loop panics here, not just in
+/// CI.
 pub fn chaos_suite() -> String {
     let model = ModelConfig::switch_base(8);
     let controlled = |replicas: usize, policy: OffloadPolicy| {
@@ -371,6 +387,7 @@ pub fn chaos_suite() -> String {
     ));
     assert_eq!(survived.request_latencies.len(), burst.len(), "zero requests lost to the kill");
     assert_eq!(survived.total_tokens, expected_tokens, "every stream completed in full");
+    assert!(ctl.redispatched > 0, "the killed replica's work must be redispatched");
 
     // Autoscaling on the diurnal trace, billed elastically.
     let wave = trace(96, 17);
@@ -392,6 +409,23 @@ pub fn chaos_suite() -> String {
     ));
     assert!(c.scale_ups > 0 && c.scale_downs > 0, "diurnal load must exercise both knobs");
     assert_eq!(adaptive.request_latencies.len(), wave.len());
+    // Autoscaling dominates every static size on the same trace: each
+    // static fleet either misses the autoscaler's p99 (underprovisioned) or
+    // loses on tokens/s-per-GPU (idle through the trough).
+    for replicas in 1..=5 {
+        let fixed = controlled(replicas, OffloadPolicy::Pregated)
+            .serve(wave.clone(), &mut JoinShortestQueue::new(), &FaultPlan::new(), &mut NoControl)
+            .expect("static run");
+        let (tps, p99) = (fixed.tokens_per_gpu_second(), fixed.p99());
+        out.push_str(&format!(
+            "  static {replicas} replica(s): {tps:.1} tokens/s-per-GPU at p99 {p99}\n"
+        ));
+        assert!(
+            p99 > adaptive.p99() || adaptive.tokens_per_gpu_second() > tps,
+            "static {replicas} replica(s) matched the autoscaler on p99 ({p99}) and on \
+             tokens/s-per-GPU ({tps:.1}) — autoscaling should dominate"
+        );
+    }
 
     // Drift-triggered online policy switch cuts miss-stall bytes.
     let drifting = trace(48, 29);
@@ -737,6 +771,7 @@ mod tests {
         for needle in [
             "kill 1 of 3 replicas: 48/48 requests served",
             "autoscaler on diurnal load",
+            "static 5 replica(s)",
             "drift switch (OnDemand -> Pre-gated)",
         ] {
             assert!(report.contains(needle), "missing `{needle}`:\n{report}");

@@ -1,19 +1,20 @@
 //! `bench_gate` — the perf-regression gate CI runs on every PR.
 //!
-//! Re-times the substrate GEMM + fused-dequant kernels (the same
-//! measurement `benches/substrate.rs` takes) and compares the
-//! machine-normalized speedups against the committed
-//! `BENCH_substrate.json` baseline. Exits non-zero when any kernel's
-//! speedup regressed more than the tolerance (default 25 %). The candidate
-//! measurement is always written out so CI can archive it as an artifact.
+//! Times the measurements of `pgmoe_bench::gate`, writes them in the
+//! `BENCH_substrate.json` layout, and checks every gated row of its
+//! `ROWS` table: six speedups against the committed baseline and seven
+//! absolute floors. Exits 1 when a row fails, 2 on a bad argument or a
+//! baseline that lacks a row's key. The candidate file is written either
+//! way.
 //!
 //! ```sh
 //! cargo run --release -p pgmoe-bench --bin bench_gate
-//! cargo run --release -p pgmoe-bench --bin bench_gate -- \
-//!     --baseline BENCH_substrate.json --out BENCH_candidate.json --tolerance 0.25
+//! # Refresh the committed baseline (pin the threads so the parallel rows
+//! # stay comparable with CI):
+//! PGMOE_THREADS=2 cargo run --release -p pgmoe-bench --bin bench_gate -- --out BENCH_substrate.json
 //! ```
 //!
-//! Verify the gate bites by doctoring a baseline (inject a 2x "expected"
+//! Verify the gate bites by doctoring a baseline (inject a 99x "expected"
 //! speedup the real tree cannot reach):
 //!
 //! ```sh
@@ -21,7 +22,7 @@
 //! cargo run --release -p pgmoe-bench --bin bench_gate -- --baseline /tmp/doctored.json && echo BUG
 //! ```
 
-use pgmoe_bench::gate::{self, Gemm512Measurement};
+use pgmoe_bench::gate::{self, Sample};
 
 const USAGE: &str = "usage: bench_gate [--baseline <path>] [--out <path>] [--tolerance <frac>]
 defaults: --baseline <workspace>/BENCH_substrate.json
@@ -54,29 +55,22 @@ fn main() {
         }
     }
 
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(err) => {
-            eprintln!("bench_gate: cannot read baseline {baseline_path}: {err}");
-            std::process::exit(2);
-        }
-    };
-    let Some(baseline) = Gemm512Measurement::parse_json(&baseline_text) else {
-        eprintln!("bench_gate: baseline {baseline_path} is not a gemm_512 measurement");
+    let baseline = std::fs::read_to_string(&baseline_path)
+        .map_err(|err| format!("cannot be read: {err}"))
+        .and_then(|text| Sample::parse(&text).map_err(|key| format!("lacks `{key}`")));
+    let baseline = baseline.unwrap_or_else(|why| {
+        eprintln!("bench_gate: baseline {baseline_path} {why}");
         std::process::exit(2);
-    };
+    });
 
     println!("bench_gate: measuring 512^3 GEMM kernels (best of 9)...");
-    let candidate = gate::measure_gemm_512();
+    let gemm = gate::measure_gemm_512();
     println!("bench_gate: measuring fused Q4 dequant kernels (best of 25)...");
-    let q4_candidate = gate::measure_q4_fused();
+    let q4 = gate::measure_q4_fused();
     println!("bench_gate: measuring compiled-plan host speedup (best of 7)...");
-    let plan_candidate = gate::measure_plan_host();
-    let candidate_json = gate::merge_q4_json(
-        &gate::merge_plan_json(&candidate.to_json(), &plan_candidate),
-        &q4_candidate,
-    );
-    if let Err(err) = std::fs::write(&out_path, candidate_json) {
+    let plan = gate::measure_plan_host();
+    let candidate = Sample::of(&(gemm, q4, plan));
+    if let Err(err) = std::fs::write(&out_path, candidate.render()) {
         eprintln!("bench_gate: could not write candidate {out_path}: {err}");
     } else {
         println!("bench_gate: candidate written to {out_path}");
@@ -85,62 +79,24 @@ fn main() {
     println!(
         "bench_gate: baseline from {baseline_path} ({} thr / {} hw), candidate on {} thr / {} hw, \
          tolerance {:.0}%",
-        baseline.threads,
-        baseline.hardware_threads,
-        candidate.threads,
-        candidate.hardware_threads,
+        baseline.get("threads"),
+        baseline.get("hardware_threads"),
+        candidate.get("threads"),
+        candidate.get("hardware_threads"),
         tolerance * 100.0
     );
-    let mut verdicts = gate::compare(&baseline, &candidate, tolerance);
-    match gate::Q4FusedMeasurement::parse_json(&baseline_text) {
-        Some(q4_baseline) => {
-            verdicts.extend(gate::compare_q4(&q4_baseline, &q4_candidate, tolerance))
-        }
-        None => println!(
-            "  speedup_q4_scalar/simd       no baseline yet — candidate {:.2}x / {:.2}x \
-             (informational)",
-            q4_candidate.speedup_q4_scalar, q4_candidate.speedup_q4_simd
-        ),
+    let lines = gate::check(&baseline, &candidate, tolerance);
+    for line in &lines {
+        println!("  {line}");
     }
-    match gate::PlanHostMeasurement::parse_json(&baseline_text) {
-        Some(plan_baseline) => {
-            verdicts.push(gate::compare_plan(&plan_baseline, &plan_candidate, tolerance))
-        }
-        None => println!(
-            "  speedup_plan_cache           no baseline yet — candidate {:.2}x (informational)",
-            plan_candidate.speedup_plan_cache
-        ),
-    }
-    let mut failed = false;
-    for v in &verdicts {
-        println!(
-            "  {:<28} baseline {:>6.2}x  candidate {:>6.2}x  {}",
-            v.metric,
-            v.baseline,
-            v.candidate,
-            if !v.gated {
-                "skipped (fewer effective threads than baseline — informational)"
-            } else if v.ok {
-                "ok"
-            } else {
-                "REGRESSED"
-            }
-        );
-        failed |= !v.ok;
-    }
-    // Absolute acceptance bars on top of the relative gate: plan replay
-    // must beat the interpreted decode loop by >= 1.3x on this machine,
-    // and the fused Q4 floors (scalar fused >= 1.2x over unfused
-    // dequantize-then-matmul; SIMD >= 1.2x over scalar when the AVX2 tier
-    // ran) must hold.
-    gate::assert_plan_floor(&plan_candidate);
-    gate::assert_q4_floors(&q4_candidate);
-    if failed {
+    if lines.iter().any(|line| !line.ok()) {
         eprintln!(
-            "bench_gate: FAIL — kernel speedup regressed more than {:.0}% vs the committed \
-             baseline. If the slowdown is intentional, refresh BENCH_substrate.json by running \
-             `PGMOE_THREADS=2 cargo bench -p pgmoe-bench --bench substrate` (pin the thread \
-             count so the parallel figure stays comparable with CI) and commit the result.",
+            "bench_gate: FAIL — a speedup regressed more than {:.0}% vs the committed baseline or \
+             fell below its floor. A floor break is a kernel regression to fix. If a slowdown \
+             against the baseline is intentional, refresh BENCH_substrate.json by running \
+             `PGMOE_THREADS=2 cargo run --release -p pgmoe-bench --bin bench_gate -- --out \
+             BENCH_substrate.json` (pin the thread count so the parallel figure stays comparable \
+             with CI) and commit the result.",
             tolerance * 100.0
         );
         std::process::exit(1);

@@ -1,51 +1,21 @@
-//! The perf-regression gate: measure the substrate GEMM kernels, compare
-//! against the committed `BENCH_substrate.json` baseline, fail loud on
-//! regression.
+//! The perf-regression gate: one table of every number in the committed
+//! `BENCH_substrate.json`, and one loop over the rows that gate.
 //!
-//! Raw wall-clock milliseconds are machine-dependent, so the gate compares
-//! **speedups over the seed ikj loop measured on the same machine in the
-//! same run** — a machine-normalized metric that transfers between the
-//! laptop that committed the baseline and the CI runner that checks it. A
-//! candidate fails when any kernel's speedup drops more than `tolerance`
-//! (default 25 %) below the baseline's.
-//!
-//! Consumers:
-//! * `benches/substrate.rs` calls [`measure_gemm_512`] +
-//!   [`assert_speedup_floors`] and refreshes the committed baseline;
-//! * the `bench_gate` binary (CI's `bench-gate` job) re-measures, runs
-//!   [`compare`] against the committed baseline, and writes the candidate
-//!   JSON as a build artifact.
+//! Wall-clock times are machine-dependent, so the gate compares **speedups
+//! over a reference path timed on the same machine in the same run** — the
+//! seed ikj loop, dequantize-then-matmul, the scalar fused kernel, the
+//! interpreted decode loop. [`check`] holds each of the six gated rows of
+//! `ROWS` to the baseline (at most `tolerance`, default 25 %, below it,
+//! unless the two machines make the row incomparable — the line then says
+//! why) and to its absolute floors (seven in all), each under its own
+//! condition on the candidate's machine. The `bench_gate` binary runs it.
 
 use pregated_moe::tensor::{kernel, quant, QuantMode, QuantizedTensor, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// One gate measurement: best-of-N wall times of the 512³ GEMM kernels and
-/// their speedups over the seed ikj loop, plus the machine shape they were
-/// taken on. Field names match the committed `BENCH_substrate.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Gemm512Measurement {
-    /// Configured worker threads (`PGMOE_THREADS` / available parallelism).
-    pub threads: usize,
-    /// Hardware threads the machine exposes.
-    pub hardware_threads: usize,
-    /// Seed ikj loop, best-of-N ms — the per-machine normalizer.
-    pub seed_ikj_ms: f64,
-    /// Register-tiled serial GEMM, ms.
-    pub blocked_serial_ms: f64,
-    /// Worker-pool parallel GEMM, ms.
-    pub blocked_parallel_ms: f64,
-    /// Fused int8-dequant GEMM, ms.
-    pub dequant_int8_fused_ms: f64,
-    /// `seed_ikj_ms / blocked_serial_ms`.
-    pub speedup_blocked_serial: f64,
-    /// `seed_ikj_ms / blocked_parallel_ms`.
-    pub speedup_blocked_parallel: f64,
-    /// `seed_ikj_ms / dequant_int8_fused_ms`.
-    pub speedup_dequant_int8_fused: f64,
-}
 
 /// Best-of-N wall time of `f`, in milliseconds (the minimum is the
 /// standard low-noise estimator for microbenchmarks on shared machines).
@@ -60,15 +30,33 @@ pub fn time_best_ms(runs: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Times the 512³ GEMM kernel family (seed ikj, blocked serial, blocked
-/// parallel, fused int8 dequant), cross-checking every output against the
-/// seed loop before the timings are trusted. Best-of-9 per kernel: the
-/// minimum is robust against neighbour noise on shared CI runners, and the
-/// whole measurement still takes well under a second.
+fn same_bits(x: &[f32], y: &[f32]) -> bool {
+    x.iter().zip(y).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Best-of-N wall times of the 512³ GEMM kernels, and the machine shape.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gemm512Measurement {
+    /// Configured worker threads (`PGMOE_THREADS` / available parallelism).
+    pub threads: usize,
+    /// Hardware threads the machine exposes.
+    pub hardware_threads: usize,
+    /// Seed ikj loop, ms — the per-machine normalizer.
+    pub seed_ikj_ms: f64,
+    /// Register-tiled serial GEMM, ms.
+    pub blocked_serial_ms: f64,
+    /// Worker-pool parallel GEMM, ms.
+    pub blocked_parallel_ms: f64,
+    /// Fused int8-dequant GEMM, ms.
+    pub dequant_int8_fused_ms: f64,
+}
+
+/// Times the 512³ GEMM family (seed ikj, blocked serial, blocked parallel,
+/// fused int8 dequant), best of 9 each.
 ///
 /// # Panics
 ///
-/// Panics if any kernel's output diverges from the reference — a wrong
+/// Panics if any kernel's output diverges from the seed loop's — a wrong
 /// kernel's timing is meaningless.
 pub fn measure_gemm_512() -> Gemm512Measurement {
     const N: usize = 512;
@@ -105,18 +93,12 @@ pub fn measure_gemm_512() -> Gemm512Measurement {
     for (x, y) in out_naive.iter().zip(&out_serial) {
         assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()), "serial kernel diverged: {x} vs {y}");
     }
-    assert!(
-        out_serial.iter().zip(&out_parallel).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "parallel kernel must be bitwise identical to serial"
-    );
+    assert!(same_bits(&out_serial, &out_parallel), "parallel GEMM must equal serial bitwise");
     // And the fused kernel must equal dequantize-then-matmul bitwise.
     let deq = bq.dequantize();
     let mut out_ref = vec![0.0f32; N * N];
     kernel::matmul_into(&mut out_ref, &a, deq.as_slice(), N, N, N);
-    assert!(
-        out_ref.iter().zip(&out_dequant).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "fused dequant GEMM must be bitwise identical to dequantize-then-matmul"
-    );
+    assert!(same_bits(&out_ref, &out_dequant), "fused int8 GEMM must equal the unfused bitwise");
 
     Gemm512Measurement {
         threads,
@@ -125,148 +107,32 @@ pub fn measure_gemm_512() -> Gemm512Measurement {
         blocked_serial_ms,
         blocked_parallel_ms,
         dequant_int8_fused_ms,
-        speedup_blocked_serial: seed_ikj_ms / blocked_serial_ms,
-        speedup_blocked_parallel: seed_ikj_ms / blocked_parallel_ms,
-        speedup_dequant_int8_fused: seed_ikj_ms / dequant_int8_fused_ms,
     }
 }
 
-/// The absolute speedup floors the substrate bench has asserted since PR 2:
-/// blocked ≥ 1.5x everywhere; on ≥ 2 hardware threads ≥ 2x regardless of
-/// configured threads and ≥ 4x with ≥ 2 configured; fused dequant ≥ 1.2x.
-///
-/// # Panics
-///
-/// Panics when a floor is broken.
-pub fn assert_speedup_floors(m: &Gemm512Measurement) {
-    assert!(
-        m.speedup_blocked_serial >= 1.5,
-        "blocked GEMM must be >= 1.5x the seed ikj loop on one thread \
-         (got {:.2}x: naive {:.2} ms vs {:.2} ms)",
-        m.speedup_blocked_serial,
-        m.seed_ikj_ms,
-        m.blocked_serial_ms
-    );
-    assert!(
-        m.speedup_dequant_int8_fused >= 1.2,
-        "fused int8-dequant GEMM must be >= 1.2x the seed ikj loop \
-         (got {:.2}x: naive {:.2} ms vs {:.2} ms)",
-        m.speedup_dequant_int8_fused,
-        m.seed_ikj_ms,
-        m.dequant_int8_fused_ms
-    );
-    if m.hardware_threads >= 2 {
-        assert!(
-            m.speedup_blocked_parallel >= 2.0,
-            "blocked(-parallel) GEMM must be >= 2x the seed ikj loop on a multi-core \
-             machine (got {:.2}x: naive {:.2} ms vs {:.2} ms)",
-            m.speedup_blocked_parallel,
-            m.seed_ikj_ms,
-            m.blocked_parallel_ms
-        );
-        if m.threads >= 2 {
-            assert!(
-                m.speedup_blocked_parallel >= 4.0,
-                "blocked-parallel GEMM must be >= 4x the seed ikj loop on {} threads \
-                 with >= 2 hardware threads (got {:.2}x)",
-                m.threads,
-                m.speedup_blocked_parallel
-            );
-        }
-    }
-}
-
-impl Gemm512Measurement {
-    /// Renders the measurement in the committed `BENCH_substrate.json`
-    /// layout.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"substrate/gemm_512\",\n  \"m\": 512,\n  \"k\": 512,\n  \
-             \"n\": 512,\n  \"threads\": {},\n  \"hardware_threads\": {},\n  \
-             \"seed_ikj_ms\": {:.3},\n  \"blocked_serial_ms\": {:.3},\n  \
-             \"blocked_parallel_ms\": {:.3},\n  \"dequant_int8_fused_ms\": {:.3},\n  \
-             \"speedup_blocked_serial\": {:.3},\n  \"speedup_blocked_parallel\": {:.3},\n  \
-             \"speedup_dequant_int8_fused\": {:.3}\n}}\n",
-            self.threads,
-            self.hardware_threads,
-            self.seed_ikj_ms,
-            self.blocked_serial_ms,
-            self.blocked_parallel_ms,
-            self.dequant_int8_fused_ms,
-            self.speedup_blocked_serial,
-            self.speedup_blocked_parallel,
-            self.speedup_dequant_int8_fused,
-        )
-    }
-
-    /// Parses a `BENCH_substrate.json`-shaped document (flat string/number
-    /// object; no external JSON crate in this offline workspace).
-    ///
-    /// Returns `None` when any required numeric field is missing.
-    pub fn parse_json(text: &str) -> Option<Self> {
-        let num = |key: &str| -> Option<f64> {
-            let tag = format!("\"{key}\"");
-            let rest = &text[text.find(&tag)? + tag.len()..];
-            let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        Some(Gemm512Measurement {
-            threads: num("threads")? as usize,
-            hardware_threads: num("hardware_threads")? as usize,
-            seed_ikj_ms: num("seed_ikj_ms")?,
-            blocked_serial_ms: num("blocked_serial_ms")?,
-            blocked_parallel_ms: num("blocked_parallel_ms")?,
-            dequant_int8_fused_ms: num("dequant_int8_fused_ms")?,
-            speedup_blocked_serial: num("speedup_blocked_serial")?,
-            speedup_blocked_parallel: num("speedup_blocked_parallel")?,
-            speedup_dequant_int8_fused: num("speedup_dequant_int8_fused")?,
-        })
-    }
-}
-
-/// The sub-byte kernel gate: best-of-N wall times of the fused Q4_0
-/// dequantizing GEMM at a decode-like shape (m = 8, k = n = 512), where
-/// the `O(k·n)` panel-dequant pass dominates and the SIMD nibble-unpack
-/// microkernels actually matter (at 512³ the dequant pass is ~1/512 of
-/// the arithmetic and any SIMD gain drowns). Both fused variants run
-/// **serially**, so `speedup_q4_simd` — dispatched-over-forced-scalar on
-/// the same machine in the same run — is thread-independent and
-/// machine-normalized the same way the GEMM speedups are.
+/// Best-of-N wall times of the fused Q4_0 GEMM at a decode shape
+/// (m = 8, k = n = 512), where the panel-dequant pass dominates and the SIMD
+/// nibble unpack matters. Every path runs serially.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Q4FusedMeasurement {
-    /// The unfused scalar baseline — dequantize all of `B`, then the
-    /// blocked serial GEMM — in ms (the normalizer: at m = 8 the dequant
-    /// pass dominates *any* Q4 path, so the dense seed loop would be the
-    /// wrong yardstick).
+    /// Dequantize all of `B`, then the blocked serial GEMM, ms — the
+    /// normalizer (at m = 8 the dequant pass dominates any Q4 path).
     pub q4_unfused_ms: f64,
     /// Fused Q4 GEMM with the scalar panel-dequant fallback forced, ms.
     pub q4_fused_scalar_ms: f64,
     /// Fused Q4 GEMM through runtime dispatch (AVX2 when available), ms.
     pub q4_fused_simd_ms: f64,
-    /// Whether the dispatched run actually used the SIMD tier (false on
-    /// non-AVX2 machines or under `PGMOE_NO_SIMD` — the two fused timings
-    /// then measure the same code and their ratio is ~1 and ungated).
+    /// Whether the dispatched run used the SIMD tier (not on non-AVX2
+    /// machines or under `PGMOE_NO_SIMD`).
     pub simd: bool,
-    /// `q4_unfused_ms / q4_fused_scalar_ms` — fusing the dequant into the
-    /// panel loop must beat materialize-then-multiply even without SIMD.
-    pub speedup_q4_scalar: f64,
-    /// `q4_fused_scalar_ms / q4_fused_simd_ms` — the SIMD acceptance
-    /// headline.
-    pub speedup_q4_simd: f64,
 }
 
-/// Times the fused Q4_0 GEMM at the decode shape (unfused
-/// dequantize-then-matmul, forced-scalar fused, dispatched fused),
-/// cross-checking all outputs bitwise before the timings are trusted —
-/// the scalar and dispatched paths must agree with dequantize-then-matmul
-/// bit for bit, SIMD or not.
+/// Times the fused Q4_0 GEMM at the decode shape (unfused, forced-scalar
+/// fused, dispatched fused), best of 25 each.
 ///
 /// # Panics
 ///
-/// Panics if any path's output diverges from the serial reference.
+/// Panics unless both fused paths equal dequantize-then-matmul bitwise.
 pub fn measure_q4_fused() -> Q4FusedMeasurement {
     const M: usize = 8;
     const K: usize = 512;
@@ -291,162 +157,33 @@ pub fn measure_q4_fused() -> Q4FusedMeasurement {
         quant::matmul_dequant_serial_into(black_box(&mut out_simd), &a, &bq, M, K, N)
     });
 
-    assert!(
-        out_unfused.iter().zip(&out_scalar).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "scalar fused Q4 GEMM must be bitwise identical to dequantize-then-matmul"
-    );
-    assert!(
-        out_unfused.iter().zip(&out_simd).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "dispatched fused Q4 GEMM must be bitwise identical to the scalar path"
-    );
-
-    Q4FusedMeasurement {
-        q4_unfused_ms,
-        q4_fused_scalar_ms,
-        q4_fused_simd_ms,
-        simd: pregated_moe::tensor::simd::enabled(),
-        speedup_q4_scalar: q4_unfused_ms / q4_fused_scalar_ms,
-        speedup_q4_simd: q4_fused_scalar_ms / q4_fused_simd_ms,
-    }
+    assert!(same_bits(&out_unfused, &out_scalar), "scalar fused Q4 must equal the unfused bitwise");
+    assert!(same_bits(&out_unfused, &out_simd), "dispatched Q4 must equal the unfused bitwise");
+    let simd = pregated_moe::tensor::simd::enabled();
+    Q4FusedMeasurement { q4_unfused_ms, q4_fused_scalar_ms, q4_fused_simd_ms, simd }
 }
 
-/// The sub-byte acceptance bars: fusing the dequant into the panel loop
-/// must clear 1.2x over materialize-then-multiply even in pure scalar
-/// code (the fallback is a real kernel, not a penalty box), and on
-/// hardware with the AVX2 tier the SIMD dispatch must clear another 1.2x
-/// over that scalar fused path.
-///
-/// # Panics
-///
-/// Panics when a floor is broken.
-pub fn assert_q4_floors(m: &Q4FusedMeasurement) {
-    assert!(
-        m.speedup_q4_scalar >= 1.2,
-        "scalar fused Q4 GEMM must be >= 1.2x dequantize-then-matmul at the decode shape \
-         (got {:.2}x: unfused {:.3} ms vs {:.3} ms)",
-        m.speedup_q4_scalar,
-        m.q4_unfused_ms,
-        m.q4_fused_scalar_ms
-    );
-    if m.simd {
-        assert!(
-            m.speedup_q4_simd >= 1.2,
-            "AVX2 fused Q4 dequant must be >= 1.2x the scalar fused path \
-             (got {:.2}x: scalar {:.3} ms vs {:.3} ms)",
-            m.speedup_q4_simd,
-            m.q4_fused_scalar_ms,
-            m.q4_fused_simd_ms
-        );
-    }
-}
-
-impl Q4FusedMeasurement {
-    /// Parses the Q4-gate fields out of a `BENCH_substrate.json`-shaped
-    /// document; `None` when the baseline predates the Q4 gate.
-    pub fn parse_json(text: &str) -> Option<Self> {
-        let num = |key: &str| -> Option<f64> {
-            let tag = format!("\"{key}\"");
-            let rest = &text[text.find(&tag)? + tag.len()..];
-            let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        Some(Q4FusedMeasurement {
-            q4_unfused_ms: num("q4_unfused_ms")?,
-            q4_fused_scalar_ms: num("q4_fused_scalar_ms")?,
-            q4_fused_simd_ms: num("q4_fused_simd_ms")?,
-            simd: num("q4_simd")? != 0.0,
-            speedup_q4_scalar: num("speedup_q4_scalar")?,
-            speedup_q4_simd: num("speedup_q4_simd")?,
-        })
-    }
-}
-
-/// Splices the Q4-gate fields into a rendered baseline document, keeping
-/// the committed file one flat JSON object.
-///
-/// # Panics
-///
-/// Panics if `json` is not a `}`-terminated object.
-pub fn merge_q4_json(json: &str, q4: &Q4FusedMeasurement) -> String {
-    let body = json.trim_end().strip_suffix('}').expect("json object").trim_end();
-    format!(
-        "{body},\n  \"q4_unfused_ms\": {:.3},\n  \"q4_fused_scalar_ms\": {:.3},\n  \
-         \"q4_fused_simd_ms\": {:.3},\n  \"q4_simd\": {},\n  \
-         \"speedup_q4_scalar\": {:.3},\n  \"speedup_q4_simd\": {:.3}\n}}\n",
-        q4.q4_unfused_ms,
-        q4.q4_fused_scalar_ms,
-        q4.q4_fused_simd_ms,
-        u8::from(q4.simd),
-        q4.speedup_q4_scalar,
-        q4.speedup_q4_simd,
-    )
-}
-
-/// Gate verdicts for the Q4 fused kernels. The scalar figure is a
-/// serial-vs-serial single-thread ratio and always gates; the SIMD figure
-/// gates only when both baseline and candidate actually ran the AVX2 tier
-/// (a non-AVX2 runner's ~1.0 "speedup" is a machine difference, not a
-/// kernel regression — reported informationally).
-pub fn compare_q4(
-    baseline: &Q4FusedMeasurement,
-    candidate: &Q4FusedMeasurement,
-    tolerance: f64,
-) -> Vec<GateLine> {
-    let line = |metric: &str, base: f64, cand: f64, gated: bool| GateLine {
-        metric: metric.to_string(),
-        baseline: base,
-        candidate: cand,
-        gated,
-        ok: !gated || cand >= base * (1.0 - tolerance),
-    };
-    let simd_comparable = baseline.simd && candidate.simd;
-    vec![
-        line("speedup_q4_scalar", baseline.speedup_q4_scalar, candidate.speedup_q4_scalar, true),
-        line(
-            "speedup_q4_simd",
-            baseline.speedup_q4_simd,
-            candidate.speedup_q4_simd,
-            simd_comparable,
-        ),
-    ]
-}
-
-/// Host-side scheduler cost of the decode loop — wall microseconds per
-/// generated token of the `block_latency` scheduler-overhead workload
-/// (Switch-Base-64, Pre-gated, batch-1 steady state), measured with the
-/// compiled-plan cache on and off in the same process. The ratio is
-/// machine-normalized the same way the GEMM speedups are: both runs share
-/// the machine, so `speedup_plan_cache` transfers between the laptop that
-/// committed the baseline and the CI runner that checks it.
+/// Host wall µs per generated token of a batch-1 Pre-gated decode loop on
+/// Switch-Base-64, with the compiled-plan cache on and off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanHostMeasurement {
     /// Host µs per generated token with plan replay (the default path).
     pub plan_on_us_per_token: f64,
     /// Host µs per generated token with `SimOptions::without_plan_cache`.
     pub plan_off_us_per_token: f64,
-    /// `plan_off_us_per_token / plan_on_us_per_token`.
-    pub speedup_plan_cache: f64,
 }
 
-/// Times the `block_latency`-style batch-1 decode loop (block latencies
-/// sampled, long outputs, routing counts stable — the cache-hit steady
-/// state) with the plan cache on and off (best-of-N wall clock each). The
-/// on-run is cross-checked to actually replay plans before its timing is
-/// trusted.
+/// Times the cache-hit steady state of the batch-1 decode loop (long
+/// outputs, stable routing counts) with the plan cache on and off, best of
+/// 7 each.
 ///
 /// # Panics
 ///
-/// Panics if the plan-cache-on run reports fewer hits than misses — a
-/// hitless run would time the interpreter twice and the speedup would be
-/// meaningless.
+/// Panics if the plan-cache-on run misses more than it hits — it would
+/// time the interpreter twice.
 pub fn measure_plan_host() -> PlanHostMeasurement {
     use pregated_moe::prelude::*;
     const RUNS: usize = 7;
-    // Long outputs relative to prompts: the measurement targets the
-    // cache-hit steady state of the decode loop, not prefill.
     let request = DecodeRequest { input_tokens: 16, output_tokens: 512, batch_size: 1 };
     let run = |plan: bool| {
         let opts = SimOptions::new(OffloadPolicy::Pregated);
@@ -462,410 +199,487 @@ pub fn measure_plan_host() -> PlanHostMeasurement {
         report.plan_cache_misses
     );
     let tokens = (report.plan_cache_hits + report.plan_cache_misses) as f64;
-    let on_ms = time_best_ms(RUNS, || {
-        black_box(run(true));
-    });
-    let off_ms = time_best_ms(RUNS, || {
-        black_box(run(false));
-    });
+    let on_ms = time_best_ms(RUNS, || drop(black_box(run(true))));
+    let off_ms = time_best_ms(RUNS, || drop(black_box(run(false))));
     PlanHostMeasurement {
         plan_on_us_per_token: on_ms * 1e3 / tokens,
         plan_off_us_per_token: off_ms * 1e3 / tokens,
-        speedup_plan_cache: off_ms / on_ms,
     }
 }
 
-/// The compiled-plan acceptance bar: replay must cut host µs/token by at
-/// least 1.3x versus the interpreted core on the same machine.
-///
-/// # Panics
-///
-/// Panics when the floor is broken.
-pub fn assert_plan_floor(m: &PlanHostMeasurement) {
-    assert!(
-        m.speedup_plan_cache >= 1.3,
-        "compiled-plan replay must be >= 1.3x the interpreted decode loop \
-         (got {:.2}x: {:.1} us/token interpreted vs {:.1} us/token replayed)",
-        m.speedup_plan_cache,
-        m.plan_off_us_per_token,
-        m.plan_on_us_per_token
-    );
+/// One run of the three measurements, what a candidate's rows read.
+pub type Run = (Gemm512Measurement, Q4FusedMeasurement, PlanHostMeasurement);
+
+/// Why a baseline and a candidate cannot be compared on a row, if they
+/// cannot.
+type Incomparable = fn(&Sample, &Sample) -> Option<&'static str>;
+
+/// An absolute floor, and whether it binds a candidate.
+struct Floor {
+    bound: f64,
+    applies: fn(&Sample) -> bool,
 }
 
-impl PlanHostMeasurement {
-    /// Parses the plan-gate fields out of a `BENCH_substrate.json`-shaped
-    /// document; `None` when the baseline predates the plan gate.
-    pub fn parse_json(text: &str) -> Option<Self> {
-        let num = |key: &str| -> Option<f64> {
-            let tag = format!("\"{key}\"");
-            let rest = &text[text.find(&tag)? + tag.len()..];
-            let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        Some(PlanHostMeasurement {
-            plan_on_us_per_token: num("plan_on_us_per_token")?,
-            plan_off_us_per_token: num("plan_off_us_per_token")?,
-            speedup_plan_cache: num("speedup_plan_cache")?,
-        })
+/// One number in `BENCH_substrate.json`.
+struct Row {
+    key: &'static str,
+    /// Digits after the point in the file (0 for counts).
+    decimals: usize,
+    read: fn(&Run) -> f64,
+    /// `None` for a recorded-only row.
+    compare: Option<Incomparable>,
+    floors: &'static [Floor],
+}
+
+const fn record(key: &'static str, decimals: usize, read: fn(&Run) -> f64) -> Row {
+    Row { key, decimals, read, compare: None, floors: &[] }
+}
+
+const fn gated(
+    key: &'static str,
+    read: fn(&Run) -> f64,
+    compare: Incomparable,
+    floors: &'static [Floor],
+) -> Row {
+    Row { key, decimals: 3, read, compare: Some(compare), floors }
+}
+
+/// Every number in `BENCH_substrate.json`, in file order. The six
+/// `speedup_*` rows gate; the rest record their inputs and the machine.
+const ROWS: [Row; 21] = [
+    record("m", 0, |_| 512.0),
+    record("k", 0, |_| 512.0),
+    record("n", 0, |_| 512.0),
+    record("threads", 0, |(g, _, _)| g.threads as f64),
+    record("hardware_threads", 0, |(g, _, _)| g.hardware_threads as f64),
+    record("seed_ikj_ms", 3, |(g, _, _)| g.seed_ikj_ms),
+    record("blocked_serial_ms", 3, |(g, _, _)| g.blocked_serial_ms),
+    record("blocked_parallel_ms", 3, |(g, _, _)| g.blocked_parallel_ms),
+    record("dequant_int8_fused_ms", 3, |(g, _, _)| g.dequant_int8_fused_ms),
+    // One thread: comparable across any two machines.
+    gated(
+        "speedup_blocked_serial",
+        |(g, _, _)| g.seed_ikj_ms / g.blocked_serial_ms,
+        |_, _| None,
+        &[Floor { bound: 1.5, applies: |_| true }],
+    ),
+    // Pool-parallel, so it scales with cores. On real cores it must clear
+    // 2x whatever the configured threads, and 4x with >= 2 configured.
+    gated(
+        "speedup_blocked_parallel",
+        |(g, _, _)| g.seed_ikj_ms / g.blocked_parallel_ms,
+        fewer_threads,
+        &[
+            Floor { bound: 2.0, applies: |s| s.get("hardware_threads") >= 2.0 },
+            Floor { bound: 4.0, applies: |s| effective_threads(s) >= 2.0 },
+        ],
+    ),
+    // `matmul_dequant_into` fans out to the pool too.
+    gated(
+        "speedup_dequant_int8_fused",
+        |(g, _, _)| g.seed_ikj_ms / g.dequant_int8_fused_ms,
+        fewer_threads,
+        &[Floor { bound: 1.2, applies: |_| true }],
+    ),
+    record("plan_on_us_per_token", 3, |(_, _, p)| p.plan_on_us_per_token),
+    record("plan_off_us_per_token", 3, |(_, _, p)| p.plan_off_us_per_token),
+    gated(
+        "speedup_plan_cache",
+        |(_, _, p)| p.plan_off_us_per_token / p.plan_on_us_per_token,
+        |_, _| None,
+        &[Floor { bound: 1.3, applies: |_| true }],
+    ),
+    record("q4_unfused_ms", 3, |(_, q, _)| q.q4_unfused_ms),
+    record("q4_fused_scalar_ms", 3, |(_, q, _)| q.q4_fused_scalar_ms),
+    record("q4_fused_simd_ms", 3, |(_, q, _)| q.q4_fused_simd_ms),
+    record("q4_simd", 0, |(_, q, _)| f64::from(u8::from(q.simd))),
+    gated(
+        "speedup_q4_scalar",
+        |(_, q, _)| q.q4_unfused_ms / q.q4_fused_scalar_ms,
+        |_, _| None,
+        &[Floor { bound: 1.2, applies: |_| true }],
+    ),
+    // Without the SIMD tier both fused timings run the same code.
+    gated(
+        "speedup_q4_simd",
+        |(_, q, _)| q.q4_fused_scalar_ms / q.q4_fused_simd_ms,
+        |b, c| (!(simd(b) && simd(c))).then_some("SIMD tier did not run on both machines"),
+        &[Floor { bound: 1.2, applies: simd }],
+    ),
+];
+
+fn simd(s: &Sample) -> bool {
+    s.get("q4_simd") != 0.0
+}
+
+/// Configured workers capped by cores.
+fn effective_threads(s: &Sample) -> f64 {
+    s.get("threads").min(s.get("hardware_threads")).max(1.0)
+}
+
+fn fewer_threads(baseline: &Sample, candidate: &Sample) -> Option<&'static str> {
+    (effective_threads(candidate) < effective_threads(baseline))
+        .then_some("fewer effective threads than baseline")
+}
+
+/// The numbers of one `BENCH_substrate.json`, one per row of `ROWS`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sample([f64; ROWS.len()]);
+
+impl Sample {
+    /// The candidate sample of one run.
+    pub fn of(run: &Run) -> Sample {
+        Sample(ROWS.map(|row| (row.read)(run)))
+    }
+
+    /// Reads every row's number out of a flat JSON object.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first row key the text lacks.
+    pub fn parse(text: &str) -> Result<Sample, &'static str> {
+        let mut values = [0.0; ROWS.len()];
+        for (value, row) in values.iter_mut().zip(ROWS.iter()) {
+            *value = number(text, row.key).ok_or(row.key)?;
+        }
+        Ok(Sample(values))
+    }
+
+    /// Renders the committed file's layout, rows in table order.
+    pub fn render(&self) -> String {
+        let mut out = String::from("{\n  \"bench\": \"substrate/gemm_512\"");
+        for (row, value) in ROWS.iter().zip(self.0) {
+            out += &format!(",\n  \"{}\": {:.*}", row.key, row.decimals, value);
+        }
+        out + "\n}\n"
+    }
+
+    /// The number of the row keyed `key` (panics on an unknown key).
+    pub fn get(&self, key: &str) -> f64 {
+        self.0[ROWS.iter().position(|row| row.key == key).expect("a gate row")]
     }
 }
 
-/// Splices the plan-gate fields into a rendered GEMM measurement so the
-/// committed baseline stays one flat JSON object.
-///
-/// # Panics
-///
-/// Panics if `gemm_json` is not a `}`-terminated object.
-pub fn merge_plan_json(gemm_json: &str, plan: &PlanHostMeasurement) -> String {
-    let body = gemm_json.trim_end().strip_suffix('}').expect("json object").trim_end();
-    format!(
-        "{body},\n  \"plan_on_us_per_token\": {:.3},\n  \"plan_off_us_per_token\": {:.3},\n  \
-         \"speedup_plan_cache\": {:.3}\n}}\n",
-        plan.plan_on_us_per_token, plan.plan_off_us_per_token, plan.speedup_plan_cache,
-    )
+/// The number after `"key":` in a flat JSON object.
+fn number(text: &str, key: &str) -> Option<f64> {
+    let tag = format!("\"{key}\"");
+    let rest = &text[text.find(&tag)? + tag.len()..];
+    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
-/// Gate verdict for the plan-cache speedup: same tolerance semantics as
-/// [`compare`], always gated (both runs share one machine, so the ratio has
-/// no thread-count caveat).
-pub fn compare_plan(
-    baseline: &PlanHostMeasurement,
-    candidate: &PlanHostMeasurement,
-    tolerance: f64,
-) -> GateLine {
-    GateLine {
-        metric: "speedup_plan_cache".to_string(),
-        baseline: baseline.speedup_plan_cache,
-        candidate: candidate.speedup_plan_cache,
-        gated: true,
-        ok: candidate.speedup_plan_cache >= baseline.speedup_plan_cache * (1.0 - tolerance),
-    }
-}
-
-/// One gated metric's verdict.
+/// One gated row's verdict on a candidate.
 #[derive(Debug, Clone)]
 pub struct GateLine {
-    /// Metric name (`speedup_blocked_serial`, ...).
-    pub metric: String,
-    /// The committed baseline's speedup.
-    pub baseline: f64,
-    /// This run's speedup.
-    pub candidate: f64,
-    /// Whether this metric participates in the pass/fail decision (false
-    /// when the machines' thread contexts make it incomparable — reported
-    /// informationally only).
-    pub gated: bool,
-    /// Whether the candidate cleared `baseline × (1 − tolerance)` (always
-    /// true for ungated lines).
-    pub ok: bool,
+    /// The row's key.
+    metric: &'static str,
+    /// The baseline's figure.
+    baseline: f64,
+    /// The candidate's figure.
+    candidate: f64,
+    /// Why the baseline comparison is informational, if it is.
+    skipped: Option<&'static str>,
+    /// The highest floor that binds the candidate.
+    floor: Option<f64>,
+    /// The comparison gates and the candidate fell below the tolerance.
+    regressed: bool,
+    /// The candidate is below its floor.
+    below_floor: bool,
 }
 
-/// Threads a measurement could actually use: configured workers capped by
-/// real cores.
-fn effective_parallelism(m: &Gemm512Measurement) -> usize {
-    m.threads.min(m.hardware_threads).max(1)
+impl GateLine {
+    /// Whether the line passes.
+    pub fn ok(&self) -> bool {
+        !self.regressed && !self.below_floor
+    }
 }
 
-/// Compares a candidate measurement against the committed baseline on the
-/// machine-normalized speedups. A metric fails when the candidate's speedup
-/// falls more than `tolerance` (fraction, e.g. `0.25`) below the
-/// baseline's. The serial speedup is a single-thread figure and compares
-/// across any two machines; the *parallel* and *fused-dequant* kernels both
-/// fan work across the worker pool, so their speedups scale with core count
-/// and are gated only when the candidate has at least the baseline's
-/// effective parallelism (a 2-core CI runner cannot be expected to
-/// reproduce a 16-core laptop's pool-parallel speedups — that is a machine
-/// difference, not a kernel regression). Returns every verdict; the gate
-/// fails if any gated line is not ok.
-pub fn compare(
-    baseline: &Gemm512Measurement,
-    candidate: &Gemm512Measurement,
-    tolerance: f64,
-) -> Vec<GateLine> {
-    let line = |metric: &str, base: f64, cand: f64, gated: bool| GateLine {
-        metric: metric.to_string(),
-        baseline: base,
-        candidate: cand,
-        gated,
-        ok: !gated || cand >= base * (1.0 - tolerance),
-    };
-    let parallel_comparable = effective_parallelism(candidate) >= effective_parallelism(baseline);
-    vec![
-        line(
-            "speedup_blocked_serial",
-            baseline.speedup_blocked_serial,
-            candidate.speedup_blocked_serial,
-            true,
-        ),
-        line(
-            "speedup_blocked_parallel",
-            baseline.speedup_blocked_parallel,
-            candidate.speedup_blocked_parallel,
-            parallel_comparable,
-        ),
-        // matmul_dequant_into is worker-pool parallel too, so its speedup
-        // over the single-thread seed loop carries the same thread caveat.
-        line(
-            "speedup_dequant_int8_fused",
-            baseline.speedup_dequant_int8_fused,
-            candidate.speedup_dequant_int8_fused,
-            parallel_comparable,
-        ),
-    ]
+impl fmt::Display for GateLine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let floor = self.floor.map_or("-".to_string(), |b| format!("{b:.2}x"));
+        let (metric, base, cand) = (self.metric, self.baseline, self.candidate);
+        write!(
+            f,
+            "{metric:<28} baseline {base:>6.2}x  candidate {cand:>6.2}x  floor {floor:>5}  "
+        )?;
+        match (self.below_floor, self.regressed, self.skipped) {
+            (true, _, _) => write!(f, "BELOW FLOOR"),
+            (false, true, _) => write!(f, "REGRESSED"),
+            (false, false, Some(reason)) => write!(f, "skipped ({reason} — informational)"),
+            (false, false, None) => write!(f, "ok"),
+        }
+    }
+}
+
+/// Checks every gated row of `candidate` against `baseline` (a drop of
+/// more than `tolerance`, a fraction, fails unless the pair is
+/// incomparable) and against the floors that bind the candidate. One line
+/// per gated row, in table order.
+pub fn check(baseline: &Sample, candidate: &Sample, tolerance: f64) -> Vec<GateLine> {
+    let pairs = baseline.0.into_iter().zip(candidate.0);
+    ROWS.iter()
+        .zip(pairs)
+        .filter_map(|(row, (base, cand))| {
+            let skipped = (row.compare?)(baseline, candidate);
+            let applies = row.floors.iter().filter(|floor| (floor.applies)(candidate));
+            let floor = applies.map(|floor| floor.bound).reduce(f64::max);
+            Some(GateLine {
+                metric: row.key,
+                baseline: base,
+                candidate: cand,
+                skipped,
+                floor,
+                regressed: skipped.is_none() && cand < base * (1.0 - tolerance),
+                below_floor: floor.is_some_and(|bound| cand < bound),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fixture() -> Gemm512Measurement {
-        Gemm512Measurement {
-            threads: 1,
-            hardware_threads: 1,
-            seed_ikj_ms: 16.0,
-            blocked_serial_ms: 7.6,
-            blocked_parallel_ms: 7.7,
-            dequant_int8_fused_ms: 5.5,
-            speedup_blocked_serial: 2.105,
-            speedup_blocked_parallel: 2.078,
-            speedup_dequant_int8_fused: 2.909,
+    const COMMITTED: &str = include_str!("../../../BENCH_substrate.json");
+
+    impl Sample {
+        fn with(mut self, key: &str, value: f64) -> Sample {
+            self.0[ROWS.iter().position(|row| row.key == key).unwrap()] = value;
+            self
+        }
+    }
+
+    /// The committed baseline moved to a 2-core, 2-thread machine with the
+    /// SIMD tier, so every floor applies, with the parallel figure that
+    /// machine must reach. Every gated row clears its floor after a 15 %
+    /// drop.
+    fn fixture() -> Sample {
+        Sample::parse(COMMITTED)
+            .unwrap()
+            .with("hardware_threads", 2.0)
+            .with("speedup_blocked_parallel", 6.0)
+    }
+
+    fn gated_keys() -> Vec<&'static str> {
+        ROWS.iter().filter(|row| row.compare.is_some()).map(|row| row.key).collect()
+    }
+
+    fn failing(lines: &[GateLine]) -> Vec<&'static str> {
+        lines.iter().filter(|line| !line.ok()).map(|line| line.metric).collect()
+    }
+
+    fn line<'a>(lines: &'a [GateLine], key: &str) -> &'a GateLine {
+        lines.iter().find(|line| line.metric == key).unwrap()
+    }
+
+    #[test]
+    fn the_gate_is_six_compared_rows_and_seven_floors() {
+        assert_eq!(
+            gated_keys(),
+            [
+                "speedup_blocked_serial",
+                "speedup_blocked_parallel",
+                "speedup_dequant_int8_fused",
+                "speedup_plan_cache",
+                "speedup_q4_scalar",
+                "speedup_q4_simd",
+            ]
+        );
+        let floors: Vec<(&str, f64)> = ROWS
+            .iter()
+            .flat_map(|row| row.floors.iter().map(|floor| (row.key, floor.bound)))
+            .collect();
+        assert_eq!(
+            floors,
+            [
+                ("speedup_blocked_serial", 1.5),
+                ("speedup_blocked_parallel", 2.0),
+                ("speedup_blocked_parallel", 4.0),
+                ("speedup_dequant_int8_fused", 1.2),
+                ("speedup_plan_cache", 1.3),
+                ("speedup_q4_scalar", 1.2),
+                ("speedup_q4_simd", 1.2),
+            ]
+        );
+    }
+
+    #[test]
+    fn render_parse_round_trips_every_key() {
+        // Distinct values, exact at the rendered precision.
+        let sample = Sample(std::array::from_fn(|i| {
+            i as f64 + if ROWS[i].decimals == 0 { 0.0 } else { 0.125 }
+        }));
+        assert_eq!(Sample::parse(&sample.render()), Ok(sample));
+        // The committed file is exactly what the renderer writes.
+        assert_eq!(Sample::parse(COMMITTED).unwrap().render(), COMMITTED);
+        // A run's rows read their measurements.
+        let run = (
+            Gemm512Measurement {
+                threads: 2,
+                hardware_threads: 4,
+                seed_ikj_ms: 16.0,
+                blocked_serial_ms: 8.0,
+                blocked_parallel_ms: 2.0,
+                dequant_int8_fused_ms: 4.0,
+            },
+            Q4FusedMeasurement {
+                q4_unfused_ms: 0.75,
+                q4_fused_scalar_ms: 0.5,
+                q4_fused_simd_ms: 0.25,
+                simd: true,
+            },
+            PlanHostMeasurement { plan_on_us_per_token: 0.5, plan_off_us_per_token: 1.0 },
+        );
+        let sample = Sample::of(&run);
+        assert_eq!(Sample::parse(&sample.render()), Ok(sample.clone()));
+        for (key, want) in [
+            ("threads", 2.0),
+            ("hardware_threads", 4.0),
+            ("q4_simd", 1.0),
+            ("speedup_blocked_serial", 2.0),
+            ("speedup_blocked_parallel", 8.0),
+            ("speedup_dequant_int8_fused", 4.0),
+            ("speedup_plan_cache", 2.0),
+            ("speedup_q4_scalar", 1.5),
+            ("speedup_q4_simd", 2.0),
+        ] {
+            assert_eq!(sample.get(key), want, "{key}");
         }
     }
 
     #[test]
-    fn json_round_trips() {
-        let m = fixture();
-        let parsed = Gemm512Measurement::parse_json(&m.to_json()).expect("parse");
-        assert_eq!(parsed.threads, 1);
-        assert!((parsed.seed_ikj_ms - 16.0).abs() < 1e-9);
-        assert!((parsed.speedup_dequant_int8_fused - 2.909).abs() < 1e-9);
+    fn a_baseline_lacking_a_rows_key_is_rejected_by_name() {
+        let text: String =
+            COMMITTED.lines().filter(|l| !l.contains("\"speedup_q4_simd\"")).collect();
+        assert_eq!(Sample::parse(&text), Err("speedup_q4_simd"));
     }
 
     #[test]
-    fn committed_baseline_parses() {
-        let text = include_str!("../../../BENCH_substrate.json");
-        let baseline = Gemm512Measurement::parse_json(text).expect("committed baseline");
-        assert!(baseline.speedup_blocked_serial > 1.0, "baseline must beat the seed loop");
-        assert!(baseline.seed_ikj_ms > 0.0);
+    fn the_committed_baseline_clears_every_floor_that_applies_to_it() {
+        let committed = Sample::parse(COMMITTED).unwrap();
+        let lines = check(&committed, &committed, 0.25);
+        assert!(failing(&lines).is_empty(), "{lines:?}");
+        // One core: the two parallel floors do not bind it; the other five do.
+        assert_eq!(lines.iter().filter(|line| line.floor.is_some()).count(), 5);
     }
 
     #[test]
-    fn identical_measurement_passes_the_gate() {
-        let m = fixture();
-        assert!(compare(&m, &m, 0.25).iter().all(|l| l.ok));
+    fn an_unchanged_measurement_passes() {
+        let lines = check(&fixture(), &fixture(), 0.25);
+        assert_eq!(lines.len(), 6);
+        assert!(lines.iter().all(|line| line.ok() && line.skipped.is_none()), "{lines:?}");
     }
 
     #[test]
-    fn small_noise_within_tolerance_passes() {
-        let base = fixture();
-        let mut cand = fixture();
-        cand.speedup_blocked_serial *= 0.85; // −15 % < 25 % tolerance
-        cand.speedup_dequant_int8_fused *= 0.80;
-        assert!(compare(&base, &cand, 0.25).iter().all(|l| l.ok));
-    }
-
-    #[test]
-    fn injected_2x_slowdown_fails_the_gate() {
-        // A kernel regressing to half its speedup (e.g. the blocked loop
-        // degenerating back toward the seed ikj path) must fail.
-        let base = fixture();
-        let mut cand = fixture();
-        cand.blocked_serial_ms *= 2.0;
-        cand.speedup_blocked_serial /= 2.0;
-        let verdicts = compare(&base, &cand, 0.25);
-        assert!(!verdicts.iter().all(|l| l.ok), "2x slowdown must fail");
-        let bad: Vec<_> = verdicts.iter().filter(|l| !l.ok).collect();
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].metric, "speedup_blocked_serial");
-        // Equivalent view: a doctored baseline twice as fast as reality
-        // fails the real measurement — the local verification recipe.
-        let mut doctored = fixture();
-        doctored.speedup_blocked_serial *= 2.0;
-        doctored.speedup_blocked_parallel *= 2.0;
-        doctored.speedup_dequant_int8_fused *= 2.0;
-        assert!(!compare(&doctored, &base, 0.25).iter().all(|l| l.ok));
-    }
-
-    #[test]
-    fn parallel_speedup_is_informational_across_thread_mismatch() {
-        // A baseline refreshed on a 16-core laptop must not make a 2-core
-        // CI runner fail on the parallel figure alone — that is a machine
-        // difference, not a kernel regression. Serial/dequant still gate.
-        let mut base = fixture();
-        base.threads = 16;
-        base.hardware_threads = 16;
-        base.speedup_blocked_parallel = 9.0;
-        let mut cand = fixture();
-        cand.threads = 2;
-        cand.hardware_threads = 2;
-        cand.speedup_blocked_parallel = 3.0;
-        let verdicts = compare(&base, &cand, 0.25);
-        assert!(verdicts.iter().all(|l| l.ok), "{verdicts:?}");
-        let parallel = verdicts.iter().find(|l| l.metric == "speedup_blocked_parallel").unwrap();
-        assert!(!parallel.gated, "incomparable parallel figure must be informational");
-        let dequant = verdicts.iter().find(|l| l.metric == "speedup_dequant_int8_fused").unwrap();
-        assert!(!dequant.gated, "fused dequant is pool-parallel: same thread caveat");
-        // A genuine serial regression on the same mismatched machines
-        // still fails.
-        cand.speedup_blocked_serial /= 2.0;
-        assert!(!compare(&base, &cand, 0.25).iter().all(|l| l.ok));
-        // Equal-or-more parallelism gates the parallel figure again.
-        let mut fast_cand = fixture();
-        fast_cand.threads = 16;
-        fast_cand.hardware_threads = 16;
-        fast_cand.speedup_blocked_parallel = 3.0;
-        let v = compare(&base, &fast_cand, 0.25);
-        let parallel = v.iter().find(|l| l.metric == "speedup_blocked_parallel").unwrap();
-        assert!(parallel.gated && !parallel.ok, "real parallel regression must fail");
-    }
-
-    #[test]
-    fn floors_hold_for_the_fixture_and_reject_regressions() {
-        assert_speedup_floors(&fixture());
-        let mut bad = fixture();
-        bad.speedup_blocked_serial = 1.2;
-        let err = std::panic::catch_unwind(move || assert_speedup_floors(&bad));
-        assert!(err.is_err(), "a 1.2x blocked speedup breaks the 1.5x floor");
-    }
-
-    fn plan_fixture() -> PlanHostMeasurement {
-        PlanHostMeasurement {
-            plan_on_us_per_token: 0.6,
-            plan_off_us_per_token: 1.0,
-            speedup_plan_cache: 1.667,
+    fn a_15_percent_drop_on_any_gated_row_passes() {
+        for key in gated_keys() {
+            let candidate = fixture().with(key, fixture().get(key) * 0.85);
+            let lines = check(&fixture(), &candidate, 0.25);
+            assert!(failing(&lines).is_empty(), "{key}: {lines:?}");
         }
     }
 
     #[test]
-    fn plan_fields_round_trip_through_the_merged_baseline() {
-        let merged = merge_plan_json(&fixture().to_json(), &plan_fixture());
-        // Both halves of the spliced document parse back unchanged.
-        let gemm = Gemm512Measurement::parse_json(&merged).expect("gemm half");
-        assert!((gemm.speedup_blocked_serial - 2.105).abs() < 1e-9);
-        let plan = PlanHostMeasurement::parse_json(&merged).expect("plan half");
-        assert!((plan.plan_on_us_per_token - 0.6).abs() < 1e-9);
-        assert!((plan.speedup_plan_cache - 1.667).abs() < 1e-9);
-    }
-
-    #[test]
-    fn plan_parse_is_none_on_a_pre_plan_baseline() {
-        // A baseline committed before the plan gate existed has only the
-        // GEMM fields — the gate treats the plan figure as informational.
-        assert!(PlanHostMeasurement::parse_json(&fixture().to_json()).is_none());
-    }
-
-    #[test]
-    fn committed_baseline_has_plan_fields() {
-        let text = include_str!("../../../BENCH_substrate.json");
-        let plan = PlanHostMeasurement::parse_json(text).expect("committed plan baseline");
-        assert!(plan.speedup_plan_cache >= 1.3, "committed baseline must clear the plan floor");
-        assert_plan_floor(&plan);
-    }
-
-    #[test]
-    fn plan_compare_gates_on_tolerance() {
-        let base = plan_fixture();
-        let mut cand = plan_fixture();
-        cand.speedup_plan_cache *= 0.85; // −15 % < 25 % tolerance
-        let v = compare_plan(&base, &cand, 0.25);
-        assert!(v.gated && v.ok, "{v:?}");
-        cand.speedup_plan_cache = base.speedup_plan_cache / 2.0;
-        let v = compare_plan(&base, &cand, 0.25);
-        assert!(v.gated && !v.ok, "a 2x replay slowdown must fail: {v:?}");
-    }
-
-    #[test]
-    fn plan_floor_rejects_sub_1_3x_replay() {
-        let mut bad = plan_fixture();
-        bad.speedup_plan_cache = 1.1;
-        let err = std::panic::catch_unwind(move || assert_plan_floor(&bad));
-        assert!(err.is_err(), "1.1x replay breaks the 1.3x acceptance bar");
-    }
-
-    fn q4_fixture() -> Q4FusedMeasurement {
-        Q4FusedMeasurement {
-            q4_unfused_ms: 0.60,
-            q4_fused_scalar_ms: 0.40,
-            q4_fused_simd_ms: 0.25,
-            simd: true,
-            speedup_q4_scalar: 1.5,
-            speedup_q4_simd: 1.6,
+    fn halving_any_gated_row_fails_exactly_that_row() {
+        for key in gated_keys() {
+            let candidate = fixture().with(key, fixture().get(key) / 2.0);
+            let lines = check(&fixture(), &candidate, 0.25);
+            assert_eq!(failing(&lines), [key]);
+            assert!(line(&lines, key).regressed);
         }
     }
 
     #[test]
-    fn q4_fields_round_trip_through_the_merged_baseline() {
-        let merged =
-            merge_q4_json(&merge_plan_json(&fixture().to_json(), &plan_fixture()), &q4_fixture());
-        // All three slices of the spliced document parse back unchanged.
-        let gemm = Gemm512Measurement::parse_json(&merged).expect("gemm slice");
-        assert!((gemm.speedup_blocked_serial - 2.105).abs() < 1e-9);
-        let plan = PlanHostMeasurement::parse_json(&merged).expect("plan slice");
-        assert!((plan.speedup_plan_cache - 1.667).abs() < 1e-9);
-        let q4 = Q4FusedMeasurement::parse_json(&merged).expect("q4 slice");
-        assert_eq!(q4, q4_fixture());
+    fn a_baseline_doctored_to_2x_fails_every_gated_row() {
+        let doctored = gated_keys().into_iter().fold(fixture(), |s, key| {
+            let doubled = s.get(key) * 2.0;
+            s.with(key, doubled)
+        });
+        let lines = check(&doctored, &fixture(), 0.25);
+        assert_eq!(failing(&lines), gated_keys());
+        assert!(lines.iter().all(|line| line.regressed));
     }
 
     #[test]
-    fn q4_parse_is_none_on_a_pre_q4_baseline() {
-        assert!(Q4FusedMeasurement::parse_json(&fixture().to_json()).is_none());
+    fn thread_mismatch_leaves_the_pool_rows_informational() {
+        // A baseline from a 16-core box must not fail a 2-core runner on the
+        // pool-parallel figures alone; the serial figure still gates.
+        let baseline = fixture()
+            .with("threads", 16.0)
+            .with("hardware_threads", 16.0)
+            .with("speedup_blocked_parallel", 9.0);
+        let candidate = fixture().with("speedup_blocked_parallel", 4.5);
+        let lines = check(&baseline, &candidate, 0.25);
+        assert!(failing(&lines).is_empty(), "{lines:?}");
+        for key in ["speedup_blocked_parallel", "speedup_dequant_int8_fused"] {
+            let text = line(&lines, key).to_string();
+            assert!(text.contains("threads") && !text.contains("SIMD"), "{text}");
+        }
+        assert!(line(&lines, "speedup_blocked_serial").skipped.is_none());
+        let slow_serial = candidate
+            .clone()
+            .with("speedup_blocked_serial", fixture().get("speedup_blocked_serial") / 2.0);
+        assert_eq!(failing(&check(&baseline, &slow_serial, 0.25)), ["speedup_blocked_serial"]);
+        // Equal parallelism gates the parallel figure again.
+        let wide = candidate.with("threads", 16.0).with("hardware_threads", 16.0);
+        assert_eq!(failing(&check(&baseline, &wide, 0.25)), ["speedup_blocked_parallel"]);
     }
 
     #[test]
-    fn committed_baseline_has_q4_fields() {
-        let text = include_str!("../../../BENCH_substrate.json");
-        let q4 = Q4FusedMeasurement::parse_json(text).expect("committed q4 baseline");
-        assert!(q4.speedup_q4_scalar >= 1.2, "committed baseline must clear the scalar floor");
-        assert_q4_floors(&q4);
+    fn simd_mismatch_leaves_the_simd_row_informational() {
+        // The committed baseline (2 threads, 1 core, SIMD) against a 2-core
+        // runner with the SIMD tier off: only the SIMD tier differs, and
+        // the line must say so rather than blame threads.
+        let baseline = Sample::parse(COMMITTED).unwrap();
+        let candidate = baseline
+            .clone()
+            .with("hardware_threads", 2.0)
+            .with("speedup_blocked_parallel", 4.5)
+            .with("q4_simd", 0.0)
+            .with("speedup_q4_simd", 0.95);
+        let lines = check(&baseline, &candidate, 0.25);
+        assert!(failing(&lines).is_empty(), "{lines:?}");
+        let text = line(&lines, "speedup_q4_simd").to_string();
+        assert!(text.contains("SIMD tier") && !text.contains("threads"), "{text}");
+        assert!(line(&lines, "speedup_q4_scalar").skipped.is_none());
+        let slow_scalar =
+            candidate.with("speedup_q4_scalar", baseline.get("speedup_q4_scalar") / 2.0);
+        assert_eq!(failing(&check(&baseline, &slow_scalar, 0.25)), ["speedup_q4_scalar"]);
+        // Matched tiers gate the SIMD ratio.
+        let slow_simd = fixture().with("speedup_q4_simd", fixture().get("speedup_q4_simd") / 2.0);
+        assert_eq!(failing(&check(&fixture(), &slow_simd, 0.25)), ["speedup_q4_simd"]);
     }
 
     #[test]
-    fn q4_floors_hold_for_the_fixture_and_reject_regressions() {
-        assert_q4_floors(&q4_fixture());
-        // A sub-1.2x SIMD ratio on AVX2 hardware breaks the floor...
-        let mut bad = q4_fixture();
-        bad.speedup_q4_simd = 1.05;
-        let err = std::panic::catch_unwind(move || assert_q4_floors(&bad));
-        assert!(err.is_err(), "1.05x SIMD-over-scalar breaks the 1.2x bar");
-        // ...but the same ratio without the AVX2 tier is expected (the two
-        // timings measure the same scalar code) — only the scalar floor
-        // applies there.
-        let mut no_simd = q4_fixture();
-        no_simd.speedup_q4_simd = 1.0;
-        no_simd.simd = false;
-        assert_q4_floors(&no_simd);
-        let mut slow_scalar = q4_fixture();
-        slow_scalar.simd = false;
-        slow_scalar.speedup_q4_scalar = 0.9;
-        let err = std::panic::catch_unwind(move || assert_q4_floors(&slow_scalar));
-        assert!(err.is_err(), "a sub-unfused scalar fused path must fail even without SIMD");
-    }
-
-    #[test]
-    fn q4_simd_line_is_informational_across_simd_mismatch() {
-        // Baseline from an AVX2 laptop, candidate from a runner without the
-        // tier (or with PGMOE_NO_SIMD forced): the SIMD ratio is
-        // incomparable and must not fail the gate; the scalar line still
-        // gates both ways.
-        let base = q4_fixture();
-        let mut cand = q4_fixture();
-        cand.simd = false;
-        cand.speedup_q4_simd = 1.0;
-        let verdicts = compare_q4(&base, &cand, 0.25);
-        assert!(verdicts.iter().all(|l| l.ok), "{verdicts:?}");
-        let simd = verdicts.iter().find(|l| l.metric == "speedup_q4_simd").unwrap();
-        assert!(!simd.gated, "SIMD figure must be informational on a scalar-only candidate");
-        // A genuine scalar regression still fails on the mismatched pair.
-        cand.speedup_q4_scalar /= 2.0;
-        assert!(!compare_q4(&base, &cand, 0.25).iter().all(|l| l.ok));
-        // Matched SIMD tiers gate the SIMD ratio for real.
-        let mut slow_simd = q4_fixture();
-        slow_simd.speedup_q4_simd = base.speedup_q4_simd / 2.0;
-        let v = compare_q4(&base, &slow_simd, 0.25);
-        let simd = v.iter().find(|l| l.metric == "speedup_q4_simd").unwrap();
-        assert!(simd.gated && !simd.ok, "a real SIMD regression must fail");
+    fn each_floor_rejects_a_value_just_below_its_bound() {
+        // The 2x parallel floor binds alone only with one configured thread.
+        let machines = [fixture(), fixture().with("threads", 1.0)];
+        let mut floors = 0;
+        for row in &ROWS {
+            for floor in row.floors {
+                let machine = machines
+                    .iter()
+                    .find(|m| line(&check(m, m, 0.25), row.key).floor == Some(floor.bound))
+                    .unwrap_or_else(|| {
+                        panic!("no machine where {}'s {}x floor binds", row.key, floor.bound)
+                    });
+                let at = machine.clone().with(row.key, floor.bound);
+                assert!(
+                    line(&check(&at, &at, 0.25), row.key).ok(),
+                    "{} at {}",
+                    row.key,
+                    floor.bound
+                );
+                let below = machine.clone().with(row.key, floor.bound - 1e-3);
+                let verdict = check(&below, &below, 0.25);
+                assert!(line(&verdict, row.key).below_floor, "{} below {}", row.key, floor.bound);
+                assert_eq!(failing(&verdict), [row.key]);
+                floors += 1;
+            }
+        }
+        assert_eq!(floors, 7);
     }
 }

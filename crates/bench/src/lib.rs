@@ -7,8 +7,8 @@
 //! Each `fig*`/`table*` function returns a formatted report whose rows/series
 //! correspond 1:1 to the paper's plots; the `repro` binary prints them and
 //! writes the artifact-style CSV files (`block_lats.csv`, `throughputs.csv`,
-//! `peak_mems.csv`). `benches/substrate.rs` times the kernel layer the
-//! drivers run on.
+//! `peak_mems.csv`). [`gate`] is the perf gate's table of kernel and
+//! plan-replay speedups, which the `bench_gate` binary checks.
 //!
 //! ```sh
 //! cargo run --release -p pgmoe-bench --bin repro -- all
@@ -28,7 +28,7 @@ pub fn paper_request() -> pregated_moe::prelude::DecodeRequest {
     pregated_moe::prelude::DecodeRequest { input_tokens: 32, output_tokens: 64, batch_size: 1 }
 }
 
-/// A faster request for smoke runs and Criterion iterations.
+/// A faster request for smoke runs.
 pub fn smoke_request() -> pregated_moe::prelude::DecodeRequest {
     pregated_moe::prelude::DecodeRequest { input_tokens: 32, output_tokens: 8, batch_size: 1 }
 }

@@ -82,9 +82,9 @@ impl RunReport {
 }
 
 /// Adapter: one decode iteration's routing as a slice of the trace.
-struct TraceRouted<'a> {
-    trace: &'a RoutingTrace,
-    token: usize,
+pub(crate) struct TraceRouted<'a> {
+    pub(crate) trace: &'a RoutingTrace,
+    pub(crate) token: usize,
 }
 
 impl RoutedSource for TraceRouted<'_> {

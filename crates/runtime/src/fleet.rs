@@ -19,7 +19,7 @@
 //!   [`JoinShortestQueue`], and [`CacheAffinity`] (steer requests toward
 //!   replicas whose [`ExpertCache`] already holds their hot experts — the
 //!   win under domain-skewed Zipf routing) ship built in; implement the
-//!   trait for your own (`examples/serve_fleet.rs` shows one).
+//!   trait for your own (`tests/fleet_serving.rs` serves a stream with one).
 //! * The expert-parallel cluster is a *drop-in alternative backend*:
 //!   [`serve_cluster`] serves the same stream on one
 //!   [`PolicySpec::expert_parallel`] pipeline (a one-replica fleet on the

@@ -28,9 +28,10 @@
 //! [`BatchScheduler`]: crate::BatchScheduler
 
 use crate::core::{self, CoreEnv, CoreScratch, DecodeCosts};
+use crate::engine::TraceRouted;
 use crate::scheduler::{
     ExecPlan, ExpertScheduler, HbmPlan, MemoryProfile, PolicyCtx, PolicySpec, Residency,
-    RoutedSource, SchedulerFactory, SchedulerSetup,
+    SchedulerFactory, SchedulerSetup,
 };
 use crate::{ExpertKey, Result, RuntimeError, SimOptions};
 use pgmoe_device::{CostModel, Link, Machine, MachineConfig, MemoryPool, SimDuration, Tier};
@@ -251,18 +252,6 @@ impl ExpertScheduler for ClusterScheduler {
 
     fn is_resident(&self, _key: ExpertKey) -> bool {
         true
-    }
-}
-
-/// One decode iteration's routing as a slice of a trace.
-struct TraceRouted<'a> {
-    trace: &'a RoutingTrace,
-    token: usize,
-}
-
-impl RoutedSource for TraceRouted<'_> {
-    fn experts(&self, block: usize) -> &[usize] {
-        self.trace.experts(self.token, block)
     }
 }
 

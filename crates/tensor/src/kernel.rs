@@ -508,7 +508,7 @@ fn add_or_store(out: &mut [f32], tile: &[f32; JT], acc: bool) {
 /// element on dense data. It is kept as the explicit entry point for
 /// operands that are structurally sparse — routing one-hots, masked gate
 /// matrices — where skipping whole `B`-row accumulations wins, and as the
-/// seed-loop baseline the substrate bench measures speedups against.
+/// seed-loop baseline `bench_gate` measures GEMM speedups against.
 /// Produces results equal (under `f32` `==`) to [`matmul_into`].
 ///
 /// # Panics

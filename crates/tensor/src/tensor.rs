@@ -596,26 +596,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Matrix product that skips zero elements of `self` — the explicit
-    /// entry point for structurally sparse operands (routing one-hots,
-    /// masked gate matrices), where skipping whole `B`-row accumulations
-    /// wins. Dense callers should use [`Tensor::matmul`]: the per-element
-    /// branch pessimises dense data.
-    ///
-    /// Equal (under `f32` equality) to [`Tensor::matmul`] for all inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or inner-dimension mismatch.
-    pub fn matmul_sparse(&self, other: &Tensor) -> Tensor {
-        let (m, k1) = self.shape.as_matrix().expect("matmul_sparse: lhs must be rank 2");
-        let (k2, n) = other.shape.as_matrix().expect("matmul_sparse: rhs must be rank 2");
-        assert_eq!(k1, k2, "matmul_sparse: inner dimension mismatch");
-        let mut out = Tensor::zeros([m, n]);
-        kernel::matmul_skip_zeros_into(&mut out.data, &self.data, &other.data, m, k1, n);
-        out
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -828,13 +808,6 @@ mod tests {
         for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((x - y).abs() < 1e-5, "{x} vs {y}");
         }
-    }
-
-    #[test]
-    fn matmul_sparse_equals_dense() {
-        let a = Tensor::from_rows(&[&[0.0, 1.0, 0.0], &[0.0, 0.0, 0.7]]);
-        let b = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        assert_eq!(a.matmul_sparse(&b), a.matmul(&b));
     }
 
     #[test]

@@ -225,7 +225,7 @@ proptest! {
     }
 
     #[test]
-    fn sparse_entry_point_equals_dense_matmul((a, b) in conformable_pair(8), zero_stride in 2usize..5) {
+    fn skip_zeros_kernel_equals_dense_matmul((a, b) in conformable_pair(8), zero_stride in 2usize..5) {
         // Zero out a strided subset so the skip branch actually fires.
         let mut sparse = a.clone();
         for (i, v) in sparse.as_mut_slice().iter_mut().enumerate() {
@@ -233,7 +233,12 @@ proptest! {
                 *v = 0.0;
             }
         }
-        prop_assert_eq!(sparse.matmul_sparse(&b), sparse.matmul(&b));
+        let (m, k, n) = (sparse.rows(), sparse.cols(), b.cols());
+        let mut skipped = vec![0.0f32; m * n];
+        kernel::matmul_skip_zeros_into(&mut skipped, sparse.as_slice(), b.as_slice(), m, k, n);
+        let mut dense = vec![0.0f32; m * n];
+        kernel::matmul_into(&mut dense, sparse.as_slice(), b.as_slice(), m, k, n);
+        prop_assert_eq!(skipped, dense);
     }
 
     #[test]

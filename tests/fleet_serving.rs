@@ -11,7 +11,9 @@
 //!    fleet-wide demand-fetch bytes versus round-robin.
 //!
 //! Both claims are *asserted*, not just printed; a regression in the fleet
-//! layer, the cluster backend, or the dispatch policies fails this test.
+//! layer, the cluster backend, or the dispatch policies fails this test. A
+//! dispatcher written outside the runtime crate serves a stream end to end,
+//! so a break in the `DispatchPolicy` extension seam fails here too.
 
 use pregated_moe_repro::pgmoe::prelude::*;
 
@@ -174,4 +176,49 @@ fn fleet_accounting_identities_hold_for_every_dispatcher() {
         assert!(stats.p50() <= stats.p95() && stats.p95() <= stats.p99(), "{name}");
         assert_eq!(stats.dispatch, name);
     }
+}
+
+/// A custom dispatcher, implemented entirely outside the runtime crate:
+/// statically shard by the request's hottest probe expert. No queue
+/// awareness — a strawman showing how little code a [`DispatchPolicy`]
+/// needs.
+struct HashByHotExpert;
+
+impl DispatchPolicy for HashByHotExpert {
+    fn name(&self) -> String {
+        "hash-by-hot-expert".into()
+    }
+
+    fn choose(&mut self, replicas: &[ReplicaView<'_>], request: &RequestProfile<'_>) -> usize {
+        request.probe.first().copied().unwrap_or(0) % replicas.len()
+    }
+}
+
+/// The dispatch extension seam end to end: an out-of-crate policy places
+/// a Poisson stream on an int8 replica fleet through `FleetSim`, and every
+/// request is served once with its full token count.
+#[test]
+fn an_out_of_crate_dispatch_policy_serves_a_stream_end_to_end() {
+    let request = DecodeRequest { input_tokens: 16, output_tokens: 16, batch_size: 1 };
+    let arrivals = poisson_arrivals(32, 150.0, request, 7);
+    let fleet = FleetSim::new(
+        ModelConfig::switch_base(64),
+        SimOptions::new(OffloadPolicy::Pregated).with_expert_precision(ExpertPrecision::Int8),
+        FleetConfig::new(GPUS, BatchConfig::new(4)),
+    );
+    let expected_tokens: usize = arrivals.iter().map(|a| a.request.output_tokens).sum();
+    let stats = fleet.serve(arrivals.clone(), &mut HashByHotExpert).unwrap();
+    assert_eq!(stats.dispatch, "hash-by-hot-expert");
+    assert_eq!(stats.request_latencies.len(), 32);
+    assert_eq!(stats.total_tokens, expected_tokens, "every stream completed in full");
+    assert_eq!(
+        stats.replicas.iter().map(|r| r.request_latencies.len()).sum::<usize>(),
+        32,
+        "every request served exactly once"
+    );
+    // Static sharding spreads the stream, and the same stream lands the
+    // same way again.
+    assert!(stats.replicas.iter().filter(|r| !r.request_latencies.is_empty()).count() > 1);
+    let again = fleet.serve(arrivals, &mut HashByHotExpert).unwrap();
+    assert_eq!(again.assignment, stats.assignment);
 }
