@@ -1,7 +1,6 @@
 //! Capacity-tracked memory pools for the GPU/CPU/SSD tiers.
 
 use crate::{DeviceError, Result};
-use std::collections::HashMap;
 
 /// A storage tier in the paper's memory hierarchy (Fig 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -19,14 +18,45 @@ impl Tier {
     pub const ALL: [Tier; 3] = [Tier::Hbm, Tier::Ddr, Tier::Ssd];
 }
 
-/// Handle to a live allocation in a [`MemoryPool`].
+/// Handle to a live allocation in a [`MemoryPool`]: the slab slot in the
+/// low 32 bits and the slot's generation at allocation in the high 32, so a
+/// handle to a freed slot stays invalid after the slot is reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AllocId(u64);
+
+impl AllocId {
+    fn new(slot: u32, generation: u32) -> Self {
+        AllocId(u64::from(generation) << 32 | u64::from(slot))
+    }
+
+    fn slot(self) -> u32 {
+        self.0 as u32
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
+
+/// One slab slot: the size of its live allocation, if any, and how many
+/// times it has been freed (wrapping).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    bytes: Option<u64>,
+    generation: u32,
+}
 
 /// A single memory tier with capacity, live-byte and peak-byte accounting.
 ///
 /// Peak tracking is the measurement behind Fig 12 (peak GPU memory usage) and
 /// the OOM behaviour behind the Switch-Large results of Figs 10–11.
+///
+/// Live allocations sit in a slab of slots, and freed slots go on a free
+/// list that the next allocation pops first, so `alloc` and `free` are O(1)
+/// without hashing and the slab never holds more slots than the peak
+/// number of live allocations. Freeing bumps the slot's generation, so a
+/// double free or a stale handle to a reused slot is an
+/// [`DeviceError::UnknownAllocation`], as is a handle past the slab's end.
 ///
 /// # Example
 ///
@@ -48,14 +78,16 @@ pub struct MemoryPool {
     capacity: u64,
     used: u64,
     peak: u64,
-    next_id: u64,
-    live: HashMap<u64, u64>,
+    slots: Vec<Slot>,
+    /// Indices of the slots without a live allocation, reused last-freed
+    /// first.
+    vacant: Vec<u32>,
 }
 
 impl MemoryPool {
     /// Creates a pool of `capacity` bytes on `tier`.
     pub fn new(tier: Tier, capacity: u64) -> Self {
-        MemoryPool { tier, capacity, used: 0, peak: 0, next_id: 0, live: HashMap::new() }
+        MemoryPool { tier, capacity, used: 0, peak: 0, slots: Vec::new(), vacant: Vec::new() }
     }
 
     /// The pool's tier.
@@ -86,7 +118,7 @@ impl MemoryPool {
 
     /// Number of live allocations.
     pub fn live_allocations(&self) -> usize {
-        self.live.len()
+        self.slots.len() - self.vacant.len()
     }
 
     /// Resets the peak statistic to the current usage.
@@ -111,12 +143,15 @@ impl MemoryPool {
                 capacity: self.capacity,
             });
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.live.insert(id, bytes);
+        let slot = self.vacant.pop().unwrap_or_else(|| {
+            self.slots.push(Slot { bytes: None, generation: 0 });
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 live allocations")
+        });
+        let s = &mut self.slots[slot as usize];
+        s.bytes = Some(bytes);
         self.used += bytes;
         self.peak = self.peak.max(self.used);
-        Ok(AllocId(id))
+        Ok(AllocId::new(slot, s.generation))
     }
 
     /// Frees a previous allocation.
@@ -126,18 +161,25 @@ impl MemoryPool {
     /// Returns [`DeviceError::UnknownAllocation`] on double-free or foreign
     /// handles.
     pub fn free(&mut self, id: AllocId) -> Result<()> {
-        match self.live.remove(&id.0) {
-            Some(bytes) => {
-                self.used -= bytes;
-                Ok(())
-            }
-            None => Err(DeviceError::UnknownAllocation { id: id.0 }),
-        }
+        let Some(bytes) = self.size_of(id) else {
+            return Err(DeviceError::UnknownAllocation { id: id.0 });
+        };
+        let slot = &mut self.slots[id.slot() as usize];
+        slot.bytes = None;
+        slot.generation = slot.generation.wrapping_add(1);
+        self.vacant.push(id.slot());
+        self.used -= bytes;
+        Ok(())
     }
 
     /// Size in bytes of a live allocation, if it exists.
     pub fn size_of(&self, id: AllocId) -> Option<u64> {
-        self.live.get(&id.0).copied()
+        let slot = self.slots.get(id.slot() as usize)?;
+        if slot.generation == id.generation() {
+            slot.bytes
+        } else {
+            None
+        }
     }
 }
 
@@ -174,10 +216,31 @@ mod tests {
 
     #[test]
     fn double_free_is_an_error() {
+        let unknown = |r: Result<()>| matches!(r, Err(DeviceError::UnknownAllocation { .. }));
         let mut pool = MemoryPool::new(Tier::Ssd, 10);
         let a = pool.alloc(5).unwrap();
+        assert_eq!((pool.live_allocations(), pool.size_of(a)), (1, Some(5)));
         pool.free(a).unwrap();
-        assert!(matches!(pool.free(a), Err(DeviceError::UnknownAllocation { .. })));
+        assert_eq!((pool.live_allocations(), pool.size_of(a)), (0, None));
+        assert!(unknown(pool.free(a)));
+
+        // `b` reuses a's slot: the stale `a` must not free it.
+        let b = pool.alloc(3).unwrap();
+        assert_ne!(a, b);
+        assert_eq!((pool.live_allocations(), pool.size_of(a), pool.size_of(b)), (1, None, Some(3)));
+        assert!(unknown(pool.free(a)));
+        assert_eq!((pool.live_allocations(), pool.size_of(b), pool.used_bytes()), (1, Some(3), 3));
+
+        // An id past this slab's end, from a pool with more slots.
+        let mut other = MemoryPool::new(Tier::Ssd, 10);
+        let _ = (other.alloc(1).unwrap(), other.alloc(1).unwrap());
+        let foreign = other.alloc(1).unwrap();
+        assert_eq!(pool.size_of(foreign), None);
+        assert!(unknown(pool.free(foreign)));
+        assert_eq!((pool.live_allocations(), pool.used_bytes()), (1, 3));
+
+        pool.free(b).unwrap();
+        assert_eq!((pool.live_allocations(), pool.size_of(b), pool.used_bytes()), (0, None, 0));
     }
 
     #[test]

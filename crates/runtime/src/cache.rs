@@ -10,19 +10,28 @@
 //!
 //! No operation scans the residents. Residency lives in a per-block table
 //! indexed by expert id (keys are small `(block, expert)` integers, so
-//! nothing is hashed), and the eviction order in one ordered set of
-//! `(rank, key)` pairs. The rank is `last_used` under LRU, `uses` under LFU
-//! and `u64::MAX − inserted_at` under LIFO, so the victim is always the
-//! set's first element: the smallest rank, ties broken by key order. A hit
-//! re-keys its pair under LRU and LFU (a LIFO rank never moves); an insert
-//! or an eviction adds or drops one pair. A lookup is O(1), an access that
-//! changes the index O(log n) in the resident count n, and
-//! [`ExpertCache::set_capacity`] shrinking by k evictions O(k log n). The
-//! table walks keys in order, which is the order
-//! [`ExpertCache::state_fingerprint`] hashes them in.
+//! nothing is hashed) whose slots hold a `u32` index into one node per
+//! resident. The nodes form a doubly-linked list in ascending `(rank, key)`
+//! order. The rank is `last_used` under LRU, `uses` under LFU and
+//! `u64::MAX − inserted_at` under LIFO, so the victim is always the list's
+//! head: the smallest rank, ties broken by key order. The clock rises on
+//! every access, which fixes where most moves land:
+//!
+//! - **LRU**: a hit or an insert carries the newest clock, so it always
+//!   links at the tail. O(1).
+//! - **LIFO**: an insert carries the newest clock, so the smallest rank,
+//!   and links at the head; a hit never moves. O(1).
+//! - **LFU**: a hit walks forward from the entry's old successor and an
+//!   insert (at `uses = 1`) from the head. Either walk passes only entries
+//!   tied with the old or the new count, so it is O(1) plus those ties.
+//!
+//! A lookup is O(1), an eviction unlinks the head in O(1), and
+//! [`ExpertCache::set_capacity`] shrinking by k evictions is O(k). A
+//! vacated node is reused by the next insert, so there are never more nodes
+//! than the peak resident count. The table walks keys in order, which is
+//! the order [`ExpertCache::state_fingerprint`] hashes them in.
 
 use crate::Replacement;
-use std::collections::BTreeSet;
 
 /// Identity of an expert: (MoE block index, expert index within the block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,7 +72,7 @@ struct Entry {
     uses: u64,
 }
 
-/// An entry's position in the eviction index under `replacement`: the
+/// An entry's position in the eviction list under `replacement`: the
 /// smallest rank is evicted first.
 fn rank(replacement: Replacement, e: &Entry) -> u64 {
     match replacement {
@@ -73,6 +82,18 @@ fn rank(replacement: Replacement, e: &Entry) -> u64 {
         Replacement::Lfu => e.uses,
         Replacement::Lru => e.last_used,
     }
+}
+
+/// No node: an empty table slot, or the end of the eviction list.
+const NIL: u32 = u32::MAX;
+
+/// One resident: its entry and its neighbours in the eviction list.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    key: ExpertKey,
+    entry: Entry,
+    prev: u32,
+    next: u32,
 }
 
 /// A fixed-capacity set of GPU-resident experts.
@@ -98,10 +119,17 @@ fn rank(replacement: Replacement, e: &Entry) -> u64 {
 pub struct ExpertCache {
     capacity: usize,
     replacement: Replacement,
-    /// Residency table, `slots[block][expert]`, grown on insert.
-    slots: Vec<Vec<Option<Entry>>>,
-    /// Eviction index: `(rank, key)` of every resident, victim first.
-    order: BTreeSet<(u64, ExpertKey)>,
+    /// Residency table, `slots[block][expert]`: the resident's index into
+    /// `nodes`, or [`NIL`]. Grown on insert; four bytes a slot, so a
+    /// replica's table stays small however many experts it has seen.
+    slots: Vec<Vec<u32>>,
+    /// One node per resident; a vacated node's index waits in `free`.
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    /// Ends of the eviction list, which runs through `nodes` in ascending
+    /// `(rank, key)` order: the head is the victim.
+    head: u32,
+    tail: u32,
     clock: u64,
     stats: CacheStats,
 }
@@ -113,7 +141,10 @@ impl ExpertCache {
             capacity,
             replacement,
             slots: Vec::new(),
-            order: BTreeSet::new(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -126,17 +157,17 @@ impl ExpertCache {
 
     /// Number of experts currently resident.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.nodes.len() - self.free.len()
     }
 
     /// Whether the cache holds no experts.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len() == 0
     }
 
     /// Whether `key` is resident, without touching recency/frequency state.
     pub fn contains(&self, key: ExpertKey) -> bool {
-        self.entry(key).is_some()
+        self.node_of(key).is_some()
     }
 
     /// Accumulated statistics.
@@ -166,14 +197,21 @@ impl ExpertCache {
             self.stats.misses += 1;
             return false;
         }
-        if let Some(e) = entry_mut(&mut self.slots, key) {
-            let before = rank(self.replacement, e);
-            e.last_used = self.clock;
-            e.uses += 1;
-            let after = rank(self.replacement, e);
-            if after != before {
-                self.order.remove(&(before, key));
-                self.order.insert((after, key));
+        if let Some(i) = self.node_of(key) {
+            let node = &mut self.nodes[i as usize];
+            let before = rank(self.replacement, &node.entry);
+            node.entry.last_used = self.clock;
+            node.entry.uses += 1;
+            let successor = node.next;
+            if rank(self.replacement, &node.entry) != before {
+                // The rank only rose: LRU now outranks everyone, LFU
+                // passes at most the ties after its old place.
+                self.unlink(i);
+                let from = match self.replacement {
+                    Replacement::Lfu => successor,
+                    _ => self.tail,
+                };
+                self.link(i, from);
             }
             self.stats.hits += 1;
             return true;
@@ -191,16 +229,37 @@ impl ExpertCache {
                 self.stats.evictions += 1;
             }
         }
-        let entry = Entry { inserted_at: self.clock, last_used: self.clock, uses: 1 };
+        let node = Node {
+            key,
+            entry: Entry { inserted_at: self.clock, last_used: self.clock, uses: 1 },
+            prev: NIL,
+            next: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.nodes[i as usize] = node;
+                i
+            }
+            None => {
+                self.nodes.push(node);
+                u32::try_from(self.nodes.len() - 1).expect("fewer than u32::MAX residents")
+            }
+        };
         if self.slots.len() <= key.block {
             self.slots.resize_with(key.block + 1, Vec::new);
         }
         let row = &mut self.slots[key.block];
         if row.len() <= key.expert {
-            row.resize(key.expert + 1, None);
+            row.resize(key.expert + 1, NIL);
         }
-        row[key.expert] = Some(entry);
-        self.order.insert((rank(self.replacement, &entry), key));
+        row[key.expert] = i;
+        // The newest clock: LRU's largest rank, LIFO's smallest, and LFU's
+        // smallest count (ties with other single-use residents by key).
+        let from = match self.replacement {
+            Replacement::Lru => self.tail,
+            _ => self.head,
+        };
+        self.link(i, from);
         false
     }
 
@@ -233,34 +292,90 @@ impl ExpertCache {
     /// though the absolute clock has moved on.
     pub fn state_fingerprint(&self) -> u64 {
         // The table walks keys in `ExpertKey` order already.
+        let nodes = &self.nodes;
         let residents = self.slots.iter().enumerate().flat_map(|(block, row)| {
             row.iter()
                 .enumerate()
-                .filter_map(move |(expert, e)| e.map(|e| (ExpertKey { block, expert }, e)))
+                .filter(|&(_, &i)| i != NIL)
+                .map(move |(expert, &i)| (ExpertKey { block, expert }, nodes[i as usize].entry))
         });
         fingerprint(self.capacity, self.replacement, self.clock, residents)
     }
 
-    fn entry(&self, key: ExpertKey) -> Option<&Entry> {
-        self.slots.get(key.block)?.get(key.expert)?.as_ref()
+    /// `key`'s node, if it is resident (a key past the table's end is not).
+    fn node_of(&self, key: ExpertKey) -> Option<u32> {
+        let i = *self.slots.get(key.block)?.get(key.expert)?;
+        (i != NIL).then_some(i)
     }
 
-    /// The eviction candidate under the configured policy: the index's
-    /// first element, so ties break by key order.
+    /// Node `i`'s place in the eviction order.
+    fn order_key(&self, i: u32) -> (u64, ExpertKey) {
+        let node = &self.nodes[i as usize];
+        (rank(self.replacement, &node.entry), node.key)
+    }
+
+    /// The eviction candidate under the configured policy: the list's
+    /// head, so ties break by key order.
     fn pick_victim(&self) -> Option<ExpertKey> {
-        self.order.first().map(|&(_, key)| key)
+        (self.head != NIL).then(|| self.nodes[self.head as usize].key)
     }
 
-    /// Drops resident `key` from the table and the index.
+    /// Links unlinked node `i` into the eviction list, walking forward from
+    /// node `from` ([`NIL`]: the tail end) past every node that sorts before
+    /// it. Every node before `from` must already sort before `i`.
+    fn link(&mut self, i: u32, from: u32) {
+        let target = self.order_key(i);
+        let mut at = from;
+        while at != NIL && self.order_key(at) < target {
+            at = self.nodes[at as usize].next;
+        }
+        let prev = if at == NIL { self.tail } else { self.nodes[at as usize].prev };
+        let node = &mut self.nodes[i as usize];
+        node.prev = prev;
+        node.next = at;
+        match prev {
+            NIL => self.head = i,
+            p => self.nodes[p as usize].next = i,
+        }
+        match at {
+            NIL => self.tail = i,
+            n => self.nodes[n as usize].prev = i,
+        }
+    }
+
+    /// Unlinks node `i` from the eviction list (it stays resident).
+    fn unlink(&mut self, i: u32) {
+        let Node { prev, next, .. } = self.nodes[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Drops resident `key` from the list and the table.
     fn remove(&mut self, key: ExpertKey) {
-        let e = self.slots[key.block][key.expert].take().expect("evicting a resident expert");
-        self.order.remove(&(rank(self.replacement, &e), key));
+        let i = self.node_of(key).expect("removing a resident expert");
+        self.unlink(i);
+        self.slots[key.block][key.expert] = NIL;
+        self.free.push(i);
     }
-}
 
-/// `key`'s resident entry, if any (a key past the table's end is absent).
-fn entry_mut(slots: &mut [Vec<Option<Entry>>], key: ExpertKey) -> Option<&mut Entry> {
-    slots.get_mut(key.block)?.get_mut(key.expert)?.as_mut()
+    /// The eviction list head to tail, checking every back link on the way.
+    #[cfg(test)]
+    fn order(&self) -> impl Iterator<Item = ExpertKey> + '_ {
+        let first = (self.head != NIL).then_some(self.head);
+        std::iter::successors(first, move |&i| {
+            let next = self.nodes[i as usize].next;
+            let back = if next == NIL { self.tail } else { self.nodes[next as usize].prev };
+            assert_eq!(back, i, "broken back link after {:?}", self.nodes[i as usize].key);
+            (next != NIL).then_some(next)
+        })
+        .map(|i| self.nodes[i as usize].key)
+    }
 }
 
 /// FNV-1a over capacity, policy, and each resident in key order with its
@@ -403,6 +518,13 @@ mod tests {
             fingerprint(self.capacity, self.replacement, self.clock, residents)
         }
 
+        /// Every resident in eviction order: ascending `(rank, key)`.
+        fn eviction_order(&self) -> Vec<ExpertKey> {
+            let mut keys: Vec<ExpertKey> = self.entries.keys().copied().collect();
+            keys.sort_unstable_by_key(|k| (rank(self.replacement, &self.entries[k]), *k));
+            keys
+        }
+
         fn pick_victim(&self) -> Option<ExpertKey> {
             let best = |f: fn(&Entry) -> u64, prefer_large: bool| {
                 self.entries
@@ -421,11 +543,11 @@ mod tests {
         }
     }
 
-    /// The eviction index against the linear scan over seeded streams:
+    /// The eviction list against the linear scan over seeded streams:
     /// every policy × admission vetoes × eviction hints (resident, absent,
     /// the accessed key itself) × `set_capacity` shrink and regrow ×
-    /// capacities 0, 1 and 115. Return values, counters, residency and
-    /// fingerprints must agree after every step.
+    /// capacities 0, 1 and 115. Return values, counters, residency,
+    /// fingerprints and the list's order must agree after every step.
     #[test]
     fn indexed_cache_matches_linear_scan_oracle() {
         const BLOCKS: usize = 12;
@@ -493,6 +615,11 @@ mod tests {
                             "{tag}: step {step} fingerprint"
                         );
                         assert_eq!(fast.contains(k), slow.entries.contains_key(&k), "{tag}");
+                        assert_eq!(
+                            fast.order().collect::<Vec<_>>(),
+                            slow.eviction_order(),
+                            "{tag}: step {step} eviction order"
+                        );
                         if step % 64 == 0 {
                             for b in 0..=BLOCKS {
                                 for e in 0..EXPERTS {

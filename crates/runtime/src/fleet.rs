@@ -46,7 +46,7 @@ use crate::serve::{quantile_of, ServeStats};
 use crate::{BatchConfig, InferenceSim, Result, RuntimeError, SimOptions};
 use pgmoe_device::SimDuration;
 use pgmoe_model::ModelConfig;
-use pgmoe_workload::{ArrivedRequest, DecodeRequest, FaultPlan, RoutingTrace};
+use pgmoe_workload::{ArrivedRequest, DecodeRequest, FaultPlan, RoutingSampler};
 
 /// Fleet shape: how many single-GPU replicas, each batching how.
 #[derive(Debug, Clone, Copy)]
@@ -459,7 +459,7 @@ pub(crate) struct DispatchState {
     num_experts: usize,
     dec_blocks: usize,
     active: usize,
-    routing: pgmoe_workload::RoutingKind,
+    routing: RoutingSampler,
     default_seed: u64,
 }
 
@@ -474,7 +474,7 @@ impl DispatchState {
             num_experts: cfg.num_experts,
             dec_blocks: cfg.decoder_moe_layers(),
             active: opts.active_per_block(cfg),
-            routing: opts.routing,
+            routing: RoutingSampler::new(opts.routing, cfg.num_experts),
             default_seed: opts.seed,
         })
     }
@@ -501,14 +501,7 @@ impl DispatchState {
     /// the identical trace).
     fn probe_of(&self, arr: &ArrivedRequest) -> Vec<usize> {
         let seed = arr.route_seed.unwrap_or(self.default_seed);
-        let probe_trace = RoutingTrace::generate(
-            1,
-            self.dec_blocks,
-            self.num_experts,
-            self.active,
-            self.routing,
-            seed,
-        );
+        let probe_trace = self.routing.generate(1, self.dec_blocks, self.active, seed);
         let mut probe: Vec<usize> =
             (0..self.dec_blocks).flat_map(|b| probe_trace.experts(0, b).iter().copied()).collect();
         probe.sort_unstable();

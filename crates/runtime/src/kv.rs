@@ -117,8 +117,9 @@ pub struct KvServeStats {
 pub struct BlockTable {
     blocks: Vec<usize>,
     tokens: usize,
-    /// Running chained hash over every stamp appended so far — the content
-    /// address of the *next* full block boundary.
+    /// Running chained hash over every stamp appended so far inside the
+    /// sharable region — the content address of the *next* full block
+    /// boundary there.
     chain: u64,
     /// Leading tokens eligible for shared-prefix deduplication.
     sharable_tokens: usize,
@@ -358,9 +359,12 @@ impl KvBlockPool {
             let room = self.block_tokens - self.blocks[last].stamps.len();
             let take = room.min(rest.len());
             let (seg, tail) = rest.split_at(take);
+            // The chain is read only while the table is inside the sharable
+            // region, so tokens past it are never hashed.
+            let hashed = table.sharable_tokens.saturating_sub(table.tokens).min(take);
+            table.chain = seg[..hashed].iter().fold(table.chain, |h, &s| fnv1a_u64(h, s));
             for &s in seg {
                 self.blocks[last].stamps.push(s);
-                table.chain = fnv1a_u64(table.chain, s);
             }
             table.tokens += take;
             rest = tail;

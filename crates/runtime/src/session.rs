@@ -50,7 +50,7 @@ use crate::serve::ServeStats;
 use crate::{ExpertCache, PlacementPlan, Result, RuntimeError, SimOptions};
 use pgmoe_device::{AllocId, Machine, SimDuration, SimTime, Tier};
 use pgmoe_model::{ExpertPrecision, GateTopology, ModelConfig};
-use pgmoe_workload::{ArrivedRequest, RoutingTrace};
+use pgmoe_workload::{ArrivedRequest, RoutingSampler, RoutingTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -205,6 +205,9 @@ pub struct BatchSession {
     machine: Machine,
     base_plan: PlacementPlan,
     cache: Option<ExpertCache>,
+    /// `opts.routing` over the model's experts, built once; each admission
+    /// draws its request's trace from it.
+    routing: RoutingSampler,
     budget: u64,
     inflight: Vec<InFlight>,
     /// Indices into `inflight` awaiting prefill, in admission order
@@ -285,6 +288,7 @@ impl BatchSession {
             machine,
             base_plan,
             cache,
+            routing: RoutingSampler::new(opts.routing, cfg.num_experts),
             budget,
             inflight: Vec::new(),
             prefill_order: Vec::new(),
@@ -452,12 +456,10 @@ impl BatchSession {
         // of the request, not its placement); otherwise the seed derives
         // from the caller-chosen id.
         let seed = arr.route_seed.unwrap_or(opts.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let trace = RoutingTrace::generate(
+        let trace = self.routing.generate(
             req.output_tokens,
             cfg.decoder_moe_layers(),
-            cfg.num_experts,
             self.base_plan.active_per_block(),
-            opts.routing,
             seed,
         );
         let queueing = self.clock - arrival;

@@ -33,5 +33,5 @@ pub use requests::{
     mixed_context_trace, stamp_domain_rotation, stamp_route_seeds, ArrivalProcess, ArrivalStream,
     ArrivedRequest, DecodeRequest, LiveClock, RequestStream, SharedPrefix,
 };
-pub use routing::{domain_of, RoutingKind, RoutingTrace};
+pub use routing::{domain_of, RoutingKind, RoutingSampler, RoutingTrace};
 pub use task::{Example, TaskKind, TaskSpec};

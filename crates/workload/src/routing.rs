@@ -77,6 +77,8 @@ pub struct RoutingTrace {
 impl RoutingTrace {
     /// Generates a seeded trace for `num_tokens` decode iterations over
     /// `num_blocks` MoE blocks, activating `top_k` of `num_experts` experts.
+    /// A caller drawing many traces of one kind should hold a
+    /// [`RoutingSampler`], which builds the Zipf table once.
     ///
     /// # Panics
     ///
@@ -89,60 +91,7 @@ impl RoutingTrace {
         kind: RoutingKind,
         seed: u64,
     ) -> Self {
-        assert!(top_k >= 1 && top_k <= num_experts, "top_k out of range");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let zipf_cdf = match kind {
-            RoutingKind::Zipf { s } | RoutingKind::ZipfDomains { s, .. } => {
-                Some(zipf_cdf(num_experts, s))
-            }
-            _ => None,
-        };
-        // Domain rotation: rank r lands on expert (r + offset) mod E, so
-        // each domain's hot set occupies its own region of the expert space.
-        let domain_offset = match kind {
-            RoutingKind::ZipfDomains { domains, .. } => {
-                let d = domain_of(seed, domains);
-                d * (num_experts / domains.clamp(1, num_experts)).max(1)
-            }
-            _ => 0,
-        };
-        let mut decisions = Vec::with_capacity(num_tokens * num_blocks * top_k);
-        let row = num_blocks * top_k;
-        for token in 0..num_tokens {
-            for _ in 0..num_blocks {
-                match kind {
-                    RoutingKind::Uniform => {
-                        sample_distinct(num_experts, top_k, &mut rng, &mut decisions, |r| {
-                            r.gen_range(0..num_experts)
-                        })
-                    }
-                    RoutingKind::Zipf { .. } => {
-                        let cdf = zipf_cdf.as_ref().expect("zipf cdf");
-                        sample_distinct(num_experts, top_k, &mut rng, &mut decisions, |r| {
-                            sample_from_cdf(cdf, r)
-                        })
-                    }
-                    RoutingKind::ZipfDomains { .. } => {
-                        let cdf = zipf_cdf.as_ref().expect("zipf cdf");
-                        sample_distinct(num_experts, top_k, &mut rng, &mut decisions, |r| {
-                            (sample_from_cdf(cdf, r) + domain_offset) % num_experts
-                        })
-                    }
-                    RoutingKind::DomainSticky { stickiness } => {
-                        if token > 0 && rng.gen_bool(stickiness.clamp(0.0, 1.0)) {
-                            let prev = decisions.len() - row;
-                            decisions.extend_from_within(prev..prev + top_k);
-                        } else {
-                            sample_distinct(num_experts, top_k, &mut rng, &mut decisions, |r| {
-                                r.gen_range(0..num_experts)
-                            })
-                        }
-                    }
-                }
-            }
-        }
-        let num_blocks = if num_tokens == 0 { 0 } else { num_blocks };
-        RoutingTrace { num_tokens, num_blocks, num_experts, top_k, decisions }
+        RoutingSampler::new(kind, num_experts).generate(num_tokens, num_blocks, top_k, seed)
     }
 
     /// Number of decode iterations in the trace.
@@ -187,6 +136,105 @@ impl RoutingTrace {
             hist[e] += 1;
         }
         hist
+    }
+}
+
+/// A [`RoutingKind`] over a fixed expert count with its sampling table
+/// built once: the Zipf CDF costs one `powf` per expert, which a serving
+/// loop drawing one trace per request would otherwise pay every time.
+///
+/// # Example
+///
+/// ```
+/// use pgmoe_workload::{RoutingKind, RoutingSampler, RoutingTrace};
+///
+/// let kind = RoutingKind::ZipfDomains { s: 1.5, domains: 4 };
+/// let sampler = RoutingSampler::new(kind, 64);
+/// for seed in 0..3 {
+///     assert_eq!(sampler.generate(8, 6, 1, seed), RoutingTrace::generate(8, 6, 64, 1, kind, seed));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct RoutingSampler {
+    kind: RoutingKind,
+    num_experts: usize,
+    zipf_cdf: Option<Vec<f64>>,
+}
+
+impl RoutingSampler {
+    /// A sampler of `kind` routing over `num_experts` experts.
+    pub fn new(kind: RoutingKind, num_experts: usize) -> Self {
+        let zipf_cdf = match kind {
+            RoutingKind::Zipf { s } | RoutingKind::ZipfDomains { s, .. } => {
+                Some(zipf_cdf(num_experts, s))
+            }
+            _ => None,
+        };
+        RoutingSampler { kind, num_experts, zipf_cdf }
+    }
+
+    /// The trace [`RoutingTrace::generate`] returns for this sampler's kind
+    /// and expert count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `top_k == 0` or `top_k > num_experts`.
+    pub fn generate(
+        &self,
+        num_tokens: usize,
+        num_blocks: usize,
+        top_k: usize,
+        seed: u64,
+    ) -> RoutingTrace {
+        let num_experts = self.num_experts;
+        assert!(top_k >= 1 && top_k <= num_experts, "top_k out of range");
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Domain rotation: rank r lands on expert (r + offset) mod E, so
+        // each domain's hot set occupies its own region of the expert space.
+        let domain_offset = match self.kind {
+            RoutingKind::ZipfDomains { domains, .. } => {
+                let d = domain_of(seed, domains);
+                d * (num_experts / domains.clamp(1, num_experts)).max(1)
+            }
+            _ => 0,
+        };
+        let mut decisions = Vec::with_capacity(num_tokens * num_blocks * top_k);
+        let row = num_blocks * top_k;
+        for token in 0..num_tokens {
+            for _ in 0..num_blocks {
+                match self.kind {
+                    RoutingKind::Uniform => {
+                        sample_distinct(num_experts, top_k, &mut rng, &mut decisions, |r| {
+                            r.gen_range(0..num_experts)
+                        })
+                    }
+                    RoutingKind::Zipf { .. } => {
+                        let cdf = self.zipf_cdf.as_ref().expect("zipf cdf");
+                        sample_distinct(num_experts, top_k, &mut rng, &mut decisions, |r| {
+                            sample_from_cdf(cdf, r)
+                        })
+                    }
+                    RoutingKind::ZipfDomains { .. } => {
+                        let cdf = self.zipf_cdf.as_ref().expect("zipf cdf");
+                        sample_distinct(num_experts, top_k, &mut rng, &mut decisions, |r| {
+                            (sample_from_cdf(cdf, r) + domain_offset) % num_experts
+                        })
+                    }
+                    RoutingKind::DomainSticky { stickiness } => {
+                        if token > 0 && rng.gen_bool(stickiness.clamp(0.0, 1.0)) {
+                            let prev = decisions.len() - row;
+                            decisions.extend_from_within(prev..prev + top_k);
+                        } else {
+                            sample_distinct(num_experts, top_k, &mut rng, &mut decisions, |r| {
+                                r.gen_range(0..num_experts)
+                            })
+                        }
+                    }
+                }
+            }
+        }
+        let num_blocks = if num_tokens == 0 { 0 } else { num_blocks };
+        RoutingTrace { num_tokens, num_blocks, num_experts, top_k, decisions }
     }
 }
 
