@@ -788,6 +788,13 @@ pub(crate) fn expected_distinct_experts(draws: usize, experts: usize) -> usize {
 
 /// Draws `count` distinct experts uniformly (partial Fisher–Yates over
 /// `pool`) into `out`, sorted.
+///
+/// With `count >= experts` the sample is the full set whatever the draws
+/// would be, so `out` becomes `0..experts` and `rng` is not touched. That
+/// skip is exact for its callers: each prefill pass seeds its own RNG and
+/// samples with one `count` throughout ([`PrefillCosts::distinct`]), so
+/// either every sample in a pass draws or none does, and no later draw
+/// sees a shifted stream.
 pub(crate) fn sample_distinct_experts(
     count: usize,
     experts: usize,
@@ -795,14 +802,18 @@ pub(crate) fn sample_distinct_experts(
     pool: &mut Vec<usize>,
     out: &mut Vec<usize>,
 ) {
+    out.clear();
+    if count >= experts {
+        out.extend(0..experts);
+        return;
+    }
     pool.clear();
     pool.extend(0..experts);
-    for i in 0..count.min(experts) {
+    for i in 0..count {
         let j = rng.gen_range(i..experts);
         pool.swap(i, j);
     }
-    out.clear();
-    out.extend_from_slice(&pool[..count.min(experts)]);
+    out.extend_from_slice(&pool[..count]);
     out.sort_unstable();
 }
 
@@ -815,5 +826,17 @@ mod tests {
         assert_eq!(expected_distinct_experts(1, 64), 1);
         assert!(expected_distinct_experts(64, 64) > 30);
         assert_eq!(expected_distinct_experts(10_000, 8), 8);
+    }
+
+    #[test]
+    fn full_set_sample_draws_nothing() {
+        use rand::{RngCore, SeedableRng};
+        let (mut pool, mut out) = (Vec::new(), vec![99]);
+        for (count, experts) in [(8, 8), (9, 8), (usize::MAX, 3), (0, 0), (1, 1)] {
+            let mut rng = StdRng::seed_from_u64(7);
+            sample_distinct_experts(count, experts, &mut rng, &mut pool, &mut out);
+            assert_eq!(out, (0..experts).collect::<Vec<_>>(), "count {count} of {experts}");
+            assert_eq!(rng.next_u64(), StdRng::seed_from_u64(7).next_u64(), "rng advanced");
+        }
     }
 }

@@ -11,10 +11,14 @@
 //!   tokens; a request holds a [`BlockTable`] of physical block ids and
 //!   only the blocks its *current* context needs.
 //! * Full blocks inside a request's declared shared-prefix region are
-//!   content-addressed by a chained FNV-1a hash; a second request whose
-//!   prompt opens with the same tokens points its table at the **same
-//!   physical block** ([`KvPoolStats::shared_hit_bytes`] counts the copies
-//!   avoided).
+//!   content-addressed by a chain of per-token stamps folded one word per
+//!   step (the crate's word mix, shared with the plan cache's keys); a
+//!   second request whose prompt opens with the same tokens points its
+//!   table at the **same physical block** ([`KvPoolStats::shared_hit_bytes`]
+//!   counts the copies avoided). The chain's values are internal —
+//!   compared only for equality, as index keys, and never reported — so
+//!   sharing depends only on whether two prefixes are equal (barring a
+//!   64-bit collision).
 //! * Shared blocks are refcounted and immutable. Writing into a shared
 //!   *partial* block (possible after [`KvBlockPool::fork`], the
 //!   parallel-sampling seam) triggers **copy-on-write**: the writer gets a
@@ -27,6 +31,7 @@
 //! against the simulated HBM pool, and arbitrates the budget between KV
 //! blocks and the expert cache. A session without it keeps contiguous KV.
 
+use crate::plan::{word_mix, MIX_SEED};
 use crate::{ExpertCache, PlacementPlan, Result};
 use pgmoe_device::{AllocId, Machine, Tier};
 use pgmoe_model::ModelConfig;
@@ -183,16 +188,6 @@ pub struct KvBlockPool {
     stats: KvPoolStats,
 }
 
-fn fnv1a_u64(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 impl KvBlockPool {
     /// A pool of `block_tokens`-token blocks costing `bytes_per_token` KV
     /// bytes per token (all layers). `block_tokens` is clamped to ≥ 1.
@@ -248,7 +243,7 @@ impl KvBlockPool {
     /// deduplicated against other tables' identical prefixes. Pass 0 to
     /// keep every block private.
     pub fn new_table(&self, sharable_tokens: usize) -> BlockTable {
-        BlockTable { blocks: Vec::new(), tokens: 0, chain: FNV_OFFSET, sharable_tokens }
+        BlockTable { blocks: Vec::new(), tokens: 0, chain: MIX_SEED, sharable_tokens }
     }
 
     /// How many of the first `min(tokens, sharable)` tokens' full blocks
@@ -256,11 +251,11 @@ impl KvBlockPool {
     /// control subtracts from a prompt's planned KV footprint. Does not
     /// touch refcounts.
     pub fn probe_shared_blocks(&self, stamps: impl IntoIterator<Item = u64>) -> usize {
-        let mut chain = FNV_OFFSET;
+        let mut chain = MIX_SEED;
         let mut hits = 0;
         let mut in_block = 0;
         for stamp in stamps {
-            chain = fnv1a_u64(chain, stamp);
+            chain = word_mix(chain, stamp);
             in_block += 1;
             if in_block == self.block_tokens {
                 match self.index.get(&chain) {
@@ -325,7 +320,7 @@ impl KvBlockPool {
                 && table.tokens + self.block_tokens <= table.sharable_tokens
             {
                 let (seg, tail) = rest.split_at(self.block_tokens);
-                let chain = seg.iter().fold(table.chain, |h, &s| fnv1a_u64(h, s));
+                let chain = seg.iter().fold(table.chain, |h, &s| word_mix(h, s));
                 if let Some(&shared) = self.index.get(&chain) {
                     self.blocks[shared].refcount += 1;
                     table.blocks.push(shared);
@@ -362,7 +357,7 @@ impl KvBlockPool {
             // The chain is read only while the table is inside the sharable
             // region, so tokens past it are never hashed.
             let hashed = table.sharable_tokens.saturating_sub(table.tokens).min(take);
-            table.chain = seg[..hashed].iter().fold(table.chain, |h, &s| fnv1a_u64(h, s));
+            table.chain = seg[..hashed].iter().fold(table.chain, |h, &s| word_mix(h, s));
             for &s in seg {
                 self.blocks[last].stamps.push(s);
             }
@@ -690,6 +685,40 @@ mod tests {
         pool.release(a);
         pool.release(b);
         pool.release(c);
+
+        // Near misses of one prompt: one stamp changed (low or high bit) at
+        // every position, each adjacent pair swapped, and all-zero stamps
+        // against all-one stamps. No block from the first difference on is
+        // shared, and the probe predicts exactly what `append` shares.
+        let base: Vec<u64> = (1..=8).collect();
+        let mut pairs = vec![(vec![0; 8], vec![1; 8]), (vec![0; 8], vec![u64::MAX; 8])];
+        for pos in 0..8 {
+            for bit in [0, 63] {
+                let mut v = base.clone();
+                v[pos] ^= 1 << bit;
+                pairs.push((base.clone(), v));
+            }
+            if pos < 7 {
+                let mut v = base.clone();
+                v.swap(pos, pos + 1);
+                pairs.push((base.clone(), v));
+            }
+        }
+        for (first, second) in pairs {
+            let mut pool = KvBlockPool::new(4, BPT);
+            let mut a = pool.new_table(8);
+            pool.append(&mut a, &first);
+            let differs = first.iter().zip(&second).position(|(x, y)| x != y).unwrap();
+            let probed = pool.probe_shared_blocks(second.iter().copied());
+            let mut b = pool.new_table(8);
+            pool.append(&mut b, &second);
+            let shared = pool.stats().shared_hit_bytes / pool.block_bytes();
+            assert_eq!(shared as usize, differs / 4, "{first:?} vs {second:?}");
+            assert_eq!(probed as u64, shared, "probe disagrees: {first:?} vs {second:?}");
+            assert_eq!(pool.used_blocks(), 4 - differs / 4);
+            pool.release(a);
+            pool.release(b);
+        }
     }
 
     #[test]

@@ -70,30 +70,34 @@ use std::collections::HashMap;
 const PLAN_CACHE_CAP: usize = 128;
 
 // ---------------------------------------------------------------------
-// FNV-1a fingerprinting
+// Word-mix fingerprinting
 // ---------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Start state of every [`word_mix`] chain.
+pub(crate) const MIX_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Folds one `u64` into an FNV-1a state.
-pub(crate) fn fnv_mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Folds one `u64` into a running fingerprint in one multiply — the plan
+/// key, the routing fingerprint, schedulers' plan tags and the paged-KV
+/// prefix chain all use it. For a fixed state the step is a bijection of
+/// `v` (the rotate and the odd multiplier both invert), so two chains that
+/// differ in a single word never meet. Values are internal: callers only
+/// compare fingerprints for equality (as map keys) and never persist or
+/// report them, so only a collision between unequal inputs could change
+/// behaviour.
+pub(crate) fn word_mix(h: u64, v: u64) -> u64 {
+    (h.rotate_left(23) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// FNV-1a over a string, used by schedulers to tag their
+/// [`word_mix`] over a string's length and then its bytes in 8-byte
+/// little-endian words (the last one zero-padded; the length keeps padding
+/// from aliasing), used by schedulers to tag their
 /// [`crate::ExpertScheduler::plan_fingerprint`] with a stable name+version.
 pub(crate) fn fingerprint_str(s: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    s.as_bytes().chunks(8).fold(word_mix(MIX_SEED, s.len() as u64), |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        word_mix(h, u64::from_le_bytes(word))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -122,12 +126,12 @@ pub enum RoutingSensitivity {
 /// Fingerprint of the exact per-block routed sets (lengths delimit the
 /// blocks, so no two distinct windows share an id stream).
 fn routing_fingerprint(routed: &dyn RoutedSource, blocks: usize) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = MIX_SEED;
     for b in 0..blocks {
         let experts = routed.experts(b);
-        h = fnv_mix(h, experts.len() as u64);
+        h = word_mix(h, experts.len() as u64);
         for &e in experts {
-            h = fnv_mix(h, e as u64);
+            h = word_mix(h, e as u64);
         }
     }
     h
@@ -548,11 +552,11 @@ pub(crate) fn decode_iteration_planned(
         sched.plan_routing_sensitivity() == RoutingSensitivity::Oblivious && env.cache.is_none();
     let dec_blocks = scratch.dec_blocks();
     let key = fingerprint.map(|sched_fp| {
-        let mut shape = fnv_mix(FNV_OFFSET, dec_blocks as u64);
-        shape = fnv_mix(shape, enc_blocks as u64);
-        shape = fnv_mix(shape, costs.decoder_layers as u64);
-        shape = fnv_mix(shape, costs.moe_every as u64);
-        shape = fnv_mix(shape, block_latencies.is_some() as u64);
+        let mut shape = word_mix(MIX_SEED, dec_blocks as u64);
+        shape = word_mix(shape, enc_blocks as u64);
+        shape = word_mix(shape, costs.decoder_layers as u64);
+        shape = word_mix(shape, costs.moe_every as u64);
+        shape = word_mix(shape, block_latencies.is_some() as u64);
         PlanKey {
             sched: sched_fp,
             routing: if parametric { 0 } else { routing_fingerprint(routed, dec_blocks) },
@@ -838,7 +842,8 @@ mod tests {
     fn fingerprints_are_stable_and_distinct() {
         assert_eq!(fingerprint_str("pregated"), fingerprint_str("pregated"));
         assert_ne!(fingerprint_str("pregated"), fingerprint_str("on-demand"));
-        assert_ne!(fnv_mix(FNV_OFFSET, 1), fnv_mix(FNV_OFFSET, 2));
+        assert_ne!(fingerprint_str("pregated"), fingerprint_str("pregated\0"));
+        assert_ne!(word_mix(MIX_SEED, 1), word_mix(MIX_SEED, 2));
     }
 
     struct FixedRouting(Vec<Vec<usize>>);

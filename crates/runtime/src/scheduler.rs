@@ -35,7 +35,7 @@
 //! [`PolicySpec::cache_pinned`]; `examples/custom_policy.rs` builds one
 //! entirely outside this crate.
 
-use crate::plan::{fingerprint_str, fnv_mix, RoutingSensitivity};
+use crate::plan::{fingerprint_str, word_mix, RoutingSensitivity};
 use crate::{ExpertCache, ExpertKey, OffloadPolicy, Result, RuntimeError};
 use pgmoe_device::SimDuration;
 use pgmoe_model::{GateTopology, GatingMode};
@@ -676,7 +676,7 @@ impl ExpertScheduler for PregatedSched {
     }
 
     fn plan_fingerprint(&self) -> Option<u64> {
-        Some(fnv_mix(fingerprint_str("pregated"), self.level as u64))
+        Some(word_mix(fingerprint_str("pregated"), self.level as u64))
     }
 
     fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
@@ -956,8 +956,8 @@ impl ExpertScheduler for CachePinnedSched {
     fn plan_fingerprint(&self) -> Option<u64> {
         // Keeps the `Exact` routing-sensitivity default: `is_resident`
         // partitions the routed set by expert id.
-        Some(fnv_mix(
-            fnv_mix(fingerprint_str("cache-pinned"), self.per_block as u64),
+        Some(word_mix(
+            word_mix(fingerprint_str("cache-pinned"), self.per_block as u64),
             self.level as u64,
         ))
     }

@@ -158,6 +158,30 @@ struct Record {
     latency: SimDuration,
 }
 
+/// Adds every id in `experts` below `num_experts` to the bitset `bits` (bit
+/// `e % 64` of word `e / 64`; `bits` holds at least `num_experts` bits).
+/// Larger ids — a live router naming an expert the model lacks — are
+/// dropped.
+fn mark_experts(bits: &mut [u64], experts: &[usize], num_experts: usize) {
+    for &e in experts.iter().filter(|&&e| e < num_experts) {
+        bits[e / 64] |= 1 << (e % 64);
+    }
+}
+
+/// Replaces `out` with the ids set in `bits`, ascending, and clears `bits`:
+/// a union built by [`mark_experts`] comes out sorted and deduplicated with
+/// no sort, no dedup and, once `out` has grown, no allocation.
+fn drain_experts(bits: &mut [u64], out: &mut Vec<usize>) {
+    out.clear();
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut rest = std::mem::take(word);
+        while rest != 0 {
+            out.push(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
 /// Adapter: the batch's per-block expert unions as a routing source.
 struct UnionRouted<'a> {
     unions: &'a [Vec<usize>],
@@ -217,6 +241,9 @@ pub struct BatchSession {
     scratch: CoreScratch,
     plans: PlanSession,
     unions: Vec<Vec<usize>>,
+    /// One bit per expert: where a block's union is gathered before
+    /// [`drain_experts`] writes it into `unions` (all zero between steps).
+    union_bits: Vec<u64>,
     route_scratch: Vec<usize>,
     demand_bytes: u64,
     iteration: usize,
@@ -296,6 +323,7 @@ impl BatchSession {
             scratch,
             plans,
             unions: vec![Vec::new(); dec_blocks],
+            union_bits: vec![0; cfg.num_experts.div_ceil(64)],
             route_scratch: Vec::new(),
             demand_bytes: 0,
             iteration: 0,
@@ -637,9 +665,7 @@ impl BatchSession {
         let ready = self.inflight.iter().filter(|r| r.ready()).count();
         self.peak_batch = self.peak_batch.max(ready);
         if ready > 0 {
-            let num_experts = self.cfg.num_experts;
             for (b, union) in self.unions.iter_mut().enumerate() {
-                union.clear();
                 for r in self.inflight.iter().filter(|r| r.ready()) {
                     let live = match routing.as_deref_mut() {
                         Some(rt) => {
@@ -648,16 +674,14 @@ impl BatchSession {
                         }
                         None => false,
                     };
-                    if live {
-                        union.extend(
-                            self.route_scratch.iter().copied().filter(|&e| e < num_experts),
-                        );
+                    let experts = if live {
+                        &self.route_scratch[..]
                     } else {
-                        union.extend_from_slice(r.trace.experts(r.generated, b));
-                    }
+                        r.trace.experts(r.generated, b)
+                    };
+                    mark_experts(&mut self.union_bits, experts, self.cfg.num_experts);
                 }
-                union.sort_unstable();
-                union.dedup();
+                drain_experts(&mut self.union_bits, union);
             }
             let costs = DecodeCosts {
                 attn_bytes: attn_bytes_for(
@@ -896,6 +920,45 @@ mod tests {
             BatchConfig::new(max_batch),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn bitset_union_matches_sort_dedup_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut out = vec![usize::MAX];
+        for num_experts in [1usize, 7, 8, 63, 64, 65, 130] {
+            let mut bits = vec![0u64; num_experts.div_ceil(64)];
+            for requests in 0..=16 {
+                // Each request names 0-5 ids, overlapping and repeating,
+                // some at or past `num_experts` as a live router may.
+                let sets: Vec<Vec<usize>> = (0..requests)
+                    .map(|_| {
+                        let n = rng.gen_range(0..6);
+                        (0..n).map(|_| rng.gen_range(0..num_experts + 3)).collect()
+                    })
+                    .collect();
+                let mut oracle: Vec<usize> =
+                    sets.iter().flatten().copied().filter(|&e| e < num_experts).collect();
+                oracle.sort_unstable();
+                oracle.dedup();
+                for set in &sets {
+                    mark_experts(&mut bits, set, num_experts);
+                }
+                drain_experts(&mut bits, &mut out);
+                assert_eq!(out, oracle, "E = {num_experts}, sets {sets:?}");
+                assert!(bits.iter().all(|&w| w == 0), "bits left set at E = {num_experts}");
+            }
+            // The full set and the top id, alone and repeated.
+            let all: Vec<usize> = (0..num_experts).rev().chain(0..num_experts).collect();
+            mark_experts(&mut bits, &all, num_experts);
+            drain_experts(&mut bits, &mut out);
+            assert_eq!(out, (0..num_experts).collect::<Vec<_>>());
+            mark_experts(&mut bits, &[num_experts - 1, num_experts, num_experts - 1], num_experts);
+            drain_experts(&mut bits, &mut out);
+            assert_eq!(out, [num_experts - 1]);
+            assert!(bits.iter().all(|&w| w == 0));
+        }
     }
 
     #[test]
