@@ -127,24 +127,54 @@ impl SimEngine {
         duration: SimDuration,
         waits: &[EventId],
     ) -> EventId {
+        self.submit_run(stream, 1, duration, waits, |_| label.to_string())
+    }
+
+    /// Submits `count` back-to-back ops of length `each` to `stream`, all
+    /// waiting on `waits`, and returns the last one's completion event.
+    ///
+    /// Equivalent to `count` calls of [`SimEngine::submit`] with the same
+    /// waits: the first op starts at `max(stream tail, resource free time,
+    /// waited events)`, each later one starts where its predecessor ended,
+    /// so the run occupies one interval of `count × each`. Only the last
+    /// op gets an event, since the ops before it finish earlier on the same
+    /// in-order stream. The trace still records one span per op, labelled
+    /// `label(i)` for op `i`; `label` is never called on untraced runs.
+    /// With `count == 0` the run is an unlabelled zero-length op: it orders
+    /// the stream behind `waits` as [`SimEngine::barrier`] does, but
+    /// records no span.
+    pub fn submit_run(
+        &mut self,
+        stream: StreamId,
+        count: usize,
+        each: SimDuration,
+        waits: &[EventId],
+        label: impl Fn(usize) -> String,
+    ) -> EventId {
         let mut start = self.streams[stream.0].tail;
         let resource = self.streams[stream.0].resource;
         start = start.max(self.resources[resource.0].free_at);
         for &w in waits {
             start = start.max(self.event_time(w));
         }
-        let end = start + duration;
+        let span = SimDuration::from_nanos(each.as_nanos() * count as u64);
+        let end = start + span;
         self.streams[stream.0].tail = end;
         self.resources[resource.0].free_at = end;
-        self.resources[resource.0].busy += duration;
+        self.resources[resource.0].busy += span;
         self.events.push(end);
         if self.trace_enabled {
-            self.trace.push(TraceSpan {
-                stream: self.streams[stream.0].name.clone(),
-                label: label.to_string(),
-                start,
-                end,
-            });
+            let name = &self.streams[stream.0].name;
+            let mut at = start;
+            for i in 0..count {
+                self.trace.push(TraceSpan {
+                    stream: name.clone(),
+                    label: label(i),
+                    start: at,
+                    end: at + each,
+                });
+                at += each;
+            }
         }
         EventId(self.retired + self.events.len() - 1)
     }

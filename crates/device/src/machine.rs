@@ -166,15 +166,32 @@ impl Machine {
         source: Tier,
         waits: &[EventId],
     ) -> EventId {
-        let dur = match source {
-            Tier::Ddr => self.pcie.transfer_time(bytes),
-            Tier::Ssd => self.ssd_link.transfer_time(bytes),
-            Tier::Hbm => self.cost.sync_overhead,
-        };
-        if source != Tier::Hbm {
-            self.offload_traffic += bytes;
+        self.copy_many_to_gpu(1, bytes, source, waits, |_| label.to_string())
+    }
+
+    /// Enqueues `count` equal host→device transfers of `bytes` each from
+    /// `source`, all waiting on `waits`, as one copy-stream submission
+    /// ([`SimEngine::submit_run`]): the stream tail, PCIe busy time,
+    /// offload traffic and completion time are those of `count`
+    /// [`Machine::copy_to_gpu`] calls, and a traced run records one span
+    /// per transfer, labelled `label(i)`. `count == 0` is a zero-length
+    /// barrier on the copy stream.
+    pub fn copy_many_to_gpu(
+        &mut self,
+        count: usize,
+        bytes: u64,
+        source: Tier,
+        waits: &[EventId],
+        label: impl Fn(usize) -> String,
+    ) -> EventId {
+        if count == 0 {
+            return self.engine.barrier(self.copy, waits);
         }
-        self.engine.submit(self.copy, label, dur, waits)
+        let each = self.transfer_time(bytes, source);
+        if source != Tier::Hbm {
+            self.offload_traffic += count as u64 * bytes;
+        }
+        self.engine.submit_run(self.copy, count, each, waits, label)
     }
 
     /// Total bytes copied to the GPU from off-device tiers so far (cache
@@ -337,6 +354,53 @@ mod tests {
         assert_eq!(replayed.gpu_busy(), live.gpu_busy());
         assert_eq!(replayed.pcie_busy(), live.pcie_busy());
         assert_eq!(replayed.offload_traffic_bytes(), live.offload_traffic_bytes());
+    }
+
+    #[test]
+    fn one_n_copy_submission_matches_n_single_copies() {
+        // Healthy PCIe, a degraded link whose per-copy time is not a round
+        // number of nanoseconds, the SSD path and device-local HBM copies;
+        // n = 0 is the barrier an all-hit fetch submits.
+        let degraded = MachineConfig::a100_like().with_pcie_bandwidth(1.37e9);
+        let bytes = 18_874_368u64;
+        for (config, source) in [
+            (MachineConfig::a100_like(), Tier::Ddr),
+            (degraded, Tier::Ddr),
+            (MachineConfig::a100_like(), Tier::Ssd),
+            (MachineConfig::a100_like(), Tier::Hbm),
+        ] {
+            for n in [0usize, 1, 2, 7] {
+                let setup = |m: &mut Machine| {
+                    // Earlier work on both streams, and a wait that lands
+                    // after the copy stream's tail.
+                    m.copy_to_gpu("earlier", 1 << 20, Tier::Ddr, &[]);
+                    m.launch_kernel("k", 0.0, 1 << 30, &[])
+                };
+                let mut single = Machine::new(config.clone());
+                let wait = setup(&mut single);
+                let copy = single.copy_stream();
+                let mut last = None;
+                for i in 0..n {
+                    last = Some(single.copy_to_gpu(&format!("c{i}"), bytes, source, &[wait]));
+                }
+                let last = last.unwrap_or_else(|| single.engine_mut().barrier(copy, &[wait]));
+                let mut many = Machine::new(config.clone());
+                let wait = setup(&mut many);
+                let done = many.copy_many_to_gpu(n, bytes, source, &[wait], |i| format!("c{i}"));
+                let case = format!("{source:?} n={n}");
+                assert_eq!(many.event_time(done), single.event_time(last), "{case}");
+                assert_eq!(
+                    many.engine_mut().stream_tail(copy),
+                    single.engine_mut().stream_tail(copy),
+                    "{case}"
+                );
+                assert_eq!(many.pcie_busy(), single.pcie_busy(), "{case}");
+                assert_eq!(many.offload_traffic_bytes(), single.offload_traffic_bytes(), "{case}");
+                assert_eq!(many.horizon(), single.horizon(), "{case}");
+                // One span per transfer (the barrier's when n = 0).
+                assert_eq!(many.trace(), single.trace(), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -133,21 +133,25 @@ impl BatchScheduler {
     ///   with an empty prompt, zero output tokens or batch size ≠ 1,
     ///   unsorted arrivals, or options the policy surface rejects.
     pub fn serve(&self, arrivals: impl IntoIterator<Item = ArrivedRequest>) -> Result<ServeStats> {
-        let arrivals: Vec<ArrivedRequest> = arrivals.into_iter().collect();
         if self.batch.max_batch == 0 {
             return Err(RuntimeError::InvalidConfig {
                 message: "max_batch must be at least 1".into(),
             });
         }
         self.opts.validate(&self.cfg)?;
-        validate_arrivals(&arrivals)?;
-        if arrivals.is_empty() {
+        // Arrivals are validated as they are enumerated straight into the
+        // queue, so the trace is held once, not also in a staging `Vec`.
+        let arrivals = arrivals.into_iter();
+        let mut pending = VecDeque::with_capacity(arrivals.size_hint().0);
+        for (i, a) in arrivals.enumerate() {
+            validate_arrival(i, pending.back().map(|(_, prev)| prev), &a)?;
+            pending.push_back((i, a));
+        }
+        if pending.is_empty() {
             return Ok(ServeStats::empty(&self.cfg, &self.opts));
         }
 
         let mut session = BatchSession::new(self.cfg.clone(), self.opts.clone(), self.batch)?;
-        let mut pending: VecDeque<(usize, ArrivedRequest)> =
-            arrivals.into_iter().enumerate().collect();
         while !pending.is_empty() || session.in_flight() > 0 {
             session.pump(&mut pending, |_, _| {})?;
         }
@@ -160,20 +164,26 @@ impl BatchScheduler {
 /// by arrival time.
 pub(crate) fn validate_arrivals(arrivals: &[ArrivedRequest]) -> Result<()> {
     for (i, a) in arrivals.iter().enumerate() {
-        let r = a.request;
-        if r.input_tokens == 0 || r.output_tokens == 0 || r.batch_size != 1 {
-            return Err(RuntimeError::InvalidConfig {
-                message: format!(
-                    "request {i}: continuous batching serves single-sequence requests \
-                     with a non-empty prompt and at least one output token"
-                ),
-            });
-        }
-        if i > 0 && arrivals[i - 1].arrival_ns > a.arrival_ns {
-            return Err(RuntimeError::InvalidConfig {
-                message: format!("arrivals must be sorted by time (violated at index {i})"),
-            });
-        }
+        validate_arrival(i, i.checked_sub(1).map(|p| &arrivals[p]), a)?;
+    }
+    Ok(())
+}
+
+/// [`validate_arrivals`]' check of arrival `i`, given the one before it.
+fn validate_arrival(i: usize, prev: Option<&ArrivedRequest>, a: &ArrivedRequest) -> Result<()> {
+    let r = a.request;
+    if r.input_tokens == 0 || r.output_tokens == 0 || r.batch_size != 1 {
+        return Err(RuntimeError::InvalidConfig {
+            message: format!(
+                "request {i}: continuous batching serves single-sequence requests \
+                 with a non-empty prompt and at least one output token"
+            ),
+        });
+    }
+    if prev.is_some_and(|p| p.arrival_ns > a.arrival_ns) {
+        return Err(RuntimeError::InvalidConfig {
+            message: format!("arrivals must be sorted by time (violated at index {i})"),
+        });
     }
     Ok(())
 }

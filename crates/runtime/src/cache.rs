@@ -192,6 +192,17 @@ impl ExpertCache {
         admit: bool,
         evict_hint: Option<ExpertKey>,
     ) -> bool {
+        self.access_consulting(key, || (admit, evict_hint))
+    }
+
+    /// [`ExpertCache::access_with`] whose admission decision and eviction
+    /// hint come from `policy`, called only on a miss that may admit: a
+    /// hit, the bulk of accesses to a warm cache, never asks the scheduler.
+    pub(crate) fn access_consulting(
+        &mut self,
+        key: ExpertKey,
+        policy: impl FnOnce() -> (bool, Option<ExpertKey>),
+    ) -> bool {
         self.clock += 1;
         if self.capacity == 0 {
             self.stats.misses += 1;
@@ -217,13 +228,15 @@ impl ExpertCache {
             return true;
         }
         self.stats.misses += 1;
+        let (admit, evict_hint) = policy();
         if !admit {
             return false;
         }
         if self.len() >= self.capacity {
             let victim = evict_hint
-                .filter(|hint| *hint != key && self.contains(*hint))
-                .or_else(|| self.pick_victim());
+                .filter(|hint| *hint != key)
+                .and_then(|hint| self.node_of(hint))
+                .or_else(|| self.victim());
             if let Some(victim) = victim {
                 self.remove(victim);
                 self.stats.evictions += 1;
@@ -271,7 +284,7 @@ impl ExpertCache {
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         while self.len() > self.capacity {
-            let victim = self.pick_victim().expect("an over-full cache has a victim");
+            let victim = self.victim().expect("an over-full cache has a victim");
             self.remove(victim);
             self.stats.evictions += 1;
         }
@@ -314,10 +327,10 @@ impl ExpertCache {
         (rank(self.replacement, &node.entry), node.key)
     }
 
-    /// The eviction candidate under the configured policy: the list's
-    /// head, so ties break by key order.
-    fn pick_victim(&self) -> Option<ExpertKey> {
-        (self.head != NIL).then(|| self.nodes[self.head as usize].key)
+    /// The eviction candidate's node under the configured policy: the
+    /// list's head, so ties break by key order.
+    fn victim(&self) -> Option<u32> {
+        (self.head != NIL).then_some(self.head)
     }
 
     /// Links unlinked node `i` into the eviction list, walking forward from
@@ -356,9 +369,9 @@ impl ExpertCache {
         }
     }
 
-    /// Drops resident `key` from the list and the table.
-    fn remove(&mut self, key: ExpertKey) {
-        let i = self.node_of(key).expect("removing a resident expert");
+    /// Drops resident node `i` from the list and the table.
+    fn remove(&mut self, i: u32) {
+        let key = self.nodes[i as usize].key;
         self.unlink(i);
         self.slots[key.block][key.expert] = NIL;
         self.free.push(i);

@@ -11,6 +11,14 @@
 //! accesses, demand-stall accounting); schedulers own the *policy* (what to
 //! fetch, when, for which block) through the hooks defined in
 //! [`crate::scheduler`].
+//!
+//! Each cost is charged at the granularity it really has, the same one
+//! [`crate::plan`]'s replay uses: a fetch of `n` experts is one staging
+//! reservation and one copy-stream submission of `n` equal copies (traced
+//! runs still get one `fetch-b{block}e{expert}` span per copy), and the
+//! attention and dense-FFN kernel durations are computed once per pass,
+//! not once per block. Runs with an expert cache are always interpreted,
+//! so this is what their host cost rests on.
 
 use crate::plan::{PlanBytes, PlanOp, PlanRecorder};
 use crate::scheduler::{
@@ -77,6 +85,8 @@ pub(crate) struct CoreScratch {
     draw_pool: Vec<usize>,
     own: Vec<usize>,
     sampled: Vec<usize>,
+    /// The bitset a draw is read back through (all zero between draws).
+    draw_bits: Vec<u64>,
 }
 
 impl CoreScratch {
@@ -91,6 +101,7 @@ impl CoreScratch {
             draw_pool: Vec::with_capacity(num_experts),
             own: Vec::with_capacity(num_experts),
             sampled: Vec::with_capacity(num_experts),
+            draw_bits: vec![0; num_experts.div_ceil(64)],
         }
     }
 
@@ -163,24 +174,34 @@ pub(crate) fn batched_prefill_costs(
 }
 
 /// Enqueues migration of `experts` for cache key-space `block`. Experts the
-/// scheduler pins resident cost nothing; cache hits cost nothing; every
-/// other expert gets (when `buffers` is supplied) a transient HBM buffer
-/// pushed onto it and a copy from the offload tier, and counts toward the
+/// scheduler pins resident cost nothing; cache hits cost nothing; the `n`
+/// others are copied from the offload tier and count toward the
 /// demand-stall bytes when `demand`. Returns the event after which every
-/// requested expert is GPU-resident, plus the number of experts copied. On
-/// OOM the block's buffers are freed before the error propagates.
+/// requested expert is GPU-resident, plus `n`.
+///
+/// Every expert's residency and cache check runs in order, then the fetch
+/// is charged once, as [`crate::plan`]'s replay charges it: one transient
+/// HBM reservation of `n` experts pushed onto `buffers` (when supplied) and
+/// one copy-stream submission of `n` equal copies behind the shared
+/// `waits` ([`Machine::copy_many_to_gpu`]). That is exact: the pool's
+/// high-water mark moves as `n` single-expert buffers would move it, the
+/// copies would serialize back to back on the in-order stream, and a
+/// traced run still records one `fetch-b{block}e{expert}` span per copy.
+/// An all-hit fetch (`n = 0`) is a zero-length barrier on `waits`. On OOM
+/// the block's buffers are freed before the error propagates.
 fn issue_copy(
     env: &mut CoreEnv<'_>,
     sched: &dyn ExpertScheduler,
     block: usize,
     experts: &[usize],
     waits: &[EventId],
-    mut buffers: Option<&mut Vec<AllocId>>,
+    buffers: Option<&mut Vec<AllocId>>,
     demand: bool,
 ) -> Result<(EventId, usize)> {
     let trace = env.machine.trace_enabled();
     let expert_bytes = env.plan.expert_bytes();
-    let mut last = None;
+    // The copied ids only label Fig 9's spans; untraced runs keep none.
+    let mut labels = Vec::new();
     let mut copied = 0usize;
     for &e in experts {
         let key = ExpertKey { block, expert: e };
@@ -188,50 +209,35 @@ fn issue_copy(
             continue;
         }
         let hit = match env.cache.as_mut() {
-            Some(c) => c.access_with(key, sched.cache_admission(key), sched.eviction_hint(key)),
+            Some(c) => {
+                c.access_consulting(key, || (sched.cache_admission(key), sched.eviction_hint(key)))
+            }
             None => false,
         };
         if hit {
             continue;
         }
-        // Transient staging buffer; OOM here is a real capacity failure.
-        if let Some(buffers) = buffers.as_deref_mut() {
-            match env.machine.pool_mut(Tier::Hbm).alloc(expert_bytes) {
-                Ok(id) => buffers.push(id),
-                Err(err) => {
-                    free_buffers(env.machine, buffers);
-                    return Err(err.into());
-                }
+        if trace {
+            labels.push(e);
+        }
+        copied += 1;
+    }
+    // Transient staging; OOM here is a real capacity failure.
+    if let Some(buffers) = buffers.filter(|_| copied > 0) {
+        match env.machine.pool_mut(Tier::Hbm).alloc(copied as u64 * expert_bytes) {
+            Ok(id) => buffers.push(id),
+            Err(err) => {
+                free_buffers(env.machine, buffers);
+                return Err(err.into());
             }
         }
-        // Per-expert labels only exist to render Fig 9 timelines; skip the
-        // string build on untraced (steady-state) runs.
-        let ev = if trace {
-            env.machine.copy_to_gpu(
-                &format!("fetch-b{block}e{e}"),
-                expert_bytes,
-                env.offload_tier,
-                waits,
-            )
-        } else {
-            env.machine.copy_to_gpu("fetch", expert_bytes, env.offload_tier, waits)
-        };
-        copied += 1;
-        last = Some(ev);
     }
     if demand {
         *env.demand_bytes += copied as u64 * expert_bytes;
     }
-    // All experts resident: the copy stream is in-order, so the last
-    // submitted copy dominates. All-hit fetches complete immediately
-    // relative to `waits` via a zero-length barrier.
-    let done = match last {
-        Some(ev) => ev,
-        None => {
-            let copy = env.machine.copy_stream();
-            env.machine.engine_mut().barrier(copy, waits)
-        }
-    };
+    let done = env.machine.copy_many_to_gpu(copied, expert_bytes, env.offload_tier, waits, |i| {
+        format!("fetch-b{block}e{}", labels[i])
+    });
     Ok((done, copied))
 }
 
@@ -278,6 +284,9 @@ pub(crate) fn decode_iteration(
         )?;
     }
 
+    // The dense kernels cost the same in every block: price them once.
+    let attn_dur = env.machine.cost().kernel_time(0.0, costs.attn_bytes);
+    let ffn_dur = env.machine.cost().kernel_time(0.0, costs.ffn_bytes);
     let mut moe_idx = 0usize;
     for layer in 0..costs.decoder_layers {
         let is_moe = layer % costs.moe_every == costs.moe_every - 1;
@@ -286,7 +295,7 @@ pub(crate) fn decode_iteration(
         if let Some(r) = rec.as_deref_mut() {
             r.op(PlanOp::BlockStart);
         }
-        env.machine.launch_kernel("attn", 0.0, costs.attn_bytes, &[]);
+        env.machine.compute_op("attn", attn_dur, &[]);
         if let Some(r) = rec.as_deref_mut() {
             r.op(PlanOp::Gemm {
                 label: "attn",
@@ -296,7 +305,7 @@ pub(crate) fn decode_iteration(
             });
         }
         if !is_moe {
-            env.machine.launch_kernel("ffn", 0.0, costs.ffn_bytes, &[]);
+            env.machine.compute_op("ffn", ffn_dur, &[]);
             if let Some(r) = rec.as_deref_mut() {
                 r.op(PlanOp::Gemm {
                     label: "ffn",
@@ -634,12 +643,14 @@ pub(crate) fn prefill_pass(
         issue_prefill_prefetch(env, sched, &p, None, costs, rng, alloc_buffers, scratch)?;
     }
 
+    let attn_dur = env.machine.cost().kernel_time(costs.attn_flops, costs.attn_bytes);
+    let ffn_dur = env.machine.cost().kernel_time(costs.ffn_flops, costs.ffn_bytes);
     let mut moe_idx = 0usize;
     for layer in 0..costs.encoder_layers {
         let is_moe = layer % costs.moe_every == costs.moe_every - 1;
-        env.machine.launch_kernel(costs.labels[0], costs.attn_flops, costs.attn_bytes, &[]);
+        env.machine.compute_op(costs.labels[0], attn_dur, &[]);
         if !is_moe {
-            env.machine.launch_kernel(costs.labels[1], costs.ffn_flops, costs.ffn_bytes, &[]);
+            env.machine.compute_op(costs.labels[1], ffn_dur, &[]);
             continue;
         }
         let b = moe_idx;
@@ -649,6 +660,7 @@ pub(crate) fn prefill_pass(
             env.num_experts,
             rng,
             &mut scratch.draw_pool,
+            &mut scratch.draw_bits,
             &mut scratch.own,
         );
         let own = &scratch.own;
@@ -748,6 +760,7 @@ fn issue_prefill_prefetch(
                 env.num_experts,
                 rng,
                 &mut scratch.draw_pool,
+                &mut scratch.draw_bits,
                 &mut scratch.sampled,
             );
             &scratch.sampled
@@ -787,7 +800,9 @@ pub(crate) fn expected_distinct_experts(draws: usize, experts: usize) -> usize {
 }
 
 /// Draws `count` distinct experts uniformly (partial Fisher–Yates over
-/// `pool`) into `out`, sorted.
+/// `pool`) into `out`, sorted: the draws are marked in the bitset `bits`
+/// and read back in ascending order ([`mark_experts`], [`drain_experts`]),
+/// so no sort runs and `bits` is left all zero.
 ///
 /// With `count >= experts` the sample is the full set whatever the draws
 /// would be, so `out` becomes `0..experts` and `rng` is not touched. That
@@ -800,6 +815,7 @@ pub(crate) fn sample_distinct_experts(
     experts: usize,
     rng: &mut StdRng,
     pool: &mut Vec<usize>,
+    bits: &mut Vec<u64>,
     out: &mut Vec<usize>,
 ) {
     out.clear();
@@ -813,8 +829,33 @@ pub(crate) fn sample_distinct_experts(
         let j = rng.gen_range(i..experts);
         pool.swap(i, j);
     }
-    out.extend_from_slice(&pool[..count]);
-    out.sort_unstable();
+    bits.resize(experts.div_ceil(64), 0);
+    mark_experts(bits, &pool[..count], experts);
+    drain_experts(bits, out);
+}
+
+/// Adds every id in `experts` below `num_experts` to the bitset `bits` (bit
+/// `e % 64` of word `e / 64`; `bits` holds at least `num_experts` bits).
+/// Larger ids — a live router naming an expert the model lacks — are
+/// dropped.
+pub(crate) fn mark_experts(bits: &mut [u64], experts: &[usize], num_experts: usize) {
+    for &e in experts.iter().filter(|&&e| e < num_experts) {
+        bits[e / 64] |= 1 << (e % 64);
+    }
+}
+
+/// Replaces `out` with the ids set in `bits`, ascending, and clears `bits`:
+/// a set built by [`mark_experts`] comes out sorted and deduplicated with
+/// no sort, no dedup and, once `out` has grown, no allocation.
+pub(crate) fn drain_experts(bits: &mut [u64], out: &mut Vec<usize>) {
+    out.clear();
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut rest = std::mem::take(word);
+        while rest != 0 {
+            out.push(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -831,12 +872,40 @@ mod tests {
     #[test]
     fn full_set_sample_draws_nothing() {
         use rand::{RngCore, SeedableRng};
-        let (mut pool, mut out) = (Vec::new(), vec![99]);
+        let (mut pool, mut bits, mut out) = (Vec::new(), Vec::new(), vec![99]);
         for (count, experts) in [(8, 8), (9, 8), (usize::MAX, 3), (0, 0), (1, 1)] {
             let mut rng = StdRng::seed_from_u64(7);
-            sample_distinct_experts(count, experts, &mut rng, &mut pool, &mut out);
+            sample_distinct_experts(count, experts, &mut rng, &mut pool, &mut bits, &mut out);
             assert_eq!(out, (0..experts).collect::<Vec<_>>(), "count {count} of {experts}");
             assert_eq!(rng.next_u64(), StdRng::seed_from_u64(7).next_u64(), "rng advanced");
+        }
+    }
+
+    #[test]
+    fn bitset_sample_matches_shuffle_sort_oracle() {
+        use rand::{RngCore, SeedableRng};
+        // The draws read back through a sort, as they were before the
+        // bitset: same experts, same order, same RNG stream afterwards.
+        let oracle = |count: usize, experts: usize, rng: &mut StdRng| {
+            let mut pool: Vec<usize> = (0..experts).collect();
+            for i in 0..count {
+                let j = rng.gen_range(i..experts);
+                pool.swap(i, j);
+            }
+            let mut out = pool[..count].to_vec();
+            out.sort_unstable();
+            out
+        };
+        let (mut pool, mut bits, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        for experts in [8, 63, 64, 65, 128, 256] {
+            for count in 0..experts {
+                let seed = (experts * 1000 + count) as u64;
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                sample_distinct_experts(count, experts, &mut a, &mut pool, &mut bits, &mut out);
+                assert_eq!(out, oracle(count, experts, &mut b), "{count} of {experts}");
+                assert_eq!(a.next_u64(), b.next_u64(), "rng stream, {count} of {experts}");
+                assert!(bits.iter().all(|&w| w == 0), "bits left set, {count} of {experts}");
+            }
         }
     }
 }

@@ -680,6 +680,28 @@ mod tests {
     }
 
     #[test]
+    fn a_traced_cached_run_reports_what_an_untraced_one_does() {
+        use crate::{CacheConfig, Replacement};
+        use pgmoe_workload::RoutingKind;
+        // Cached runs are interpreted; tracing only adds span labels, so
+        // every measurement must be bit-identical with it on or off.
+        let cfg = ModelConfig::switch_base(64);
+        for policy in [OffloadPolicy::OnDemand, OffloadPolicy::Pregated] {
+            let opts = SimOptions::new(policy)
+                .with_routing(RoutingKind::Zipf { s: 1.2 })
+                .with_cache(CacheConfig::new(0.2, Replacement::Lru));
+            let request = DecodeRequest { input_tokens: 32, output_tokens: 16, batch_size: 1 };
+            let plain = InferenceSim::new(cfg.clone(), opts.clone()).run(request, 2).unwrap();
+            let mut traced =
+                InferenceSim::new(cfg.clone(), opts.with_timeline()).run(request, 2).unwrap();
+            let stats = traced.cache_stats.expect("cache stats");
+            assert!(stats.hits > 0 && stats.misses > 0, "{policy}: {stats:?}");
+            assert!(traced.timeline.take().expect("timeline").contains("copy"));
+            assert_eq!(format!("{traced:?}"), format!("{plain:?}"), "{policy}");
+        }
+    }
+
+    #[test]
     fn invalid_configs_are_rejected() {
         use crate::{CacheConfig, Replacement};
         let cfg = ModelConfig::switch_base(8);

@@ -521,10 +521,13 @@ impl DispatchState {
     ) -> Result<usize> {
         let t = arr.arrival_ns;
         let probe = self.probe_of(arr);
+        // A replica's estimated completions never fall (each request starts
+        // no earlier than the previous one's estimate), so those after `t`
+        // are a suffix.
         let views: Vec<ReplicaView<'_>> = eligible
             .iter()
             .map(|&r| ReplicaView {
-                queue_depth: self.est_done[r].iter().filter(|&&d| d > t).count(),
+                queue_depth: self.est_done[r].len() - self.est_done[r].partition_point(|&d| d <= t),
                 assigned: self.assigned[r],
                 est_free_at_ns: self.est_free[r].max(t),
                 affinity: &self.affinity[r],

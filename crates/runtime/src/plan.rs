@@ -56,7 +56,10 @@
 //! which experts a fetch copies depends on which are resident, so a key
 //! would have to hash every routed expert id and the whole cache's recency
 //! order — a key that never repeats. Such runs are neither keyed nor
-//! recorded, and their [`PlanCacheStats`] stay zero.
+//! recorded, and their [`PlanCacheStats`] stay zero. The interpreter they
+//! run on shares replay's charging granularity: one staging reservation
+//! and one copy-stream interval per fetch (one span per copied expert
+//! when traced), and attention/FFN kernel durations priced once per pass.
 
 use crate::core::{self, CoreEnv, CoreScratch, DecodeCosts};
 use crate::scheduler::{ExpertScheduler, RoutedSource};
@@ -638,6 +641,10 @@ fn replay(
     let tier = env.offload_tier;
     let copy_ns = env.machine.transfer_time(expert_bytes, tier).as_nanos();
     let gate_dur = env.machine.cost().gate_overhead;
+    // The dense kernels are priced once per pass, as the interpreter
+    // prices them; expert kernels stream a per-op byte count.
+    let attn_dur = env.machine.cost().kernel_time(0.0, costs.attn_bytes);
+    let ffn_dur = env.machine.cost().kernel_time(0.0, costs.ffn_bytes);
     let compute = env.machine.compute_stream();
     let copy = env.machine.copy_stream();
     let mut tail_c = env.machine.engine_mut().stream_tail(compute);
@@ -654,13 +661,15 @@ fn replay(
         match op {
             PlanOp::BlockStart => block_start = tail_c,
             PlanOp::Gemm { bytes, waits, out, .. } => {
-                let b = match *bytes {
-                    PlanBytes::Attn => costs.attn_bytes,
-                    PlanBytes::Ffn => costs.ffn_bytes,
-                    PlanBytes::Routed(block) => routed.experts(block).len() as u64 * expert_bytes,
-                    PlanBytes::Lit(v) => v,
+                let cost = env.machine.cost();
+                let dur = match *bytes {
+                    PlanBytes::Attn => attn_dur,
+                    PlanBytes::Ffn => ffn_dur,
+                    PlanBytes::Routed(block) => {
+                        cost.kernel_time(0.0, routed.experts(block).len() as u64 * expert_bytes)
+                    }
+                    PlanBytes::Lit(v) => cost.kernel_time(0.0, v),
                 };
-                let dur = env.machine.cost().kernel_time(0.0, b);
                 let mut start = tail_c;
                 for &s in waits {
                     start = start.max(times[s as usize]);

@@ -366,7 +366,8 @@ pub trait ExpertScheduler {
     }
 
     /// Whether a fetched expert should be admitted into the expert cache
-    /// (consulted on every cache miss; defaults to admit-everything).
+    /// (consulted on every cache miss of a cache with nonzero capacity, and
+    /// never on a hit; defaults to admit-everything).
     fn cache_admission(&self, key: ExpertKey) -> bool {
         let _ = key;
         true
@@ -374,7 +375,8 @@ pub trait ExpertScheduler {
 
     /// A preferred eviction victim when admitting `key` into a full cache;
     /// `None` defers to the cache's configured replacement policy. A hint
-    /// that is not resident is ignored.
+    /// that is not resident is ignored. Consulted alongside
+    /// [`ExpertScheduler::cache_admission`], on misses only.
     fn eviction_hint(&self, key: ExpertKey) -> Option<ExpertKey> {
         let _ = key;
         None
@@ -687,20 +689,22 @@ impl ExpertScheduler for PregatedSched {
 /// Shared pre-gated fan-out: prefetch every future block whose gate is
 /// hosted at `block` (decode follows the topology; prefill pipelines the
 /// next block, as the paper's encoder does).
+///
+/// Of the targets [`GateTopology::gates_hosted_at`] lists for `block`, the
+/// only one other than `block` itself is the pre-gate's `block + level`,
+/// when that is still inside the stack (none under conventional gating,
+/// level 0), so decode pushes that one directly rather than collecting the
+/// list.
 fn pregated_on_gate(ctx: &PolicyCtx<'_>, block: usize, out: &mut Vec<Prefetch>) {
-    match ctx.phase {
-        Phase::Prefill => {
-            if block + 1 < ctx.blocks {
-                out.push(Prefetch { block: block + 1, set: FetchSet::Routed, after_gate: true });
-            }
-        }
-        Phase::Decode => {
-            for target in ctx.topology.gates_hosted_at(block) {
-                if target != block {
-                    out.push(Prefetch { block: target, set: FetchSet::Routed, after_gate: true });
-                }
-            }
-        }
+    let (target, blocks) = match ctx.phase {
+        Phase::Prefill => (block + 1, ctx.blocks),
+        Phase::Decode => match ctx.topology.mode().level() {
+            0 => return,
+            level => (block + level, ctx.topology.num_blocks()),
+        },
+    };
+    if target < blocks {
+        out.push(Prefetch { block: target, set: FetchSet::Routed, after_gate: true });
     }
 }
 

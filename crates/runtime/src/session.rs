@@ -40,10 +40,12 @@
 
 use crate::batch::BatchConfig;
 use crate::core::{
-    self, batched_prefill_costs, expected_distinct_experts, CoreEnv, CoreScratch, DecodeCosts,
+    self, batched_prefill_costs, drain_experts, expected_distinct_experts, mark_experts, CoreEnv,
+    CoreScratch, DecodeCosts,
 };
 use crate::engine::{attn_bytes_for, dense_ffn_bytes_for};
 use crate::kv::{KvSeq, PagedKv};
+use crate::memory;
 use crate::plan::{self, PlanCacheStats, PlanSession};
 use crate::scheduler::{ExpertScheduler, MemoryProfile, PolicySpec, RoutedSource};
 use crate::serve::ServeStats;
@@ -156,30 +158,6 @@ struct Record {
     queueing: SimDuration,
     ttft: SimDuration,
     latency: SimDuration,
-}
-
-/// Adds every id in `experts` below `num_experts` to the bitset `bits` (bit
-/// `e % 64` of word `e / 64`; `bits` holds at least `num_experts` bits).
-/// Larger ids — a live router naming an expert the model lacks — are
-/// dropped.
-fn mark_experts(bits: &mut [u64], experts: &[usize], num_experts: usize) {
-    for &e in experts.iter().filter(|&&e| e < num_experts) {
-        bits[e / 64] |= 1 << (e % 64);
-    }
-}
-
-/// Replaces `out` with the ids set in `bits`, ascending, and clears `bits`:
-/// a union built by [`mark_experts`] comes out sorted and deduplicated with
-/// no sort, no dedup and, once `out` has grown, no allocation.
-fn drain_experts(bits: &mut [u64], out: &mut Vec<usize>) {
-    out.clear();
-    for (w, word) in bits.iter_mut().enumerate() {
-        let mut rest = std::mem::take(word);
-        while rest != 0 {
-            out.push(w * 64 + rest.trailing_zeros() as usize);
-            rest &= rest - 1;
-        }
-    }
 }
 
 /// Adapter: the batch's per-block expert unions as a routing source.
@@ -437,7 +415,7 @@ impl BatchSession {
         // buffers for the whole lifetime up front; paged KV plans blocks.
         let (act_bytes, kv_planned) = match &self.kv {
             Some(kv) => kv.admission_bytes(cfg, &arr, self.inflight.len()),
-            None => (PlacementPlan::new(cfg, opts, full_ctx, 1).activation_bytes(), 0),
+            None => (memory::activation_bytes(cfg, full_ctx, 1), 0),
         };
         let in_flight_act: u64 = self.inflight.iter().map(|r| r.act_bytes).sum();
         let pending: usize =
@@ -1434,6 +1412,39 @@ mod tests {
                 assert_eq!((a.plan_cache_hits, a.plan_cache_misses), (0, 0), "{case}");
             }
         }
+    }
+
+    #[test]
+    fn traced_fetches_record_one_span_per_copied_expert() {
+        use crate::{CacheConfig, Replacement};
+        // A fetch is one copy-stream submission, but a traced run still
+        // shows each copied expert as its own span: one transfer long,
+        // labelled with its block and expert, and accounting for every
+        // offloaded byte. The cache makes some fetches partial or empty.
+        let opts = SimOptions::new(OffloadPolicy::Pregated)
+            .with_cache(CacheConfig::new(0.2, Replacement::Lru));
+        let mut s =
+            BatchSession::new(ModelConfig::switch_base(64), opts, BatchConfig::new(4)).unwrap();
+        s.machine.set_trace_enabled(true);
+        for id in 0..3u64 {
+            s.try_admit(id, ArrivedRequest::at_nanos(0, req(16, 8))).unwrap();
+        }
+        while s.in_flight() > 0 {
+            s.step().unwrap();
+        }
+        let expert_bytes = s.base_plan.expert_bytes();
+        let each = s.machine.transfer_time(expert_bytes, Tier::Ddr);
+        let fetches: Vec<_> =
+            s.machine.trace().iter().filter(|t| t.label.starts_with("fetch-b")).collect();
+        assert!(!fetches.is_empty());
+        for t in &fetches {
+            assert_eq!((t.stream.as_str(), t.duration()), ("copy", each), "{t:?}");
+            let (block, expert) = t.label["fetch-b".len()..].split_once('e').unwrap();
+            assert!(block.parse::<usize>().is_ok() && expert.parse::<usize>().unwrap() < 64);
+        }
+        assert_eq!(fetches.len() as u64 * expert_bytes, s.machine.offload_traffic_bytes());
+        let stats = s.cache.as_ref().expect("cache").stats();
+        assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
     }
 
     #[test]

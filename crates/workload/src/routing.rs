@@ -194,7 +194,7 @@ impl RoutingSampler {
         let domain_offset = match self.kind {
             RoutingKind::ZipfDomains { domains, .. } => {
                 let d = domain_of(seed, domains);
-                d * (num_experts / domains.clamp(1, num_experts)).max(1)
+                d * (num_experts / domains.clamp(1, num_experts)).max(1) % num_experts
             }
             _ => 0,
         };
@@ -216,8 +216,15 @@ impl RoutingSampler {
                     }
                     RoutingKind::ZipfDomains { .. } => {
                         let cdf = self.zipf_cdf.as_ref().expect("zipf cdf");
+                        // Both terms are below `num_experts`: one subtraction
+                        // wraps the sum, with no division per draw.
                         sample_distinct(num_experts, top_k, &mut rng, &mut decisions, |r| {
-                            (sample_from_cdf(cdf, r) + domain_offset) % num_experts
+                            let e = sample_from_cdf(cdf, r) + domain_offset;
+                            if e >= num_experts {
+                                e - num_experts
+                            } else {
+                                e
+                            }
                         })
                     }
                     RoutingKind::DomainSticky { stickiness } => {
@@ -395,6 +402,9 @@ mod tests {
             RoutingKind::Uniform,
             RoutingKind::Zipf { s: 1.2 },
             RoutingKind::ZipfDomains { s: 1.5, domains: 4 },
+            // More domains than the smallest shape has experts: the
+            // rotation offset itself wraps.
+            RoutingKind::ZipfDomains { s: 1.5, domains: 7 },
             RoutingKind::DomainSticky { stickiness: 0.7 },
         ];
         // (tokens, blocks, experts): the serving shapes, plus 4 experts
