@@ -9,18 +9,17 @@
 //! and [`NoControl`]; this module adds what makes the fleet adaptive.
 //!
 //! 1. **Arrivals** are dispatched one at a time, at their arrival instant,
-//!    against the [`DispatchState`](crate::fleet) bookkeeping — restricted
-//!    to the replicas currently eligible (alive, warm, not draining). With
-//!    no faults and no controller the eligible set is always the full
-//!    fleet, and the run is **bit-exact** with serving each replica's share
-//!    of the trace alone, run-to-completion, on a
+//!    among the replicas currently eligible (warm, not draining). With no
+//!    faults and no controller the eligible set is always the full fleet,
+//!    and the run is **bit-exact** with serving each replica's share of the
+//!    trace alone, run-to-completion, on a
 //!    [`BatchScheduler`](crate::BatchScheduler) (`tests/fleet_chaos.rs`
 //!    keeps that per-replica oracle, with and without an expert cache).
-//! 2. **Faults** from a deterministic, seed-driven
-//!    [`FaultPlan`]: replica kills (in-flight
-//!    work is drained and *redispatched* — the placement-independent route
-//!    seed replays the identical token stream on the new replica, so zero
-//!    requests are lost), stalls, and link degradations.
+//! 2. **Faults** from a deterministic, seed-driven [`FaultPlan`]: replica
+//!    kills (in-flight work is drained and *redispatched* — the
+//!    placement-independent route seed replays the identical token stream
+//!    on the new replica, so zero requests are lost), stalls, and link
+//!    degradations.
 //! 3. **Controller windows**: every `window_ns` a [`FleetController`]
 //!    observes windowed deltas ([`ControlWindow`]) and may scale the fleet
 //!    up (cache-cold replicas that take `warmup_ns` to come online), scale
@@ -31,6 +30,16 @@
 //!    `BatchSession::pump` turn `BatchScheduler::serve` loops over —
 //!    idle-jump, FIFO admission, one decode step — at its own clock.
 //!
+//! The fleet holds live state only. A live replica owns its session, its
+//! queue, its warm-up, drain and degrade state, and its dispatch
+//! bookkeeping (completion estimates, affinity histogram, assignment count:
+//! what its [`ReplicaView`](crate::ReplicaView) shows); the shared
+//! `DispatchState` keeps only the service estimate and the routing probe.
+//! Completion estimates are dropped once no later placement can count them.
+//! A killed or drained replica leaves the event loop as its billing row
+//! ([`ServeStats`], spawn and retire instants) and keeps its global index in
+//! [`FleetStats::replicas`] and [`ControlWindow::replicas`].
+//!
 //! The returned [`FleetStats`] carries a [`ControlStats`] block accounting
 //! for every fault injected, request redispatched, token of work dropped,
 //! and scaling/switching action taken, plus `gpu_time` billed per replica
@@ -39,7 +48,7 @@
 //! rented, not on a fixed fleet's makespan.
 
 use crate::batch::validate_arrivals;
-use crate::fleet::{DispatchPolicy, DispatchState, FleetConfig, FleetStats};
+use crate::fleet::{DispatchBook, DispatchPolicy, DispatchState, FleetConfig, FleetStats};
 use crate::scheduler::PolicySpec;
 use crate::serve::ServeStats;
 use crate::session::BatchSession;
@@ -47,6 +56,7 @@ use crate::{Result, RuntimeError, SimOptions};
 use pgmoe_device::{SimDuration, SimTime};
 use pgmoe_model::ModelConfig;
 use pgmoe_workload::{stamp_route_seeds, ArrivedRequest, FaultKind, FaultPlan};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 /// Control-loop knobs: how often the controller observes, and how long a
@@ -70,6 +80,10 @@ impl Default for ControlOptions {
 }
 
 /// What the controller observes about one replica over the last window.
+///
+/// A finished replica (killed, or drained and retired) reports zero or false
+/// everywhere but `draining`, which stays what it was when the replica left;
+/// work it did between its last window and its exit is never reported.
 #[derive(Debug, Clone)]
 pub struct ReplicaObs {
     /// Still serving (not killed, not retired).
@@ -106,8 +120,9 @@ pub struct ControlWindow<'a> {
     pub completions_delta: usize,
     /// Requests dispatched but unfinished, fleet-wide (queued + in flight).
     pub backlog: usize,
-    /// Per-replica observations, replica order (dead replicas included so
-    /// indices stay stable).
+    /// Per-replica observations by global replica index: every replica ever
+    /// started, finished ones included (see [`ReplicaObs`]), so indices stay
+    /// stable.
     pub replicas: &'a [ReplicaObs],
 }
 
@@ -319,71 +334,345 @@ pub struct ControlStats {
 }
 
 /// One request's lifecycle through the controlled fleet.
+#[derive(Clone, Default)]
 struct ReqState {
-    arr: ArrivedRequest,
     replica: usize,
     queueing: SimDuration,
     first_token_ns: Option<u64>,
     done_ns: Option<u64>,
 }
 
-/// One replica slot: a live session plus the control-plane state around it.
-struct Replica {
-    session: Option<BatchSession>,
+/// A replica in the fleet (serving, warming or draining): its session and
+/// queue, the control-plane state around them, and its dispatch
+/// bookkeeping.
+struct LiveReplica {
+    /// Global replica index: its slot in [`FleetStats::replicas`] and
+    /// [`ControlWindow::replicas`], and its [`ControlAction::SwitchPolicy`] id.
+    index: usize,
+    session: BatchSession,
     /// Dispatched here, not yet admitted: request index + the request.
     queue: VecDeque<(usize, ArrivedRequest)>,
-    alive: bool,
+    book: DispatchBook,
     draining: bool,
     warm_at_ns: u64,
     spawned_ns: u64,
-    retired_ns: Option<u64>,
-    degraded_until_ns: u64,
-    degrade_factor: f64,
-    snap_tokens: usize,
-    snap_demand: u64,
-    snap_fetch: u64,
-    stats: Option<ServeStats>,
+    /// Link degradation: until when, and the factor an iteration stretches by.
+    degraded: (u64, f64),
+    /// Tokens, demand-fetch and fetch bytes at the last window.
+    snap: (usize, u64, u64),
 }
 
-impl Replica {
-    fn spawn(session: BatchSession, spawned_ns: u64, warm_at_ns: u64) -> Self {
-        Replica {
-            session: Some(session),
-            queue: VecDeque::new(),
-            alive: true,
-            draining: false,
-            warm_at_ns,
-            spawned_ns,
-            retired_ns: None,
-            degraded_until_ns: 0,
-            degrade_factor: 1.0,
-            snap_tokens: 0,
-            snap_demand: 0,
-            snap_fetch: 0,
-            stats: None,
-        }
-    }
+/// A replica that left the fleet (killed, drained, or still rented when the
+/// run ended): its billing row.
+struct FinishedReplica {
+    stats: ServeStats,
+    spawned_ns: u64,
+    /// `None` if it was still rented at run end.
+    retired_ns: Option<u64>,
+    /// Whether it was draining when it left — what [`ReplicaObs::draining`]
+    /// keeps reporting for it.
+    draining: bool,
+}
 
+impl LiveReplica {
     /// When this replica next does work: now if it is mid-batch, the moment
     /// it can admit its queue head if idle with queued work, never
     /// otherwise.
     fn ready_ns(&self) -> Option<u64> {
-        let session = self.session.as_ref()?;
-        if !self.alive {
-            return None;
+        let clock = self.session.clock().as_nanos();
+        if self.session.in_flight() > 0 {
+            return Some(clock);
         }
-        if session.in_flight() > 0 {
-            return Some(session.clock().as_nanos());
-        }
-        self.queue.front().map(|(_, arr)| session.clock().as_nanos().max(arr.arrival_ns))
+        self.queue.front().map(|(_, arr)| clock.max(arr.arrival_ns))
     }
 
-    fn retire(&mut self, now_ns: u64) {
-        if let Some(session) = self.session.take() {
-            self.stats = Some(session.finish());
+    fn idle(&self) -> bool {
+        self.queue.is_empty() && self.session.in_flight() == 0
+    }
+
+    /// Observes the window ending at `now_ns` and snapshots its counters.
+    fn observe(&mut self, now_ns: u64) -> ReplicaObs {
+        let s = &self.session;
+        let (snap, now) =
+            (self.snap, (s.total_tokens(), s.demand_fetch_bytes(), s.expert_fetch_bytes()));
+        self.snap = now;
+        ReplicaObs {
+            alive: true,
+            warming: now_ns < self.warm_at_ns,
+            draining: self.draining,
+            queued: self.queue.len(),
+            in_flight: s.in_flight(),
+            tokens_delta: now.0 - snap.0,
+            demand_bytes_delta: now.1 - snap.1,
+            fetch_bytes_delta: now.2 - snap.2,
         }
-        self.alive = false;
-        self.retired_ns = Some(now_ns);
+    }
+}
+
+/// The event loop's state for one [`ControlledFleet::serve`] call.
+struct Run<'a> {
+    spec: &'a ControlledFleet,
+    /// The route-stamped trace; requests are referred to by index.
+    arrivals: &'a [ArrivedRequest],
+    reqs: Vec<ReqState>,
+    /// Replicas in the fleet, ascending global index.
+    live: Vec<LiveReplica>,
+    /// Billing rows by global index; `None` while the replica is live.
+    finished: Vec<Option<FinishedReplica>>,
+    state: DispatchState,
+    dispatch: &'a mut dyn DispatchPolicy,
+    ctl: ControlStats,
+    cur_policy: PolicySpec,
+    completions: usize,
+    /// Lowest request index not yet completed: every later placement is of
+    /// a request at or after it, so it never arrives before this one.
+    oldest_open: usize,
+}
+
+impl Run<'_> {
+    /// Adds a replica running the current policy, its clock starting at
+    /// `warm_at_ns`.
+    fn spawn(&mut self, spawned_ns: u64, warm_at_ns: u64) -> Result<()> {
+        let opts = SimOptions { policy: self.cur_policy.clone(), ..self.spec.opts.clone() };
+        let mut session = BatchSession::new(self.spec.cfg.clone(), opts, self.spec.fleet.batch)?;
+        session.advance_clock(SimTime::from_nanos(warm_at_ns));
+        self.live.push(LiveReplica {
+            index: self.finished.len(),
+            session,
+            queue: VecDeque::new(),
+            book: self.state.book(),
+            draining: false,
+            warm_at_ns,
+            spawned_ns,
+            degraded: (0, 1.0),
+            snap: (0, 0, 0),
+        });
+        self.finished.push(None);
+        Ok(())
+    }
+
+    /// Removes the live replica at position `p` from the fleet, keeping its
+    /// billing row.
+    fn retire(&mut self, p: usize, retired_ns: Option<u64>) {
+        let rep = self.live.remove(p);
+        let (stats, spawned_ns, draining) = (rep.session.finish(), rep.spawned_ns, rep.draining);
+        self.finished[rep.index] =
+            Some(FinishedReplica { stats, spawned_ns, retired_ns, draining });
+    }
+
+    /// Dispatches request `idx` (an arrival or a redispatched orphan) among
+    /// the replicas eligible at `t` — not draining, warm — and queues it
+    /// there. Falls back to warming replicas when nothing warm survives:
+    /// better a cold replica than a lost request. Returns the live position.
+    fn place(&mut self, idx: usize, t: u64) -> Result<usize> {
+        let any_warm = self.live.iter().any(|r| !r.draining && r.warm_at_ns <= t);
+        let (at, mut books): (Vec<usize>, Vec<&mut DispatchBook>) = self
+            .live
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, r)| !r.draining && (r.warm_at_ns <= t || !any_warm))
+            .map(|(p, r)| (p, &mut r.book))
+            .unzip();
+        if at.is_empty() {
+            return Err(RuntimeError::InvalidConfig {
+                message: format!(
+                    "no serving replica left to dispatch request {idx} at t={t}ns \
+                     (the fault plan or controller removed them all)"
+                ),
+            });
+        }
+        // Request `idx` is open, so this stops at or before it.
+        while self.reqs[self.oldest_open].done_ns.is_some() {
+            self.oldest_open += 1;
+        }
+        let settled_ns = self.arrivals[self.oldest_open].arrival_ns;
+        let arr = self.arrivals[idx];
+        let p = at[self.state.place(idx, &arr, settled_ns, &mut books, &mut *self.dispatch)?];
+        self.reqs[idx].replica = self.live[p].index;
+        self.live[p].queue.push_back((idx, arr));
+        Ok(p)
+    }
+
+    /// Applies one fault event. Events aimed at finished or out-of-range
+    /// replicas are skipped.
+    fn inject(&mut self, target: usize, at_ns: u64, kind: FaultKind) -> Result<()> {
+        let Ok(p) = self.live.binary_search_by_key(&target, |r| r.index) else {
+            return Ok(());
+        };
+        let rep = &mut self.live[p];
+        match kind {
+            FaultKind::KillReplica => {
+                let aborted = rep.session.drain_inflight();
+                self.ctl.dropped_tokens +=
+                    aborted.iter().map(|a| a.tokens_generated).sum::<usize>();
+                let mut orphans: Vec<usize> = aborted.iter().map(|a| a.id as usize).collect();
+                orphans.extend(rep.queue.drain(..).map(|(idx, _)| idx));
+                let retired_ns = at_ns.max(rep.spawned_ns);
+                self.retire(p, Some(retired_ns));
+                // Redispatch in arrival order — the convention every
+                // dispatcher already assumes for its bookkeeping.
+                orphans.sort_unstable_by_key(|&i| (self.arrivals[i].arrival_ns, i));
+                for idx in orphans {
+                    let req = &mut self.reqs[idx];
+                    (req.first_token_ns, req.queueing) = (None, SimDuration::ZERO);
+                    self.ctl.redispatched += 1;
+                    let p = self.place(idx, at_ns)?;
+                    // Failover cannot rewind time: the surviving replica
+                    // sees the orphan no earlier than the kill instant.
+                    self.live[p].session.advance_clock(SimTime::from_nanos(at_ns));
+                }
+            }
+            FaultKind::StallReplica { for_ns } => {
+                let from = rep.session.clock().max(SimTime::from_nanos(at_ns));
+                rep.session.advance_clock(from + SimDuration::from_nanos(for_ns));
+            }
+            FaultKind::DegradeLink { factor, for_ns } => {
+                rep.degraded = (at_ns.saturating_add(for_ns), factor);
+            }
+        }
+        self.ctl.faults_injected += 1;
+        Ok(())
+    }
+
+    /// Observes the window ending at `now_ns`: live replicas report their
+    /// deltas, finished ones only whether they were draining.
+    fn observe(&mut self, now_ns: u64) -> Vec<ReplicaObs> {
+        let left = |f: &Option<FinishedReplica>| ReplicaObs {
+            alive: false,
+            warming: false,
+            draining: f.as_ref().is_some_and(|f| f.draining),
+            queued: 0,
+            in_flight: 0,
+            tokens_delta: 0,
+            demand_bytes_delta: 0,
+            fetch_bytes_delta: 0,
+        };
+        let mut obs: Vec<ReplicaObs> = self.finished.iter().map(left).collect();
+        for rep in &mut self.live {
+            obs[rep.index] = rep.observe(now_ns);
+        }
+        obs
+    }
+
+    /// Applies one controller action at window instant `now_ns`.
+    fn apply(&mut self, action: ControlAction, now_ns: u64) -> Result<()> {
+        match action {
+            ControlAction::ScaleUp { replicas: n } => {
+                for _ in 0..n {
+                    self.spawn(now_ns, now_ns.saturating_add(self.spec.ctl.warmup_ns))?;
+                    self.ctl.scale_ups += 1;
+                }
+                self.ctl.peak_replicas = self.ctl.peak_replicas.max(self.live.len());
+            }
+            ControlAction::ScaleDown { replicas: n } => {
+                for _ in 0..n {
+                    let serving = self.live.iter().enumerate().filter(|(_, r)| !r.draining);
+                    if serving.clone().count() <= 1 {
+                        break;
+                    }
+                    // Drain the least-loaded serving replica; ties retire
+                    // the newest so the original fleet is kept warm.
+                    let (p, _) = serving
+                        .min_by_key(|(p, r)| (r.queue.len() + r.session.in_flight(), Reverse(*p)))
+                        .expect("serving > 1 guarantees a victim");
+                    self.live[p].draining = true;
+                    if self.live[p].idle() {
+                        self.retire(p, Some(now_ns));
+                    }
+                    self.ctl.scale_downs += 1;
+                }
+            }
+            ControlAction::SwitchPolicy { replica, policy } => {
+                for rep in self.live.iter_mut().filter(|r| replica.is_none_or(|i| i == r.index)) {
+                    rep.session.swap_scheduler(policy.clone())?;
+                    self.ctl.policy_switches += 1;
+                }
+                if replica.is_none() {
+                    self.cur_policy = policy;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One iteration of the live replica at position `p`, starting at its
+    /// [`LiveReplica::ready_ns`] `start_ns`: the shared
+    /// [`BatchSession::pump`] turn, plus the degraded-link stretch and
+    /// drain retirement.
+    fn step(&mut self, p: usize, start_ns: u64) -> Result<()> {
+        let (rep, reqs) = (&mut self.live[p], &mut self.reqs);
+        let events =
+            rep.session.pump(&mut rep.queue, |idx, queueing| reqs[idx].queueing = queueing)?;
+        let session = &mut rep.session;
+        let (degraded_until_ns, factor) = rep.degraded;
+        if start_ns < degraded_until_ns && factor > 1.0 {
+            // A degraded link stretches the iteration wall-clock: the next
+            // boundary slips by (factor - 1) x the span just executed.
+            let span = session.clock().duration_since(SimTime::from_nanos(start_ns));
+            let extra = (span.as_nanos() as f64 * (factor - 1.0)).round() as u64;
+            session.advance_clock(session.clock() + SimDuration::from_nanos(extra));
+        }
+        for ev in events {
+            let req = &mut reqs[ev.id as usize];
+            req.first_token_ns.get_or_insert(ev.at.as_nanos());
+            if ev.done {
+                req.done_ns = Some(ev.at.as_nanos());
+                self.completions += 1;
+            }
+        }
+        if rep.draining && rep.idle() {
+            let now = rep.session.clock().as_nanos();
+            self.retire(p, Some(now));
+        }
+        Ok(())
+    }
+
+    /// Merges per-request lifecycles (arrival order) and per-replica stats
+    /// into [`FleetStats`].
+    fn assemble(
+        dispatch: String,
+        arrivals: &[ArrivedRequest],
+        reqs: &[ReqState],
+        stats: Vec<ServeStats>,
+        gpu_time_ns: u64,
+        ctl: ControlStats,
+    ) -> FleetStats {
+        let first_arrival_ns = arrivals.first().map_or(0, |a| a.arrival_ns);
+        let last_completion_ns = reqs.iter().filter_map(|r| r.done_ns).max().unwrap_or(0);
+        let makespan = SimDuration::from_nanos(last_completion_ns.saturating_sub(first_arrival_ns));
+        // Delivered tokens only; the per-replica stats still include the
+        // dropped work, so throughput never counts a token twice.
+        let total_tokens: usize = arrivals.iter().map(|a| a.request.output_tokens).sum();
+        let per_makespan =
+            |x: f64, span: f64| if makespan == SimDuration::ZERO { 0.0 } else { x / span };
+        let since = |a: &ArrivedRequest, t: Option<u64>| {
+            SimDuration::from_nanos(t.expect("all requests complete") - a.arrival_ns)
+        };
+        let (request_latencies, ttfts) = (arrivals.iter().zip(reqs))
+            .map(|(a, r)| (since(a, r.done_ns), since(a, r.first_token_ns)))
+            .unzip();
+        FleetStats {
+            dispatch,
+            policy: stats.first().map(|s| s.policy.clone()).unwrap_or_default(),
+            gpus: ctl.peak_replicas,
+            expert_fetch_bytes: stats.iter().map(|s| s.expert_fetch_bytes).sum(),
+            demand_fetch_bytes: stats.iter().map(|s| s.demand_fetch_bytes).sum(),
+            peak_hbm_bytes: stats.iter().map(|s| s.peak_hbm_bytes).max().unwrap_or(0),
+            utilization: stats
+                .iter()
+                .map(|s| per_makespan(s.gpu_busy.as_nanos() as f64, makespan.as_nanos() as f64))
+                .collect(),
+            replicas: stats,
+            assignment: reqs.iter().map(|r| r.replica).collect(),
+            request_latencies,
+            queueing_delays: reqs.iter().map(|r| r.queueing).collect(),
+            ttfts,
+            total_tokens,
+            makespan,
+            tokens_per_sec: per_makespan(total_tokens as f64, makespan.as_secs_f64()),
+            gpu_time: SimDuration::from_nanos(gpu_time_ns),
+            control: Some(ctl),
+        }
     }
 }
 
@@ -467,7 +756,7 @@ impl ControlledFleet {
         let mut arrivals: Vec<ArrivedRequest> = arrivals.into_iter().collect();
         validate_arrivals(&arrivals)?;
         stamp_route_seeds(&mut arrivals, self.opts.seed);
-        let mut ctl_stats = ControlStats {
+        let ctl_stats = ControlStats {
             controller: controller.name(),
             faults_injected: 0,
             redispatched: 0,
@@ -477,60 +766,45 @@ impl ControlledFleet {
             policy_switches: 0,
             peak_replicas: self.fleet.replicas,
         };
-        let Some(first_arrival_ns) = arrivals.first().map(|a| a.arrival_ns) else {
+        if arrivals.is_empty() {
             // An empty trace never touches a machine: every replica reports
             // the zeroed stats and nothing is billed.
             let idle = vec![ServeStats::empty(&self.cfg, &self.opts); self.fleet.replicas];
-            return Ok(self.assemble(dispatch.name(), &[], idle, 0, ctl_stats));
+            return Ok(Run::assemble(dispatch.name(), &[], &[], idle, 0, ctl_stats));
+        }
+
+        let mut run = Run {
+            spec: self,
+            arrivals: &arrivals,
+            reqs: vec![ReqState::default(); arrivals.len()],
+            live: Vec::with_capacity(self.fleet.replicas),
+            finished: Vec::with_capacity(self.fleet.replicas),
+            state: DispatchState::new(&self.cfg, &self.opts)?,
+            dispatch,
+            ctl: ctl_stats,
+            cur_policy: self.opts.policy.clone(),
+            completions: 0,
+            oldest_open: 0,
         };
+        for _ in 0..self.fleet.replicas {
+            run.spawn(0, 0)?;
+        }
 
-        let mut state = DispatchState::new(&self.cfg, &self.opts, self.fleet.replicas)?;
-        let mut replicas: Vec<Replica> = (0..self.fleet.replicas)
-            .map(|_| {
-                BatchSession::new(self.cfg.clone(), self.opts.clone(), self.fleet.batch)
-                    .map(|s| Replica::spawn(s, 0, 0))
-            })
-            .collect::<Result<_>>()?;
-        let mut reqs: Vec<ReqState> = arrivals
-            .iter()
-            .map(|&arr| ReqState {
-                arr,
-                replica: 0,
-                queueing: SimDuration::ZERO,
-                first_token_ns: None,
-                done_ns: None,
-            })
-            .collect();
-
-        let mut cur_policy = self.opts.policy.clone();
         let faults = plan.events();
-        let mut next_arrival = 0usize;
-        let mut next_fault = 0usize;
+        let (mut next_arrival, mut next_fault) = (0, 0);
         let mut next_window_ns = if self.ctl.window_ns > 0 { self.ctl.window_ns } else { u64::MAX };
-        let mut completions = 0usize;
-        let mut snap_arrivals = 0usize;
-        let mut snap_completions = 0usize;
+        let (mut snap_arrivals, mut snap_completions) = (0, 0);
 
-        loop {
-            let work_left = next_arrival < arrivals.len()
-                || replicas.iter().any(|r| {
-                    !r.queue.is_empty()
-                        || r.session.as_ref().map(|s| s.in_flight() > 0).unwrap_or(false)
-                });
-            if !work_left {
-                break;
-            }
-
-            let t_arrival = arrivals.get(next_arrival).map(|a| a.arrival_ns).unwrap_or(u64::MAX);
-            let t_fault = faults.get(next_fault).map(|f| f.at_ns).unwrap_or(u64::MAX);
+        while next_arrival < arrivals.len() || !run.live.iter().all(LiveReplica::idle) {
+            let t_arrival = arrivals.get(next_arrival).map_or(u64::MAX, |a| a.arrival_ns);
+            let t_fault = faults.get(next_fault).map_or(u64::MAX, |f| f.at_ns);
             let t_window = next_window_ns;
-            let (t_step, step_replica) = replicas
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.ready_ns().map(|t| (t, i)))
+            // Live positions ascend with the global index, so equal instants
+            // step the lowest index first.
+            let (t_step, step_at) = (run.live.iter().enumerate())
+                .filter_map(|(p, r)| r.ready_ns().map(|t| (t, p)))
                 .min()
-                .map(|(t, i)| (t, Some(i)))
-                .unwrap_or((u64::MAX, None));
+                .unwrap_or((u64::MAX, usize::MAX));
 
             // Tie-break order at equal instants: dispatch new arrivals
             // before injecting faults, inject faults before the controller
@@ -538,393 +812,48 @@ impl ControlledFleet {
             // windows each replica sees exactly what it would serving its
             // share of the trace alone.
             if t_arrival <= t_fault && t_arrival <= t_window && t_arrival <= t_step {
-                let idx = next_arrival;
+                run.place(next_arrival, t_arrival)?;
                 next_arrival += 1;
-                let arr = reqs[idx].arr;
-                let r = self.place(idx, &arr, t_arrival, &mut state, &replicas, dispatch)?;
-                reqs[idx].replica = r;
-                replicas[r].queue.push_back((idx, arr));
             } else if t_fault <= t_window && t_fault <= t_step {
                 let ev = faults[next_fault];
                 next_fault += 1;
-                self.inject(
-                    ev.replica,
-                    ev.at_ns,
-                    ev.kind,
-                    &mut replicas,
-                    &mut reqs,
-                    &mut state,
-                    dispatch,
-                    &mut ctl_stats,
-                )?;
+                run.inject(ev.replica, ev.at_ns, ev.kind)?;
             } else if t_window <= t_step {
                 next_window_ns = next_window_ns.saturating_add(self.ctl.window_ns);
-                let obs: Vec<ReplicaObs> = replicas
-                    .iter_mut()
-                    .map(|r| {
-                        let tokens =
-                            r.session.as_ref().map(|s| s.total_tokens()).unwrap_or(r.snap_tokens);
-                        let demand = r
-                            .session
-                            .as_ref()
-                            .map(|s| s.demand_fetch_bytes())
-                            .unwrap_or(r.snap_demand);
-                        let fetch = r
-                            .session
-                            .as_ref()
-                            .map(|s| s.expert_fetch_bytes())
-                            .unwrap_or(r.snap_fetch);
-                        let o = ReplicaObs {
-                            alive: r.alive,
-                            warming: r.alive && t_window < r.warm_at_ns,
-                            draining: r.draining,
-                            queued: r.queue.len(),
-                            in_flight: r.session.as_ref().map(|s| s.in_flight()).unwrap_or(0),
-                            tokens_delta: tokens - r.snap_tokens,
-                            demand_bytes_delta: demand - r.snap_demand,
-                            fetch_bytes_delta: fetch - r.snap_fetch,
-                        };
-                        r.snap_tokens = tokens;
-                        r.snap_demand = demand;
-                        r.snap_fetch = fetch;
-                        o
-                    })
-                    .collect();
-                let backlog: usize = obs.iter().map(|o| o.queued + o.in_flight).sum();
+                let obs = run.observe(t_window);
+                #[cfg(test)]
+                tests::on_window(&run, &obs);
                 let window = ControlWindow {
                     now_ns: t_window,
                     window_ns: self.ctl.window_ns,
                     arrivals_delta: next_arrival - snap_arrivals,
-                    completions_delta: completions - snap_completions,
-                    backlog,
+                    completions_delta: run.completions - snap_completions,
+                    backlog: obs.iter().map(|o| o.queued + o.in_flight).sum(),
                     replicas: &obs,
                 };
-                snap_arrivals = next_arrival;
-                snap_completions = completions;
-                let actions = controller.observe(&window);
-                for action in actions {
-                    self.apply(
-                        action,
-                        t_window,
-                        &mut replicas,
-                        &mut state,
-                        &mut cur_policy,
-                        &mut ctl_stats,
-                    )?;
+                (snap_arrivals, snap_completions) = (next_arrival, run.completions);
+                for action in controller.observe(&window) {
+                    run.apply(action, t_window)?;
                 }
             } else {
-                let r = step_replica.expect("a step event requires a ready replica");
-                self.step_replica(r, t_step, &mut replicas, &mut reqs, &mut completions)?;
+                run.step(step_at, t_step)?;
             }
         }
 
-        let last_completion_ns =
-            reqs.iter().map(|r| r.done_ns.expect("loop exits only when all done")).max().unwrap();
-        for rep in &mut replicas {
-            if rep.session.is_some() {
-                rep.retire(last_completion_ns);
-                rep.retired_ns = None; // still rented at run end, not scaled away
-            }
+        for p in (0..run.live.len()).rev() {
+            run.retire(p, None);
         }
         // Each replica is billed from joining the fleet (or the first
         // arrival) to retiring (or the last completion).
-        let gpu_time_ns: u64 = replicas
-            .iter()
-            .map(|r| {
-                let start = r.spawned_ns.max(first_arrival_ns);
-                let end = r.retired_ns.unwrap_or(last_completion_ns).max(start);
-                end - start
-            })
-            .sum();
-        let replica_stats =
-            replicas.into_iter().map(|r| r.stats.expect("every replica was finished")).collect();
-        Ok(self.assemble(dispatch.name(), &reqs, replica_stats, gpu_time_ns, ctl_stats))
-    }
-
-    /// Dispatch one arrival (or redispatched orphan) among the replicas
-    /// eligible at `t`: alive, not draining, warm. Falls back to warming
-    /// replicas when nothing warm survives — better a cold replica than a
-    /// lost request.
-    fn place(
-        &self,
-        idx: usize,
-        arr: &ArrivedRequest,
-        t: u64,
-        state: &mut DispatchState,
-        replicas: &[Replica],
-        dispatch: &mut dyn DispatchPolicy,
-    ) -> Result<usize> {
-        let warm: Vec<usize> = replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.alive && !r.draining && r.session.is_some() && r.warm_at_ns <= t)
-            .map(|(i, _)| i)
-            .collect();
-        let eligible = if warm.is_empty() {
-            replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.alive && !r.draining && r.session.is_some())
-                .map(|(i, _)| i)
-                .collect()
-        } else {
-            warm
-        };
-        if eligible.is_empty() {
-            return Err(RuntimeError::InvalidConfig {
-                message: format!(
-                    "no serving replica left to dispatch request {idx} at t={t}ns \
-                     (the fault plan or controller removed them all)"
-                ),
-            });
+        let first_arrival_ns = arrivals[0].arrival_ns;
+        let last_completion_ns = run.reqs.iter().filter_map(|r| r.done_ns).max().unwrap_or(0);
+        let (mut gpu_time_ns, mut stats) = (0, Vec::new());
+        for rep in run.finished.into_iter().flatten() {
+            let start = rep.spawned_ns.max(first_arrival_ns);
+            gpu_time_ns += rep.retired_ns.unwrap_or(last_completion_ns).max(start) - start;
+            stats.push(rep.stats);
         }
-        state.place(idx, arr, &eligible, dispatch)
-    }
-
-    /// Apply one fault event. Events aimed at dead, retired or out-of-range
-    /// replicas are skipped.
-    #[allow(clippy::too_many_arguments)]
-    fn inject(
-        &self,
-        target: usize,
-        at_ns: u64,
-        kind: FaultKind,
-        replicas: &mut [Replica],
-        reqs: &mut [ReqState],
-        state: &mut DispatchState,
-        dispatch: &mut dyn DispatchPolicy,
-        ctl: &mut ControlStats,
-    ) -> Result<()> {
-        if target >= replicas.len() || !replicas[target].alive {
-            return Ok(());
-        }
-        match kind {
-            FaultKind::KillReplica => {
-                let rep = &mut replicas[target];
-                let mut session = rep.session.take().expect("alive replica has a session");
-                let aborted = session.drain_inflight();
-                ctl.dropped_tokens += aborted.iter().map(|a| a.tokens_generated).sum::<usize>();
-                rep.stats = Some(session.finish());
-                rep.alive = false;
-                rep.retired_ns = Some(at_ns.max(rep.spawned_ns));
-                let mut orphans: Vec<usize> = aborted.iter().map(|a| a.id as usize).collect();
-                orphans.extend(rep.queue.drain(..).map(|(idx, _)| idx));
-                state.forget_replica(target);
-                // Redispatch in arrival order — the convention every
-                // dispatcher already assumes for its bookkeeping.
-                orphans.sort_unstable_by_key(|&i| (reqs[i].arr.arrival_ns, i));
-                for idx in orphans {
-                    reqs[idx].first_token_ns = None;
-                    reqs[idx].queueing = SimDuration::ZERO;
-                    ctl.redispatched += 1;
-                    let arr = reqs[idx].arr;
-                    let r = self.place(idx, &arr, at_ns, state, replicas, dispatch)?;
-                    reqs[idx].replica = r;
-                    replicas[r].queue.push_back((idx, arr));
-                    // Failover cannot rewind time: the surviving replica
-                    // sees the orphan no earlier than the kill instant.
-                    let session =
-                        replicas[r].session.as_mut().expect("eligible replica has a session");
-                    session.advance_clock(SimTime::from_nanos(at_ns));
-                }
-            }
-            FaultKind::StallReplica { for_ns } => {
-                let session =
-                    replicas[target].session.as_mut().expect("alive replica has a session");
-                let from = session.clock().max(SimTime::from_nanos(at_ns));
-                session.advance_clock(from + SimDuration::from_nanos(for_ns));
-            }
-            FaultKind::DegradeLink { factor, for_ns } => {
-                let rep = &mut replicas[target];
-                rep.degrade_factor = factor;
-                rep.degraded_until_ns = at_ns.saturating_add(for_ns);
-            }
-        }
-        ctl.faults_injected += 1;
-        Ok(())
-    }
-
-    /// Apply one controller action at window instant `now_ns`.
-    fn apply(
-        &self,
-        action: ControlAction,
-        now_ns: u64,
-        replicas: &mut Vec<Replica>,
-        state: &mut DispatchState,
-        cur_policy: &mut PolicySpec,
-        ctl: &mut ControlStats,
-    ) -> Result<()> {
-        match action {
-            ControlAction::ScaleUp { replicas: n } => {
-                for _ in 0..n {
-                    let mut opts = self.opts.clone();
-                    opts.policy = cur_policy.clone();
-                    let mut session = BatchSession::new(self.cfg.clone(), opts, self.fleet.batch)?;
-                    let warm_at = now_ns.saturating_add(self.ctl.warmup_ns);
-                    session.advance_clock(SimTime::from_nanos(warm_at));
-                    replicas.push(Replica::spawn(session, now_ns, warm_at));
-                    state.add_replica();
-                    ctl.scale_ups += 1;
-                }
-                ctl.peak_replicas =
-                    ctl.peak_replicas.max(replicas.iter().filter(|r| r.alive).count());
-            }
-            ControlAction::ScaleDown { replicas: n } => {
-                for _ in 0..n {
-                    let serving = replicas.iter().filter(|r| r.alive && !r.draining).count();
-                    if serving <= 1 {
-                        break;
-                    }
-                    // Drain the least-loaded serving replica; ties retire
-                    // the newest so the original fleet is kept warm.
-                    let victim = replicas
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.alive && !r.draining)
-                        .min_by_key(|(i, r)| {
-                            let load = r.queue.len()
-                                + r.session.as_ref().map(|s| s.in_flight()).unwrap_or(0);
-                            (load, std::cmp::Reverse(*i))
-                        })
-                        .map(|(i, _)| i)
-                        .expect("serving > 1 guarantees a victim");
-                    replicas[victim].draining = true;
-                    let idle = replicas[victim].queue.is_empty()
-                        && replicas[victim]
-                            .session
-                            .as_ref()
-                            .map(|s| s.in_flight() == 0)
-                            .unwrap_or(true);
-                    if idle {
-                        replicas[victim].retire(now_ns);
-                    }
-                    ctl.scale_downs += 1;
-                }
-            }
-            ControlAction::SwitchPolicy { replica, policy } => {
-                let targets: Vec<usize> = match replica {
-                    Some(i) => vec![i],
-                    None => (0..replicas.len()).collect(),
-                };
-                for i in targets {
-                    let Some(rep) = replicas.get_mut(i) else { continue };
-                    if !rep.alive {
-                        continue;
-                    }
-                    if let Some(session) = rep.session.as_mut() {
-                        session.swap_scheduler(policy.clone())?;
-                        ctl.policy_switches += 1;
-                    }
-                }
-                if replica.is_none() {
-                    *cur_policy = policy;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One replica iteration at `start_ns`, the replica's
-    /// [`Replica::ready_ns`]: the shared [`BatchSession::pump`] turn, plus
-    /// the degraded-link stretch and drain retirement.
-    fn step_replica(
-        &self,
-        r: usize,
-        start_ns: u64,
-        replicas: &mut [Replica],
-        reqs: &mut [ReqState],
-        completions: &mut usize,
-    ) -> Result<()> {
-        let rep = &mut replicas[r];
-        let session = rep.session.as_mut().expect("ready replica has a session");
-        let events = session.pump(&mut rep.queue, |idx, queueing| reqs[idx].queueing = queueing)?;
-        if start_ns < rep.degraded_until_ns && rep.degrade_factor > 1.0 {
-            // A degraded link stretches the iteration wall-clock: the next
-            // boundary slips by (factor - 1) x the span just executed.
-            let span = session.clock().duration_since(SimTime::from_nanos(start_ns));
-            let extra = (span.as_nanos() as f64 * (rep.degrade_factor - 1.0)).round() as u64;
-            session.advance_clock(session.clock() + SimDuration::from_nanos(extra));
-        }
-        for ev in events {
-            let req = &mut reqs[ev.id as usize];
-            if req.first_token_ns.is_none() {
-                req.first_token_ns = Some(ev.at.as_nanos());
-            }
-            if ev.done {
-                req.done_ns = Some(ev.at.as_nanos());
-                *completions += 1;
-            }
-        }
-        if rep.draining && rep.queue.is_empty() && session.in_flight() == 0 {
-            let now = session.clock().as_nanos();
-            rep.retire(now);
-        }
-        Ok(())
-    }
-
-    /// Merges per-request lifecycles (arrival order) and per-replica stats
-    /// into [`FleetStats`].
-    fn assemble(
-        &self,
-        dispatch: String,
-        reqs: &[ReqState],
-        replica_stats: Vec<ServeStats>,
-        gpu_time_ns: u64,
-        ctl: ControlStats,
-    ) -> FleetStats {
-        let first_arrival_ns = reqs.first().map(|r| r.arr.arrival_ns).unwrap_or(0);
-        let mut last_completion_ns = 0u64;
-        let mut latencies = Vec::with_capacity(reqs.len());
-        let mut queueing = Vec::with_capacity(reqs.len());
-        let mut ttfts = Vec::with_capacity(reqs.len());
-        let mut assignment = Vec::with_capacity(reqs.len());
-        for r in reqs {
-            let done = r.done_ns.expect("all requests complete");
-            let first = r.first_token_ns.expect("completed requests emitted a first token");
-            last_completion_ns = last_completion_ns.max(done);
-            latencies.push(SimDuration::from_nanos(done - r.arr.arrival_ns));
-            ttfts.push(SimDuration::from_nanos(first - r.arr.arrival_ns));
-            queueing.push(r.queueing);
-            assignment.push(r.replica);
-        }
-        let makespan = SimDuration::from_nanos(last_completion_ns.saturating_sub(first_arrival_ns));
-        // Delivered tokens only; the per-replica stats below still include
-        // the dropped work, so throughput never counts a token twice.
-        let total_tokens: usize = reqs.iter().map(|r| r.arr.request.output_tokens).sum();
-        let tokens_per_sec = if makespan == SimDuration::ZERO {
-            0.0
-        } else {
-            total_tokens as f64 / makespan.as_secs_f64()
-        };
-        let utilization = replica_stats
-            .iter()
-            .map(|s| {
-                if makespan == SimDuration::ZERO {
-                    0.0
-                } else {
-                    s.gpu_busy.as_nanos() as f64 / makespan.as_nanos() as f64
-                }
-            })
-            .collect();
-        FleetStats {
-            dispatch,
-            policy: replica_stats.first().map(|s| s.policy.clone()).unwrap_or_default(),
-            gpus: ctl.peak_replicas,
-            expert_fetch_bytes: replica_stats.iter().map(|s| s.expert_fetch_bytes).sum(),
-            demand_fetch_bytes: replica_stats.iter().map(|s| s.demand_fetch_bytes).sum(),
-            peak_hbm_bytes: replica_stats.iter().map(|s| s.peak_hbm_bytes).max().unwrap_or(0),
-            replicas: replica_stats,
-            assignment,
-            request_latencies: latencies,
-            queueing_delays: queueing,
-            ttfts,
-            total_tokens,
-            makespan,
-            tokens_per_sec,
-            utilization,
-            gpu_time: SimDuration::from_nanos(gpu_time_ns),
-            control: Some(ctl),
-        }
+        Ok(Run::assemble(run.dispatch.name(), &arrivals, &run.reqs, stats, gpu_time_ns, run.ctl))
     }
 }
 
@@ -934,6 +863,7 @@ mod tests {
     use crate::fleet::{JoinShortestQueue, RoundRobin};
     use crate::{BatchConfig, OffloadPolicy};
     use pgmoe_workload::{ArrivalProcess, ArrivalStream, DecodeRequest};
+    use std::cell::Cell;
 
     fn req(output: usize) -> DecodeRequest {
         DecodeRequest { input_tokens: 16, output_tokens: output, batch_size: 1 }
@@ -1127,6 +1057,57 @@ mod tests {
             &mut NoControl,
         );
         assert!(matches!(err, Err(RuntimeError::InvalidConfig { .. })));
+    }
+
+    thread_local! {
+        /// While a test watches the event loop: the peak number of
+        /// completion estimates retained across live replicas, and the
+        /// windows checked.
+        static WATCH: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    }
+
+    /// Called by the event loop at every control window.
+    pub(super) fn on_window(run: &Run<'_>, obs: &[ReplicaObs]) {
+        let Some((peak, windows)) = WATCH.get() else { return };
+        let live: Vec<usize> = run.live.iter().map(|r| r.index).collect();
+        let alive: Vec<usize> = (0..obs.len()).filter(|&i| obs[i].alive).collect();
+        let open: Vec<usize> = (0..obs.len()).filter(|&i| run.finished[i].is_none()).collect();
+        assert_eq!((&alive, &open), (&live, &live), "the live set is the live state");
+        let retained = run.live.iter().map(|r| r.book.est_done.len()).sum::<usize>();
+        WATCH.set(Some((peak.max(retained), windows + 1)));
+    }
+
+    #[test]
+    fn dispatch_history_stays_bounded_as_the_trace_grows() {
+        // One stationary process, autoscaled, with a kill every half second
+        // aimed at an index the autoscaler has usually started by then (and
+        // often already retired), served at N and at 4N arrivals. Replica 0
+        // is never killed, so one book can live through the whole run.
+        let diurnal =
+            ArrivalProcess::Diurnal { trough_per_sec: 20.0, peak_per_sec: 300.0, period_s: 2.0 };
+        let ctl = ControlOptions { window_ns: 20_000_000, warmup_ns: 30_000_000 };
+        let [(short, short_windows), (long, long_windows)] = [5_000, 20_000].map(|n| {
+            let arrivals: Vec<_> = ArrivalStream::new(diurnal, req(4), 1, 19).take(n).collect();
+            let mut plan = FaultPlan::new();
+            for k in 1..arrivals[n - 1].arrival_ns / 500_000_000 {
+                plan = plan.kill_at(k * 500_000_000, 1 + (k * 3 / 5) as usize);
+            }
+            let mut scaler = QueueAutoScaler::new(2, 8, 4);
+            WATCH.set(Some((0, 0)));
+            let stats = controlled(2)
+                .with_control(ctl)
+                .serve(arrivals, &mut JoinShortestQueue::new(), &plan, &mut scaler)
+                .unwrap();
+            let c = stats.control.unwrap();
+            assert!(c.scale_ups > 2 && c.scale_downs > 2 && c.faults_injected > 2, "{c:?}");
+            assert_eq!(stats.request_latencies.len(), n);
+            WATCH.take().unwrap()
+        });
+        assert!(long_windows > 3 * short_windows);
+        assert!(
+            long * 2 <= short * 3,
+            "retained completion estimates grew with the trace: {short} at N, {long} at 4N"
+        );
     }
 
     #[test]

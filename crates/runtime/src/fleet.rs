@@ -40,6 +40,7 @@
 //! [`ExpertCache`]: crate::ExpertCache
 
 use crate::control::{ControlOptions, ControlStats, ControlledFleet, NoControl};
+use crate::core::{drain_experts, mark_experts};
 use crate::multi_gpu::ClusterConfig;
 use crate::scheduler::PolicySpec;
 use crate::serve::{quantile_of, ServeStats};
@@ -47,6 +48,7 @@ use crate::{BatchConfig, InferenceSim, Result, RuntimeError, SimOptions};
 use pgmoe_device::SimDuration;
 use pgmoe_model::ModelConfig;
 use pgmoe_workload::{ArrivedRequest, DecodeRequest, FaultPlan, RoutingSampler};
+use std::collections::VecDeque;
 
 /// Fleet shape: how many single-GPU replicas, each batching how.
 #[derive(Debug, Clone, Copy)]
@@ -421,119 +423,109 @@ impl FleetSim {
     }
 }
 
-/// A deterministic per-request service-time estimate for queue-depth
-/// bookkeeping, calibrated once on the replica configuration (one short
-/// batch-1 run). Dispatchers only need relative ordering, not absolute
-/// accuracy — real load balancers work from the same kind of estimate.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ServiceEstimate {
+/// One replica's dispatcher-observable bookkeeping: the queue estimate and
+/// affinity histogram its [`ReplicaView`] is built from. It is created with
+/// the replica and dropped when the replica leaves the fleet.
+#[derive(Default)]
+pub(crate) struct DispatchBook {
+    /// Estimated completion instants of the requests placed here,
+    /// ascending (a request starts no earlier than the previous estimate),
+    /// kept only while a later placement could still count them.
+    pub(crate) est_done: VecDeque<u64>,
+    est_free: u64,
+    affinity: Vec<u64>,
+    assigned: usize,
+}
+
+/// What every replica's dispatch shares: the service-time estimate and the
+/// routing probe. The fleet event loop ([`crate::control`]) places
+/// arrivals one at a time against the [`DispatchBook`]s of the replicas
+/// currently eligible (warm, not draining).
+pub(crate) struct DispatchState {
+    /// A deterministic per-request service-time estimate, calibrated once
+    /// on the replica configuration (one short batch-1 run): prefill to
+    /// first token, then each further token. Dispatchers only need relative
+    /// ordering, not absolute accuracy — real load balancers work from the
+    /// same kind of estimate.
     ttft_ns: u64,
     per_decode_ns: u64,
-}
-
-impl ServiceEstimate {
-    pub(crate) fn calibrate(cfg: &ModelConfig, opts: &SimOptions) -> Result<Self> {
-        let calib = DecodeRequest { input_tokens: 32, output_tokens: 8, batch_size: 1 };
-        let report = InferenceSim::new(cfg.clone(), opts.clone()).run(calib, 1)?;
-        let ttft_ns = report.time_to_first_token.as_nanos();
-        let per_decode_ns = (report.total_time.as_nanos().saturating_sub(ttft_ns))
-            / (calib.output_tokens - 1) as u64;
-        Ok(ServiceEstimate { ttft_ns, per_decode_ns })
-    }
-
-    pub(crate) fn ns_for(&self, req: &DecodeRequest) -> u64 {
-        self.ttft_ns + self.per_decode_ns * req.output_tokens.saturating_sub(1) as u64
-    }
-}
-
-/// The dispatcher-observable bookkeeping (queue estimates + affinity
-/// histograms) the fleet event loop ([`crate::control`]) places arrivals
-/// against — one at a time, at their arrival instant, restricted to the
-/// replicas currently eligible (alive, warm, not draining).
-pub(crate) struct DispatchState {
-    est: ServiceEstimate,
-    est_done: Vec<Vec<u64>>,
-    est_free: Vec<u64>,
-    affinity: Vec<Vec<u64>>,
-    assigned: Vec<usize>,
     num_experts: usize,
     dec_blocks: usize,
     active: usize,
     routing: RoutingSampler,
     default_seed: u64,
+    /// The probe of the request being placed, and the expert bitset it is
+    /// gathered through; both reused across placements.
+    probe: Vec<usize>,
+    probe_bits: Vec<u64>,
 }
 
 impl DispatchState {
-    pub(crate) fn new(cfg: &ModelConfig, opts: &SimOptions, replicas: usize) -> Result<Self> {
+    pub(crate) fn new(cfg: &ModelConfig, opts: &SimOptions) -> Result<Self> {
+        let calib = DecodeRequest { input_tokens: 32, output_tokens: 8, batch_size: 1 };
+        let report = InferenceSim::new(cfg.clone(), opts.clone()).run(calib, 1)?;
+        let ttft_ns = report.time_to_first_token.as_nanos();
         Ok(DispatchState {
-            est: ServiceEstimate::calibrate(cfg, opts)?,
-            est_done: vec![Vec::new(); replicas],
-            est_free: vec![0; replicas],
-            affinity: vec![vec![0; cfg.num_experts]; replicas],
-            assigned: vec![0; replicas],
+            ttft_ns,
+            per_decode_ns: (report.total_time.as_nanos().saturating_sub(ttft_ns))
+                / (calib.output_tokens - 1) as u64,
             num_experts: cfg.num_experts,
             dec_blocks: cfg.decoder_moe_layers(),
             active: opts.active_per_block(cfg),
             routing: RoutingSampler::new(opts.routing, cfg.num_experts),
             default_seed: opts.seed,
+            probe: Vec::new(),
+            probe_bits: vec![0; cfg.num_experts.div_ceil(64)],
         })
     }
 
-    /// Opens bookkeeping for one more replica (a scale-up); it starts with
-    /// an empty queue estimate and a cold affinity histogram.
-    pub(crate) fn add_replica(&mut self) {
-        self.est_done.push(Vec::new());
-        self.est_free.push(0);
-        self.affinity.push(vec![0; self.num_experts]);
-        self.assigned.push(0);
+    /// The bookkeeping of a replica joining the fleet: no queue estimate
+    /// and a cold affinity histogram.
+    pub(crate) fn book(&self) -> DispatchBook {
+        DispatchBook { affinity: vec![0; self.num_experts], ..DispatchBook::default() }
     }
 
-    /// Clears a dead replica's queue estimates so redispatch does not steer
-    /// around a ghost backlog. The affinity history stays: it describes
-    /// requests, not the replica's health.
-    pub(crate) fn forget_replica(&mut self, r: usize) {
-        self.est_done[r].clear();
-        self.est_free[r] = 0;
-    }
-
-    /// The routing fingerprint the dispatcher may inspect: the request's
-    /// first decode token, regenerated from its seed (the replica will draw
-    /// the identical trace).
-    fn probe_of(&self, arr: &ArrivedRequest) -> Vec<usize> {
+    /// The routing fingerprint the dispatcher may inspect: the experts of
+    /// the request's first decode token, regenerated from its seed (the
+    /// replica will draw the identical trace), ascending and deduplicated.
+    fn probe_of(&mut self, arr: &ArrivedRequest) -> &[usize] {
         let seed = arr.route_seed.unwrap_or(self.default_seed);
-        let probe_trace = self.routing.generate(1, self.dec_blocks, self.active, seed);
-        let mut probe: Vec<usize> =
-            (0..self.dec_blocks).flat_map(|b| probe_trace.experts(0, b).iter().copied()).collect();
-        probe.sort_unstable();
-        probe.dedup();
-        probe
+        let trace = self.routing.generate(1, self.dec_blocks, self.active, seed);
+        for b in 0..self.dec_blocks {
+            mark_experts(&mut self.probe_bits, trace.experts(0, b), self.num_experts);
+        }
+        drain_experts(&mut self.probe_bits, &mut self.probe);
+        &self.probe
     }
 
-    /// Places arrival `idx` on one of the `eligible` replicas (global
-    /// indices, ascending). The dispatcher sees views in `eligible` order
-    /// and its choice maps back to the global index, which is returned.
+    /// Places arrival `idx` on one of the `eligible` replicas' books (global
+    /// replica order) and returns its position in `eligible`. Estimates at
+    /// or before `settled_ns` are dropped first: the caller guarantees no
+    /// later placement arrives before it, so they never count again.
     pub(crate) fn place(
         &mut self,
         idx: usize,
         arr: &ArrivedRequest,
-        eligible: &[usize],
+        settled_ns: u64,
+        eligible: &mut [&mut DispatchBook],
         dispatch: &mut dyn DispatchPolicy,
     ) -> Result<usize> {
         let t = arr.arrival_ns;
-        let probe = self.probe_of(arr);
-        // A replica's estimated completions never fall (each request starts
-        // no earlier than the previous one's estimate), so those after `t`
-        // are a suffix.
+        self.probe_of(arr);
+        for book in eligible.iter_mut() {
+            let settled = book.est_done.partition_point(|&d| d <= settled_ns);
+            book.est_done.drain(..settled);
+        }
         let views: Vec<ReplicaView<'_>> = eligible
             .iter()
-            .map(|&r| ReplicaView {
-                queue_depth: self.est_done[r].len() - self.est_done[r].partition_point(|&d| d <= t),
-                assigned: self.assigned[r],
-                est_free_at_ns: self.est_free[r].max(t),
-                affinity: &self.affinity[r],
+            .map(|b| ReplicaView {
+                queue_depth: b.est_done.len() - b.est_done.partition_point(|&d| d <= t),
+                assigned: b.assigned,
+                est_free_at_ns: b.est_free.max(t),
+                affinity: &b.affinity,
             })
             .collect();
-        let profile = RequestProfile { arrival_ns: t, request: arr.request, probe: &probe };
+        let profile = RequestProfile { arrival_ns: t, request: arr.request, probe: &self.probe };
         let v = dispatch.choose(&views, &profile);
         if v >= eligible.len() {
             return Err(RuntimeError::InvalidConfig {
@@ -544,16 +536,17 @@ impl DispatchState {
                 ),
             });
         }
-        let r = eligible[v];
-        let start = self.est_free[r].max(t);
-        let done = start + self.est.ns_for(&arr.request);
-        self.est_free[r] = done;
-        self.est_done[r].push(done);
-        self.assigned[r] += 1;
-        for &e in &probe {
-            self.affinity[r][e] += 1;
+        let book = &mut eligible[v];
+        let service_ns =
+            self.ttft_ns + self.per_decode_ns * arr.request.output_tokens.saturating_sub(1) as u64;
+        let done = book.est_free.max(t) + service_ns;
+        book.est_free = done;
+        book.est_done.push_back(done);
+        book.assigned += 1;
+        for &e in &self.probe {
+            book.affinity[e] += 1;
         }
-        Ok(r)
+        Ok(v)
     }
 }
 
@@ -807,6 +800,32 @@ mod tests {
             bad_opts.serve(poisson(2, 10.0, 1), &mut RoundRobin::new()),
             Err(RuntimeError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn probe_gathered_through_the_bitset_matches_sort_and_dedup() {
+        let cfg = ModelConfig::switch_base(64);
+        let (blocks, zipf) = (cfg.decoder_moe_layers(), RoutingKind::Zipf { s: 1.2 });
+        for kind in [RoutingKind::Uniform, zipf, RoutingKind::ZipfDomains { s: 1.5, domains: 4 }] {
+            for active in [1, 2, 3] {
+                let opts = SimOptions::new(OffloadPolicy::Pregated)
+                    .with_routing(kind)
+                    .with_active_experts(active);
+                let mut state = DispatchState::new(&cfg, &opts).unwrap();
+                for seed in (0..300).map(Some).chain([None]) {
+                    let arr =
+                        ArrivedRequest { route_seed: seed, ..ArrivedRequest::at_nanos(0, req(4)) };
+                    let route = seed.unwrap_or(opts.seed);
+                    let trace = state.routing.generate(1, blocks, state.active, route);
+                    let mut want: Vec<usize> =
+                        (0..blocks).flat_map(|b| trace.experts(0, b).to_vec()).collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    assert_eq!(state.probe_of(&arr), want, "{kind:?}, top-{active}, seed {seed:?}");
+                }
+                assert!(state.probe_bits.iter().all(|&w| w == 0), "the bitset is left clear");
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //! 4. **Autoscaling absorbs a flash crowd** — the queue-driven scaler
 //!    grows the fleet under burst and is billed elastically, below a
 //!    peak-sized static fleet.
+//! 5. **Controllers see what they always saw** — every `ControlWindow` of
+//!    an autoscaled chaos run, finished replicas included, matches a
+//!    recorded digest, so a change to how the fleet holds its state cannot
+//!    change what a controller observes.
 //!
 //! Every claim is *asserted*; a regression in fault injection, recovery,
 //! redispatch, or the controller loop fails this test.
@@ -280,4 +284,119 @@ fn nonfatal_faults_slow_the_fleet_without_losing_work() {
     assert_eq!(faulty.total_tokens, clean.total_tokens);
     assert_eq!(faulty.request_latencies.len(), 16);
     assert!(faulty.makespan > clean.makespan, "injected slowness must be visible");
+}
+
+/// FNV-1a over 64-bit words: a stable fingerprint of what a controller saw.
+struct Digest(u64);
+
+impl Digest {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// Wraps the queue autoscaler and folds every window it is handed into a
+/// digest; once, it also switches the policy of one replica by global index.
+struct Recording {
+    inner: QueueAutoScaler,
+    digest: Digest,
+    windows: usize,
+}
+
+impl FleetController for Recording {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn observe(&mut self, w: &ControlWindow<'_>) -> Vec<ControlAction> {
+        self.windows += 1;
+        let d = &mut self.digest;
+        for x in [w.now_ns, w.window_ns, w.arrivals_delta as u64, w.completions_delta as u64] {
+            d.word(x);
+        }
+        d.word(w.backlog as u64);
+        d.word(w.replicas.len() as u64);
+        for r in w.replicas {
+            d.word(r.alive as u64 | (r.warming as u64) << 1 | (r.draining as u64) << 2);
+            for x in [r.queued as u64, r.in_flight as u64, r.tokens_delta as u64] {
+                d.word(x);
+            }
+            d.word(r.demand_bytes_delta);
+            d.word(r.fetch_bytes_delta);
+        }
+        let mut actions = self.inner.observe(w);
+        if self.windows == 12 {
+            let last = w.replicas.len() - 1;
+            actions.push(ControlAction::SwitchPolicy {
+                replica: Some(last),
+                policy: PolicySpec::from(OffloadPolicy::OnDemand),
+            });
+        }
+        actions
+    }
+}
+
+/// Claim 5: controllers see exactly the windows they always saw. An
+/// autoscaled run with kills (one aimed at a scaled-up replica), stalls,
+/// faults aimed at a replica that already drained away, and a per-replica
+/// policy switch is digested window by window — finished replicas
+/// included — together with the per-replica billing rows and the
+/// assignment, which index replicas globally.
+#[test]
+fn control_windows_match_the_recorded_observation_golden() {
+    let opts = SimOptions::new(OffloadPolicy::Pregated)
+        .with_cache(CacheConfig::new(0.15, Replacement::Lru))
+        .with_routing(RoutingKind::ZipfDomains { s: 1.5, domains: 4 })
+        .with_seed(5);
+    let arrivals: Vec<ArrivedRequest> = ArrivalStream::new(
+        ArrivalProcess::Diurnal { trough_per_sec: 20.0, peak_per_sec: 260.0, period_s: 1.0 },
+        req(8),
+        0,
+        3,
+    )
+    .take(600)
+    .collect();
+    let t = |i: usize| arrivals[i].arrival_ns;
+    let plan = FaultPlan::new()
+        .kill_at(t(80), 1)
+        .stall_at(t(150), 0, 60_000_000)
+        .degrade_link_at(t(200), 2, 3.0, 400_000_000)
+        .kill_at(t(260), 3)
+        .kill_at(t(420), 2)
+        .stall_at(t(500), 4, 30_000_000);
+    let mut rec = Recording {
+        inner: QueueAutoScaler::new(2, 6, 4),
+        digest: Digest(0xcbf2_9ce4_8422_2325),
+        windows: 0,
+    };
+    let stats = ControlledFleet::new(
+        ModelConfig::switch_base(64),
+        opts,
+        FleetConfig::new(3, BatchConfig::new(4)),
+    )
+    .with_control(ControlOptions { window_ns: 40_000_000, warmup_ns: 60_000_000 })
+    .serve(arrivals, &mut CacheAffinity::new(8), &plan, &mut rec)
+    .unwrap();
+    let c = stats.control.as_ref().unwrap();
+    assert_eq!(stats.request_latencies.len(), 600);
+    for r in &stats.replicas {
+        rec.digest.word(r.total_tokens as u64);
+        rec.digest.word(r.request_latencies.len() as u64);
+    }
+    for &a in &stats.assignment {
+        rec.digest.word(a as u64);
+    }
+    rec.digest.word(stats.gpu_time.as_nanos());
+    // The run exercises what the golden pins: scale-ups and drains, kills
+    // with redispatch, and two faults skipped because replica 2 drained
+    // away in the first window.
+    assert_eq!((c.scale_ups, c.scale_downs, c.faults_injected), (6, 4, 4));
+    assert!(c.redispatched > 0 && c.policy_switches == 1);
+    assert_eq!((rec.windows, stats.replicas.len()), (303, 9));
+    assert_eq!(
+        rec.digest.0, 0x9da9_11dd_d233_87e2,
+        "controllers must see the windows they always saw"
+    );
 }
