@@ -95,7 +95,7 @@ impl SimDuration {
 
     /// Creates a duration from fractional seconds, saturating at zero.
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration((secs.max(0.0) * 1e9).round() as u64)
+        SimDuration(round_to_u64(secs.max(0.0) * 1e9))
     }
 
     /// Length in nanoseconds.
@@ -183,9 +183,24 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `x.round() as u64` (half away from zero, saturating, NaN to 0) without
+/// the libm call: the saturating cast truncates, and below 2^53 the
+/// remainder `x - trunc(x)` is exact, so comparing it with one half decides
+/// the rounding; from 2^53 up `x` is an integer and the remainder is 0,
+/// and past `u64::MAX` the increment saturates.
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    if x - whole as f64 >= 0.5 {
+        whole.saturating_add(1)
+    } else {
+        whole
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn arithmetic_round_trips() {
@@ -213,6 +228,45 @@ mod tests {
     fn from_secs_f64_rounds() {
         assert_eq!(SimDuration::from_secs_f64(1e-6).as_nanos(), 1_000);
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
+    }
+
+    /// The rounding `from_secs_f64` replaced, kept as its oracle.
+    fn libm_nanos(secs: f64) -> u64 {
+        (secs.max(0.0) * 1e9).round() as u64
+    }
+
+    #[test]
+    fn from_secs_f64_matches_libm_round_at_the_edges() {
+        let two_64 = 18_446_744_073_709_551_616.0f64;
+        let mut secs = vec![f64::NAN, -f64::NAN, -0.0, -1e-12, -1.0, -f64::INFINITY];
+        secs.extend([f64::INFINITY, f64::MAX, two_64 / 1e9, 2.0 * two_64 / 1e9, 1e300]);
+        for x in secs {
+            assert_eq!(SimDuration::from_secs_f64(x).as_nanos(), libm_nanos(x), "{x:e} s");
+        }
+        // Nanosecond values at and next to every kind of half: tiny, the
+        // largest below one half, around 2^52 and 2^53 (where one half is
+        // the last fraction left), and at the top of the range.
+        let mut nanos = vec![0.5, 0.49999999999999994, 1.5, 2.5, 1e9 + 0.5, 4503599627370495.5];
+        nanos.extend([4503599627370496.5, 9007199254740993.0, two_64 - 1024.0, two_64]);
+        for k in 0..2_000u64 {
+            nanos.push(k as f64 + 0.5);
+            nanos.push((k as f64 * 7919.0 + 0.5) * 1024.0);
+        }
+        for x in nanos {
+            for y in [x.next_down(), x, x.next_up()] {
+                assert_eq!(round_to_u64(y), y.round() as u64, "{y:e} ns");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn from_secs_f64_matches_libm_round(secs in 0.0f64..1e4, bits in any::<u64>()) {
+            prop_assert_eq!(SimDuration::from_secs_f64(secs).as_nanos(), libm_nanos(secs));
+            let any = f64::from_bits(bits);
+            prop_assert_eq!(SimDuration::from_secs_f64(any).as_nanos(), libm_nanos(any));
+            prop_assert_eq!(round_to_u64(any), any.round() as u64);
+        }
     }
 
     #[test]

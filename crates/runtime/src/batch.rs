@@ -51,9 +51,9 @@ pub struct BatchConfig {
     /// HBM budget for admission control, bytes. `None` uses the machine's
     /// full HBM capacity. Values above the capacity are clamped to it.
     pub hbm_budget_bytes: Option<u64>,
-    /// Block-paged KV cache with chunked prefill and shared-prefix reuse.
-    /// `None` keeps the classic unpaged path (worst-case contiguous KV
-    /// reserved per request at admission).
+    /// The session's KV layout. `None` is contiguous KV: the paged
+    /// configuration whose blocks are unbounded, so each request's single
+    /// block holds its worst-case context and is reserved at admission.
     pub paged_kv: Option<crate::kv::PagedKvConfig>,
 }
 
@@ -70,8 +70,8 @@ impl BatchConfig {
         self
     }
 
-    /// Builder: switch the session to the block-paged KV path (see
-    /// [`crate::PagedKvConfig`]).
+    /// Builder: page the session's KV in fixed-size blocks with chunked
+    /// prefill and shared-prefix reuse (see [`crate::PagedKvConfig`]).
     pub fn with_paged_kv(mut self, paged: crate::kv::PagedKvConfig) -> Self {
         self.paged_kv = Some(paged);
         self

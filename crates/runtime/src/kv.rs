@@ -1,11 +1,11 @@
 //! Block-paged KV cache with copy-on-write prefix sharing.
 //!
-//! The unpaged serving path reserves **worst-case contiguous KV** per
-//! request at admission (`input + output` tokens, all layers), which caps
-//! the admitted batch far below what HBM actually holds: most of the
-//! reservation is decode context that does not exist yet, and tenants'
-//! shared system prompts are stored once *per request*. This module is the
-//! vLLM-style fix:
+//! Contiguous KV reserves **worst-case KV** per request when it is
+//! admitted (`input + output` tokens, all layers), which caps the admitted
+//! batch far below what HBM actually holds: most of the reservation is
+//! decode context that does not exist yet, and tenants' shared system
+//! prompts are stored once *per request*. This module is the vLLM-style
+//! fix:
 //!
 //! * KV lives in fixed-size **blocks** of [`KvBlockPool::block_tokens`]
 //!   tokens; a request holds a [`BlockTable`] of physical block ids and
@@ -25,15 +25,19 @@
 //!   private copy, the sibling's contents are untouched.
 //!
 //! The pool is a pure data structure — it owns no device memory.
-//! [`PagedKv`] is the serving session's whole view of paged KV: it places
-//! the expert-cache region, plans admissions at block granularity, appends
-//! prompt chunks and decode tokens, reconciles [`KvBlockPool::used_bytes`]
-//! against the simulated HBM pool, and arbitrates the budget between KV
-//! blocks and the expert cache. A session without it keeps contiguous KV.
+//! [`PagedKv`] is the serving session's whole view of per-request HBM: it
+//! places the expert-cache region, plans admissions, reserves each
+//! sequence's working buffers, appends prompt chunks and decode tokens,
+//! reconciles all of it against the simulated HBM pool in one alloc, and
+//! arbitrates the budget between KV and the expert cache. Contiguous KV is
+//! one of its configurations: blocks of unbounded size, so a sequence's
+//! single block holds its whole worst-case context and is reserved when
+//! the sequence opens, with no prefix sharing, no prefill chunk limit and
+//! no growth block.
 
 use crate::plan::{word_mix, MIX_SEED};
 use crate::{ExpertCache, PlacementPlan, Result};
-use pgmoe_device::{AllocId, Machine, Tier};
+use pgmoe_device::{AllocId, Machine, MemoryPool, Tier};
 use pgmoe_model::ModelConfig;
 use pgmoe_workload::ArrivedRequest;
 use std::collections::HashMap;
@@ -48,8 +52,8 @@ pub struct PagedKvConfig {
     /// Maximum prompt tokens prefilled per scheduler step. Prefill work for
     /// longer prompts is chunked across decode-iteration boundaries so one
     /// long prompt cannot stall the whole batch. `usize::MAX` prefills
-    /// every pending prompt in one step (timing-identical to the unpaged
-    /// path when HBM is roomy).
+    /// every pending prompt in one step, as contiguous KV does (with roomy
+    /// HBM the two layouts then time identically).
     pub prefill_chunk_tokens: usize,
     /// Whether full blocks inside a declared shared prefix are deduplicated
     /// across requests.
@@ -209,9 +213,9 @@ impl KvBlockPool {
         self.block_tokens
     }
 
-    /// HBM bytes one block occupies.
+    /// HBM bytes one block occupies (saturating for unbounded blocks).
     pub fn block_bytes(&self) -> u64 {
-        self.block_tokens as u64 * self.bytes_per_token
+        (self.block_tokens as u64).saturating_mul(self.bytes_per_token)
     }
 
     /// Physical blocks currently in use.
@@ -412,14 +416,19 @@ fn kv_stamp(seed: u64, pos: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One request's paged KV: its block table and the identity its synthetic
-/// content stamps derive from.
+/// One request's KV: its block table, the identity its synthetic content
+/// stamps derive from, and what it reserved when it opened.
 pub(crate) struct KvSeq {
     table: BlockTable,
     /// The declared shared prefix's hash and its length within the prompt.
     prefix: (u64, usize),
     /// Stamp seed of every position outside the prefix.
     private: u64,
+    /// Unwritten tokens of the block reserved at open. It holds the whole
+    /// context and a last token is never appended, so it never fills.
+    room: usize,
+    /// HBM reserved at open: working buffers and the reserved block.
+    reserved: u64,
 }
 
 impl KvSeq {
@@ -432,15 +441,22 @@ impl KvSeq {
     }
 }
 
-/// Paged KV for one serving session: the block pool, its machine-side byte
-/// mirror, and the resizable expert-cache region it arbitrates against.
+/// Every per-request HBM byte of one serving session (the block pool and the
+/// reservations, in one HBM mirror) and the expert-cache region they squeeze.
 pub(crate) struct PagedKv {
     cfg: PagedKvConfig,
     pool: KvBlockPool,
-    /// One HBM alloc mirroring `pool.used_bytes()`, re-reconciled whenever
-    /// the pool grows or shrinks.
+    /// Working-buffer bytes per token of context.
+    working_per_token: u64,
+    /// What every open sequence reserved when it opened.
+    reserved: u64,
+    /// Open sequences without reserved room (each may grow a block a step).
+    growing: usize,
+    /// One HBM alloc mirroring `reserved + pool.used_bytes()`.
     kv_alloc: Option<AllocId>,
     kv_alloc_bytes: u64,
+    /// The `committed` bytes the last reconcile arbitrated against.
+    committed: u64,
     /// The expert-cache region's own alloc, resizable under KV pressure.
     cache_alloc: Option<AllocId>,
     cache_experts_now: usize,
@@ -453,8 +469,8 @@ pub(crate) struct PagedKv {
 
 impl PagedKv {
     /// Places `plan`'s static footprint with the expert-cache region as its
-    /// own alloc, so arbitration can resize it (the same total bytes as the
-    /// contiguous layout's single alloc, so peak accounting is untouched).
+    /// own alloc, so arbitration can resize it (the same total bytes as one
+    /// alloc of the whole footprint, so peak accounting is untouched).
     pub(crate) fn place(
         cfg: PagedKvConfig,
         model: &ModelConfig,
@@ -469,8 +485,12 @@ impl PagedKv {
         Ok(PagedKv {
             cfg,
             pool: KvBlockPool::new(cfg.block_tokens, bytes_per_token),
+            working_per_token: crate::memory::working_bytes(model, 1, 1),
+            reserved: 0,
+            growing: 0,
             kv_alloc: None,
             kv_alloc_bytes: 0,
+            committed: 0,
             cache_alloc,
             cache_experts_now: plan.cache_experts(),
             plan_cache_experts: plan.cache_experts(),
@@ -485,19 +505,26 @@ impl PagedKv {
         self.cfg.prefill_chunk_tokens
     }
 
-    /// The admission plan for `arr` joining `inflight` requests: working
-    /// buffers only, and KV at block granularity — live blocks, the
-    /// prompt's new blocks, and one growth block per in-flight sequence.
-    pub(crate) fn admission_bytes(
-        &self,
-        model: &ModelConfig,
-        arr: &ArrivedRequest,
-        inflight: usize,
-    ) -> (u64, u64) {
+    /// The tokens and bytes `arr`'s sequence reserves when it opens: its
+    /// working buffers, and one block holding its whole context when blocks
+    /// are unbounded (contiguous KV) — the one place the layouts differ —
+    /// but none when the pool hands out blocks as tokens arrive.
+    fn opening(&self, arr: &ArrivedRequest) -> (usize, u64) {
         let full_ctx = arr.request.input_tokens + arr.request.output_tokens;
-        let blocks = arr.request.input_tokens.div_ceil(self.cfg.block_tokens) + inflight + 1;
-        let kv = self.pool.used_bytes() + blocks as u64 * self.pool.block_bytes();
-        (crate::memory::working_bytes(model, full_ctx, 1), kv)
+        let room = if self.cfg.block_tokens == usize::MAX { full_ctx } else { 0 };
+        (room, full_ctx as u64 * self.working_per_token + room as u64 * self.pool.bytes_per_token)
+    }
+
+    /// Every per-request HBM byte planned if `arr` joins the open
+    /// sequences: their reservations and live blocks, `arr`'s reservation,
+    /// the blocks its prompt needs beyond that, and one growth block per
+    /// sequence without reserved room, `arr`'s included.
+    pub(crate) fn admission_bytes(&self, arr: &ArrivedRequest) -> u64 {
+        let (room, opening) = self.opening(arr);
+        let prompt = arr.request.input_tokens.saturating_sub(room);
+        let blocks =
+            prompt.div_ceil(self.pool.block_tokens()) + self.growing + usize::from(room == 0);
+        self.reserved + self.pool.used_bytes() + opening + blocks as u64 * self.pool.block_bytes()
     }
 
     /// The shared-prefix discount on a plan `over` bytes above budget:
@@ -519,9 +546,12 @@ impl PagedKv {
         self.pool.probe_shared_blocks((0..n).map(|i| kv_stamp(sp.hash, i))) as u64 * block_bytes
     }
 
-    /// An empty sequence for `arr`, its stamps outside the shared prefix
-    /// seeded off `route_seed`.
-    pub(crate) fn open(&self, arr: &ArrivedRequest, route_seed: u64) -> KvSeq {
+    /// Opens `arr`'s sequence and takes its reservation; stamps outside the
+    /// shared prefix seed off `route_seed`.
+    pub(crate) fn open(&mut self, arr: &ArrivedRequest, route_seed: u64) -> KvSeq {
+        let (room, reserved) = self.opening(arr);
+        self.reserved += reserved;
+        self.growing += usize::from(room == 0);
         let prefix = arr
             .shared_prefix
             .map_or((0, 0), |sp| (sp.hash, sp.tokens.min(arr.request.input_tokens)));
@@ -530,31 +560,41 @@ impl PagedKv {
             table: self.pool.new_table(sharable),
             prefix,
             private: route_seed ^ 0xD6E8_FEB8_6659_FD93,
+            room,
+            reserved,
         }
     }
 
-    /// Appends the KV of `seq`'s next `tokens` tokens: a prompt chunk, or
-    /// one decode token.
+    /// Appends the KV of `seq`'s next `tokens` tokens (a prompt chunk or a
+    /// decode token): free inside its reserved block, else into pool blocks.
     pub(crate) fn append(&mut self, seq: &mut KvSeq, tokens: usize) {
+        if seq.room > 0 {
+            debug_assert!(tokens < seq.room, "a reserved block holds the whole context");
+            seq.room -= tokens;
+            return;
+        }
         let from = seq.table.tokens();
         self.stamps.clear();
         self.stamps.extend((from..from + tokens).map(|pos| seq.stamp_at(pos)));
         self.pool.append(&mut seq.table, &self.stamps);
     }
 
-    /// Returns a finished or aborted sequence's blocks to the pool.
+    /// Returns a finished or aborted sequence's reservation and blocks.
     pub(crate) fn release(&mut self, seq: KvSeq) {
+        self.reserved -= seq.reserved;
+        self.growing -= usize::from(seq.room == 0);
         self.pool.release(seq.table);
     }
 
-    /// Reconciles the machine's HBM bookkeeping with the block pool and
-    /// arbitrates the expert-cache region against KV pressure: when live KV
-    /// blocks plus the `committed` bytes — static weights (cache region
-    /// included), the batch's working buffers and the scheduler's own
-    /// transient claim — leave less headroom under `budget` than the
-    /// cache's plan capacity, the cache shrinks (evicting through its
-    /// replacement policy); when headroom returns it regrows, up to the
-    /// plan capacity.
+    /// Reconciles the HBM mirror with the reservations and the pool, then
+    /// arbitrates the expert-cache region: when they plus the `committed`
+    /// bytes (static weights, cache region included, and the scheduler's
+    /// transient claim) leave less headroom under `budget` than the cache's
+    /// plan capacity, the cache shrinks through its replacement policy; when
+    /// headroom returns it regrows. Unchanged inputs cost nothing. After a
+    /// release this cannot fail: it frees before it allocates, the mirror
+    /// only shrinks, and the cache regrows only into headroom under
+    /// `budget`, which the caller caps at the HBM capacity.
     pub(crate) fn sync(
         &mut self,
         machine: &mut Machine,
@@ -562,33 +602,30 @@ impl PagedKv {
         committed: u64,
         budget: u64,
     ) -> Result<()> {
-        let hbm = machine.pool_mut(Tier::Hbm);
-        let want = self.pool.used_bytes();
-        if want != self.kv_alloc_bytes {
-            if let Some(id) = self.kv_alloc.take() {
-                hbm.free(id).expect("kv alloc double free");
-            }
-            if want > 0 {
-                self.kv_alloc = Some(hbm.alloc(want)?);
-            }
-            self.kv_alloc_bytes = want;
-        }
-        if self.plan_cache_experts == 0 {
+        let want = self.reserved + self.pool.used_bytes();
+        if want == self.kv_alloc_bytes && committed == self.committed {
             return Ok(());
+        }
+        let raised = committed > self.committed;
+        self.committed = committed;
+        let hbm = machine.pool_mut(Tier::Hbm);
+        if want != self.kv_alloc_bytes {
+            realloc(hbm, &mut self.kv_alloc, want)?;
+            self.kv_alloc_bytes = want;
         }
         let region = self.plan_cache_experts as u64 * self.expert_bytes;
         let headroom = budget.saturating_sub(committed - region + want);
-        let target = self.plan_cache_experts.min((headroom / self.expert_bytes.max(1)) as usize);
+        let plan = self.plan_cache_experts;
+        let target =
+            if headroom >= region { plan } else { (headroom / self.expert_bytes) as usize };
         if target != self.cache_experts_now {
             if target < self.cache_experts_now {
+                // Admission planned reservations with the full cache: only
+                // blocks taken since, or a swap raising `committed`, squeeze it.
+                debug_assert!(self.pool.used_blocks() > 0 || raised, "reserved KV squeezed cache");
                 self.shrink_events += 1;
             }
-            if let Some(id) = self.cache_alloc.take() {
-                hbm.free(id).expect("cache alloc double free");
-            }
-            if target > 0 {
-                self.cache_alloc = Some(hbm.alloc(target as u64 * self.expert_bytes)?);
-            }
+            realloc(hbm, &mut self.cache_alloc, target as u64 * self.expert_bytes)?;
             if let Some(c) = cache.as_mut() {
                 c.set_capacity(target);
             }
@@ -609,6 +646,15 @@ impl PagedKv {
             final_cache_experts: self.cache_experts_now,
         }
     }
+}
+
+/// Frees `slot`'s alloc, if any, and allocates `bytes` in its place.
+fn realloc(hbm: &mut MemoryPool, slot: &mut Option<AllocId>, bytes: u64) -> Result<()> {
+    if let Some(id) = slot.take() {
+        hbm.free(id).expect("a live alloc frees");
+    }
+    *slot = if bytes > 0 { Some(hbm.alloc(bytes)?) } else { None };
+    Ok(())
 }
 
 #[cfg(test)]

@@ -78,7 +78,8 @@ impl PlacementPlan {
             expert_bytes,
             moe_bytes: eff.moe_bytes(),
             non_moe_bytes: cfg.non_moe_bytes(),
-            activation_bytes: activation_bytes(cfg, ctx_tokens, batch),
+            activation_bytes: kv_bytes(cfg.total_layers(), ctx_tokens, cfg.d_model, batch)
+                + working_bytes(cfg, ctx_tokens, batch),
             cache_experts,
             active_per_block,
             resident_bytes: hbm.resident_bytes,
@@ -174,13 +175,6 @@ pub fn kv_bytes(layers: usize, ctx_tokens: usize, d_model: usize, batch: usize) 
 /// `batch` sequences of `ctx_tokens` context.
 pub(crate) fn working_bytes(cfg: &ModelConfig, ctx_tokens: usize, batch: usize) -> u64 {
     8 * ctx_tokens as u64 * cfg.d_model as u64 * 4 * batch as u64
-}
-
-/// Live activation footprint: KV cache over every attention layer plus
-/// working buffers. Small next to parameters, but part of Equation 1.
-pub(crate) fn activation_bytes(cfg: &ModelConfig, ctx_tokens: usize, batch: usize) -> u64 {
-    kv_bytes(cfg.total_layers(), ctx_tokens, cfg.d_model, batch)
-        + working_bytes(cfg, ctx_tokens, batch)
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ pub struct ServeStats {
     /// Decode iterations that compiled a fresh plan across the stream.
     pub plan_cache_misses: u64,
     /// Paged-KV statistics when the stream ran with
-    /// [`crate::BatchConfig::with_paged_kv`]; `None` on the unpaged path.
+    /// [`crate::BatchConfig::with_paged_kv`]; `None` for contiguous KV.
     pub kv: Option<crate::kv::KvServeStats>,
 }
 

@@ -44,13 +44,12 @@ use crate::core::{
     CoreScratch, DecodeCosts,
 };
 use crate::engine::{attn_bytes_for, dense_ffn_bytes_for};
-use crate::kv::{KvSeq, PagedKv};
-use crate::memory;
+use crate::kv::{KvSeq, PagedKv, PagedKvConfig};
 use crate::plan::{self, PlanCacheStats, PlanSession};
 use crate::scheduler::{ExpertScheduler, MemoryProfile, PolicySpec, RoutedSource};
 use crate::serve::ServeStats;
 use crate::{ExpertCache, PlacementPlan, Result, RuntimeError, SimOptions};
-use pgmoe_device::{AllocId, Machine, SimDuration, SimTime, Tier};
+use pgmoe_device::{Machine, SimDuration, SimTime, Tier};
 use pgmoe_model::{ExpertPrecision, GateTopology, ModelConfig};
 use pgmoe_workload::{ArrivedRequest, RoutingSampler, RoutingTrace};
 use rand::rngs::StdRng;
@@ -128,13 +127,11 @@ struct InFlight {
     trace: RoutingTrace,
     generated: usize,
     first_token_at: Option<SimTime>,
-    act_alloc: AllocId,
-    act_bytes: u64,
     /// Prompt tokens prefilled so far: the first step after admission
     /// prefills the whole prompt, or its share of a bounded paged chunk.
     prefilled: usize,
-    /// Paged KV (paged sessions only).
-    kv: Option<KvSeq>,
+    /// The request's KV and working-buffer reservation.
+    kv: KvSeq,
     /// The request's routing identity: its stamped `route_seed`, or the
     /// id-derived default. Seeds the decode trace, the prefill expert draw
     /// and the synthetic KV content stamps outside the shared prefix.
@@ -229,7 +226,10 @@ pub struct BatchSession {
     total_tokens: usize,
     first_arrival: Option<SimTime>,
     last_completion: SimTime,
-    kv: Option<PagedKv>,
+    /// Every per-request HBM byte (contiguous KV is one configuration).
+    kv: PagedKv,
+    /// [`decode_transient_bytes`] by batch size (see [`transients_of`]).
+    transients: Vec<u64>,
     peak_batch: usize,
 }
 
@@ -244,18 +244,13 @@ impl BatchSession {
     /// * [`RuntimeError::OutOfMemory`] if the static footprint does not
     ///   fit the machine.
     pub fn new(cfg: ModelConfig, opts: SimOptions, batch: BatchConfig) -> Result<Self> {
-        if batch.max_batch == 0 {
+        // Contiguous KV is paged KV with unbounded blocks: each sequence's
+        // single block holds its whole context, reserved when it opens.
+        let kv = batch.paged_kv.unwrap_or(PagedKvConfig::new(usize::MAX).without_prefix_sharing());
+        if batch.max_batch == 0 || kv.block_tokens == 0 || kv.prefill_chunk_tokens == 0 {
             return Err(RuntimeError::InvalidConfig {
-                message: "max_batch must be at least 1".into(),
+                message: "max_batch, block_tokens and prefill_chunk_tokens must be positive".into(),
             });
-        }
-        if let Some(p) = batch.paged_kv {
-            if p.block_tokens == 0 || p.prefill_chunk_tokens == 0 {
-                return Err(RuntimeError::InvalidConfig {
-                    message: "paged KV needs block_tokens and prefill_chunk_tokens of at least 1"
-                        .into(),
-                });
-            }
         }
         opts.validate(&cfg)?;
         let sched = opts.policy.build(&opts.setup_for(&cfg));
@@ -266,13 +261,7 @@ impl BatchSession {
         // replay does not re-emit trace spans — see [`crate::plan`]).
         machine.set_trace_enabled(false);
         let base_plan = PlacementPlan::new(&cfg, &opts, 0, 1);
-        let kv = match batch.paged_kv {
-            Some(pcfg) => Some(PagedKv::place(pcfg, &cfg, &base_plan, &mut machine)?),
-            None => {
-                machine.pool_mut(Tier::Hbm).alloc(base_plan.static_non_activation_bytes())?;
-                None
-            }
-        };
+        let kv = PagedKv::place(kv, &cfg, &base_plan, &mut machine)?;
         if base_plan.offload_bytes() > 0 {
             machine.pool_mut(opts.offload_tier).alloc(base_plan.offload_bytes())?;
         }
@@ -287,6 +276,7 @@ impl BatchSession {
             opts.plan_cache,
             opts.expert_precision.unwrap_or(cfg.expert_precision) != ExpertPrecision::F32,
         );
+        let transients = transients_of(&cfg, sched.as_ref(), &base_plan);
         Ok(BatchSession {
             sched,
             topo,
@@ -310,6 +300,7 @@ impl BatchSession {
             first_arrival: None,
             last_completion: SimTime::ZERO,
             kv,
+            transients,
             peak_batch: 0,
             cfg,
             opts,
@@ -408,39 +399,19 @@ impl BatchSession {
         if self.inflight.len() >= self.batch.max_batch {
             return Ok(Admission::BatchFull);
         }
-        let cfg = &self.cfg;
-        let opts = &self.opts;
-        let full_ctx = req.input_tokens + req.output_tokens;
-        // Contiguous KV reserves the worst-case context plus working
-        // buffers for the whole lifetime up front; paged KV plans blocks.
-        let (act_bytes, kv_planned) = match &self.kv {
-            Some(kv) => kv.admission_bytes(cfg, &arr, self.inflight.len()),
-            None => (memory::activation_bytes(cfg, full_ctx, 1), 0),
-        };
-        let in_flight_act: u64 = self.inflight.iter().map(|r| r.act_bytes).sum();
         let pending: usize =
             self.inflight.iter().map(|r| r.request.input_tokens - r.prefilled).sum::<usize>();
-        let transient = decode_transient_bytes(
-            cfg,
-            self.sched.as_ref(),
-            &self.base_plan,
-            self.inflight.len() + 1,
-        )
-        .max(prefill_transient_bytes_of(
-            cfg,
-            self.sched.as_ref(),
-            &self.base_plan,
-            (pending + req.input_tokens).min(self.prefill_chunk()),
-        ));
+        let prefill = (pending + req.input_tokens).min(self.kv.prefill_chunk());
+        let transient = self.decode_transient(self.inflight.len() + 1).max(
+            prefill_transient_bytes_of(&self.cfg, self.sched.as_ref(), &self.base_plan, prefill),
+        );
         let mut planned = self.base_plan.static_non_activation_bytes()
-            + in_flight_act
-            + act_bytes
-            + kv_planned
+            + self.kv.admission_bytes(&arr)
             + transient;
         let lone = self.inflight.is_empty();
-        if let (true, Some(kv)) = (planned > self.budget, &self.kv) {
+        if planned > self.budget {
             // A lone request's exact shortfall is reported below.
-            planned -= kv.prefix_discount(&arr, planned - self.budget, lone);
+            planned -= self.kv.prefix_discount(&arr, planned - self.budget, lone);
         }
         if planned > self.budget {
             if lone {
@@ -457,7 +428,7 @@ impl BatchSession {
             }
             return Ok(Admission::OverBudget);
         }
-        let act_alloc = self.machine.pool_mut(Tier::Hbm).alloc(act_bytes)?;
+        let (cfg, opts) = (&self.cfg, &self.opts);
         // A stamped route seed wins (fleet dispatch: routing is a property
         // of the request, not its placement); otherwise the seed derives
         // from the caller-chosen id.
@@ -482,19 +453,12 @@ impl BatchSession {
             trace,
             generated: 0,
             first_token_at: None,
-            act_alloc,
-            act_bytes,
             prefilled: 0,
-            kv: self.kv.as_ref().map(|kv| kv.open(&arr, seed)),
+            kv: self.kv.open(&arr, seed),
             route_seed: seed,
         });
+        self.sync_kv()?;
         Ok(Admission::Admitted { queueing })
-    }
-
-    /// Most prompt tokens one step prefills: the paged chunk, unbounded
-    /// with contiguous KV.
-    fn prefill_chunk(&self) -> usize {
-        self.kv.as_ref().map_or(usize::MAX, PagedKv::prefill_chunk)
     }
 
     /// One turn of the serving discipline every driver of a session runs
@@ -542,13 +506,8 @@ impl BatchSession {
     pub fn abort(&mut self, id: u64) -> Option<AbortedRequest> {
         let i = self.inflight.iter().position(|r| r.id == id)?;
         let r = self.inflight.swap_remove(i);
-        self.machine.pool_mut(Tier::Hbm).free(r.act_alloc).expect("activation double free");
-        if let (Some(kv), Some(seq)) = (self.kv.as_mut(), r.kv) {
-            kv.release(seq);
-            // Releasing blocks only shrinks the pool, so the reconcile's
-            // free-then-alloc cannot fail.
-            self.sync_kv().expect("kv reconcile after abort");
-        }
+        self.kv.release(r.kv);
+        self.sync_kv().expect("a reconcile after a release cannot fail (see PagedKv::sync)");
         Some(AbortedRequest { id: r.id, tokens_generated: r.generated })
     }
 
@@ -597,6 +556,7 @@ impl BatchSession {
         self.topo = topo;
         self.base_plan = new_plan;
         self.opts = opts;
+        self.transients = transients_of(&self.cfg, self.sched.as_ref(), &self.base_plan);
         // Compiled plans bake in the old scheduler's decisions; drop them
         // all rather than trust the key to separate two schedulers that
         // might share a fingerprint scheme.
@@ -717,16 +677,11 @@ impl BatchSession {
             if done {
                 self.records[r.record].latency = self.clock - r.arrival;
                 self.last_completion = self.last_completion.max(self.clock);
-                self.machine.pool_mut(Tier::Hbm).free(r.act_alloc).expect("activation double free");
                 let finished = self.inflight.swap_remove(i);
-                if let (Some(kv), Some(seq)) = (self.kv.as_mut(), finished.kv) {
-                    kv.release(seq);
-                }
+                self.kv.release(finished.kv);
             } else {
-                // The new decode token's KV joins its paged block table.
-                if let (Some(kv), Some(seq)) = (self.kv.as_mut(), r.kv.as_mut()) {
-                    kv.append(seq, 1);
-                }
+                // The new decode token's KV joins its sequence.
+                self.kv.append(&mut r.kv, 1);
                 i += 1;
             }
         }
@@ -764,12 +719,12 @@ impl BatchSession {
             peak_batch: self.peak_batch,
             plan_cache_hits: self.plans.stats().hits,
             plan_cache_misses: self.plans.stats().misses,
-            kv: self.kv.as_ref().map(PagedKv::stats),
+            kv: self.batch.paged_kv.map(|_| self.kv.stats()),
         }
     }
 
     /// Prefill at the decode-iteration boundary: spends at most
-    /// [`BatchSession::prefill_chunk`] prompt tokens on the oldest pending
+    /// [`PagedKv::prefill_chunk`] prompt tokens on the oldest pending
     /// prompts (admission order), appending their paged KV as it goes, then
     /// submits one batched encoder pass over them. Weight reads amortize
     /// across the prompts and expert fetches move the expected distinct set
@@ -787,14 +742,12 @@ impl BatchSession {
         // prompt's routing seed — like decode routing, a property of the
         // request rather than of the handle its driver numbered it with.
         let mut rng = StdRng::seed_from_u64(self.inflight[first].route_seed);
-        let budget = self.prefill_chunk();
+        let budget = self.kv.prefill_chunk();
         let mut total = 0usize;
         for &i in &self.prefill_order {
             let r = &mut self.inflight[i];
             let todo = (r.request.input_tokens - r.prefilled).min(budget - total);
-            if let (Some(kv), Some(seq)) = (self.kv.as_mut(), r.kv.as_mut()) {
-                kv.append(seq, todo);
-            }
+            self.kv.append(&mut r.kv, todo);
             r.prefilled += todo;
             total += todo;
             if total == budget {
@@ -830,18 +783,17 @@ impl BatchSession {
         )
     }
 
-    /// Reconciles paged KV with HBM after its pool grew or shrank (see
-    /// [`PagedKv::sync`]); a no-op with contiguous KV.
+    /// Reconciles per-request HBM after a sequence opened, grew or was
+    /// released (see [`PagedKv::sync`]).
     fn sync_kv(&mut self) -> Result<()> {
-        let Some(kv) = self.kv.as_mut() else {
-            return Ok(());
-        };
-        let working: u64 = self.inflight.iter().map(|r| r.act_bytes).sum();
-        let batch = self.inflight.len().max(1);
-        let transient =
-            decode_transient_bytes(&self.cfg, self.sched.as_ref(), &self.base_plan, batch);
-        let committed = self.base_plan.static_non_activation_bytes() + working + transient;
-        kv.sync(&mut self.machine, &mut self.cache, committed, self.budget)
+        let transient = self.decode_transient(self.inflight.len().max(1));
+        let committed = self.base_plan.static_non_activation_bytes() + transient;
+        self.kv.sync(&mut self.machine, &mut self.cache, committed, self.budget)
+    }
+
+    /// [`decode_transient_bytes`] at `batch`, looked up.
+    fn decode_transient(&self, batch: usize) -> u64 {
+        self.transients[batch.min(self.transients.len() - 1)]
     }
 }
 
@@ -881,10 +833,17 @@ pub(crate) fn decode_transient_bytes(
     sched.admission_transient_bytes(&profile(cfg, plan, union))
 }
 
+/// [`decode_transient_bytes`] at every batch size up to the first whose
+/// union covers every expert; a larger batch claims what that one does.
+fn transients_of(cfg: &ModelConfig, sched: &dyn ExpertScheduler, plan: &PlacementPlan) -> Vec<u64> {
+    let covering = cfg.num_experts.div_ceil(plan.active_per_block().max(1));
+    (0..=covering).map(|b| decode_transient_bytes(cfg, sched, plan, b)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OffloadPolicy, PagedKvConfig};
+    use crate::OffloadPolicy;
     use pgmoe_workload::DecodeRequest;
 
     fn req(input: usize, output: usize) -> DecodeRequest {
@@ -1556,5 +1515,145 @@ mod tests {
         assert_eq!(via_session.peak_hbm_bytes, via_serve.peak_hbm_bytes);
         assert_eq!(via_session.expert_fetch_bytes, via_serve.expert_fetch_bytes);
         assert_eq!(via_session.tokens_per_sec, via_serve.tokens_per_sec);
+    }
+
+    /// Options for `policy` with an expert cache of `cache_experts` (none at
+    /// 0), and the paged-KV gate's tight budget for them: static weights,
+    /// two long requests' activations and the expert working set.
+    fn tight(policy: OffloadPolicy, cache_experts: u64) -> (SimOptions, PlacementPlan, u64) {
+        use crate::{CacheConfig, Replacement};
+        let cfg = ModelConfig::switch_base(8);
+        let mut opts = SimOptions::new(policy);
+        if cache_experts > 0 {
+            let eb = PlacementPlan::new(&cfg, &opts, 0, 1).expert_bytes();
+            opts = opts.with_cache(CacheConfig::bytes(cache_experts * eb, Replacement::Lru));
+        }
+        let base = PlacementPlan::new(&cfg, &opts, 0, 1);
+        let long = PlacementPlan::new(&cfg, &opts, 536, 1).activation_bytes();
+        let budget = base.static_non_activation_bytes() + 2 * long + 2 * 8 * base.expert_bytes();
+        (opts, base, budget)
+    }
+
+    #[test]
+    fn contiguous_kv_holds_its_reservations_and_never_squeezes_the_cache() {
+        use crate::memory::{kv_bytes, working_bytes};
+        // Contiguous KV reserves each request's working buffers and
+        // whole-context KV when it opens, and admission planned all of it
+        // with the cache region at plan capacity: after every step HBM holds
+        // exactly the static footprint plus those reservations, and the
+        // cache was never shrunk, under every paper policy with and without
+        // a cache.
+        let cfg = ModelConfig::switch_base(8);
+        let arrivals = pgmoe_workload::mixed_context_trace(24, 512, 384, 2, 50_000);
+        for policy in OffloadPolicy::ALL {
+            for cache_experts in [0u64, 48] {
+                let (opts, base, budget) = tight(policy, cache_experts);
+                let batch = BatchConfig::new(16).with_hbm_budget(budget);
+                let mut s = BatchSession::new(cfg.clone(), opts, batch).unwrap();
+                let mut queue: VecDeque<_> = arrivals.iter().copied().enumerate().collect();
+                let mut peak = 0;
+                while !queue.is_empty() || s.in_flight() > 0 {
+                    s.pump(&mut queue, |_, _| {}).unwrap();
+                    let held: u64 = s
+                        .inflight
+                        .iter()
+                        .map(|r| r.request.input_tokens + r.request.output_tokens)
+                        .map(|ctx| {
+                            working_bytes(&cfg, ctx, 1)
+                                + kv_bytes(cfg.total_layers(), ctx, cfg.d_model, 1)
+                        })
+                        .sum();
+                    let case = format!("{policy:?}, {cache_experts} cached experts");
+                    let used = s.machine.pool(Tier::Hbm).used_bytes();
+                    assert_eq!(used, base.static_non_activation_bytes() + held, "{case}");
+                    let kv = s.kv.stats();
+                    assert_eq!(kv.cache_shrink_events, 0, "{case}");
+                    assert_eq!(kv.final_cache_experts, base.cache_experts(), "{case}");
+                    peak = peak.max(s.in_flight());
+                }
+                assert!(peak >= 2, "{policy:?}: the budget must still admit a batch");
+            }
+        }
+    }
+
+    #[test]
+    fn aborts_mid_prefill_and_mid_decode_reconcile_on_both_kv_layouts() {
+        // An abort's reconcile cannot fail (see `PagedKv::sync`). Under the
+        // tight cached budget, abort the most-prefilled request still
+        // prefilling and a decoding one every third step: on paged KV the
+        // released blocks let the cache region squeezed by KV regrow inside
+        // the abort, and on both layouts HBM stays inside the budget.
+        let cfg = ModelConfig::switch_base(8);
+        let arrivals = pgmoe_workload::mixed_context_trace(24, 512, 384, 2, 50_000);
+        let (opts, _, budget) = tight(OffloadPolicy::Pregated, 48);
+        for paged in [None, Some(PagedKvConfig::new(16).with_prefill_chunk(256))] {
+            let batch =
+                BatchConfig { paged_kv: paged, ..BatchConfig::new(16).with_hbm_budget(budget) };
+            let mut s = BatchSession::new(cfg.clone(), opts.clone(), batch).unwrap();
+            let mut queue: VecDeque<_> = arrivals.iter().copied().enumerate().collect();
+            let (mut seen, mut aborted, mut mid_chunk, mut regrown) = ([0; 2], [0; 2], 0, 0);
+            while !queue.is_empty() || s.in_flight() > 0 {
+                if s.in_flight() == 0 {
+                    s.advance_clock(SimTime::from_nanos(queue[0].1.arrival_ns));
+                }
+                while let Some(&(handle, arr)) = queue.front() {
+                    let arrived = SimTime::from_nanos(arr.arrival_ns) <= s.clock();
+                    let admitted = arrived
+                        && matches!(
+                            s.try_admit(handle as u64, arr),
+                            Ok(Admission::Admitted { .. })
+                        );
+                    if !admitted {
+                        break;
+                    }
+                    queue.pop_front();
+                }
+                let pre = s.inflight.iter().filter(|r| !r.ready()).max_by_key(|r| r.prefilled);
+                let pre = pre.map(|r| (r.id, r.prefilled));
+                let dec = s.inflight.iter().find(|r| r.generated > 0).map(|r| (r.id, 0));
+                for (k, victim) in [pre, dec].into_iter().enumerate() {
+                    let Some((id, prefilled)) = victim else { continue };
+                    seen[k] += 1;
+                    if seen[k] % 3 != 0 {
+                        continue;
+                    }
+                    aborted[k] += 1;
+                    mid_chunk += usize::from(prefilled > 0);
+                    let before = s.kv.stats().final_cache_experts;
+                    s.abort(id).expect("the request is in flight");
+                    regrown += usize::from(s.kv.stats().final_cache_experts > before);
+                    assert!(s.machine.pool(Tier::Hbm).used_bytes() <= budget, "{paged:?}");
+                }
+                s.step().unwrap();
+            }
+            assert!(aborted[0] > 0 && aborted[1] > 0, "{paged:?}: {aborted:?} aborts");
+            if paged.is_some() {
+                assert!(mid_chunk > 0, "a bounded chunk must leave a prompt half prefilled");
+                assert!(regrown > 0, "a paged abort must regrow the squeezed cache");
+            }
+        }
+    }
+
+    #[test]
+    fn contiguous_kv_squeezes_the_cache_only_when_a_swap_raises_the_transient_claim() {
+        use crate::scheduler::PolicySpec;
+        // Admission fits a contiguous batch under On-demand's transient
+        // claim; Pre-gated's is larger, so after the swap the reconcile
+        // shrinks the cache region to keep the plan inside the budget, as it
+        // does on paged KV.
+        let (opts, base, budget) = tight(OffloadPolicy::OnDemand, 48);
+        let batch = BatchConfig::new(16).with_hbm_budget(budget);
+        let mut s = BatchSession::new(ModelConfig::switch_base(8), opts, batch).unwrap();
+        let arrivals = pgmoe_workload::mixed_context_trace(24, 512, 384, 2, 50_000);
+        let mut queue: VecDeque<_> = arrivals.iter().copied().enumerate().collect();
+        for _ in 0..2 {
+            s.pump(&mut queue, |_, _| {}).unwrap();
+        }
+        assert_eq!(s.kv.stats().final_cache_experts, base.cache_experts());
+        s.swap_scheduler(PolicySpec::from(OffloadPolicy::Pregated)).unwrap();
+        while !queue.is_empty() || s.in_flight() > 0 {
+            s.pump(&mut queue, |_, _| {}).unwrap();
+        }
+        assert!(s.kv.stats().cache_shrink_events > 0, "{:?}", s.kv.stats());
     }
 }
